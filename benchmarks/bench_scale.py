@@ -75,13 +75,15 @@ STABILITY = 0.7
 
 
 def peak_rss_mb() -> float:
-    """Peak resident set of this process *and* its children, in MiB.
+    """Peak resident set of this process plus its largest child, in MiB.
 
-    ``RUSAGE_CHILDREN`` reports the largest ``ru_maxrss`` over reaped
-    child processes (the shard workers of ``--jobs N``); summing it
-    with our own peak bounds the aggregate footprint the
-    ``--max-rss-mb`` budget is meant to police — self alone would let
-    worker bloat pass unnoticed.  Linux reports KiB; macOS bytes.
+    ``RUSAGE_CHILDREN`` reports the largest single ``ru_maxrss`` over
+    reaped child processes (the shard workers of ``--jobs N``), not a
+    sum over them.  Adding it to our own peak catches one bloated
+    worker, which self alone would let pass, but at ``jobs >= 2`` it
+    undercounts the aggregate footprint: the other workers' peaks are
+    missing, so the figure the ``--max-rss-mb`` budget checks is a lower
+    bound on the run's total.  Linux reports KiB; macOS bytes.
     """
     rss_kb = (
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

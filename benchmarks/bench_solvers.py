@@ -11,8 +11,9 @@ legacy paths produce byte-identical solutions, then times both:
   kernel vs tuple partitions) on the full request-rate vector,
 * ``local_search_refine`` — relocate hill climb (neighbor-count delta
   kernel vs full hop recount per candidate),
-* ``swap_refine`` — move/swap makespan refinement (broadcast candidate
-  grid vs per-candidate scan).
+* ``swap_refine`` — move/swap makespan refinement (sorted-partner
+  ``searchsorted`` scan with record-breaking-block replay vs
+  per-candidate scan).
 
 Usage::
 

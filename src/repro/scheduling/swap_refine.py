@@ -14,22 +14,48 @@ rate — the quantity Eq. (12) says dominates the worst ``W(f,k)``).
 refinement, giving an anytime upgrade path between RCKK and the exact
 search.
 
-Vectorized candidate scan
--------------------------
-The legacy scan evaluated each (item, target[, partner]) candidate with
-a fresh ``max`` over all way sums.  The kernel computes every
-candidate's post-move makespan in one shot: with ``o(t)`` = the largest
-sum over ways other than ``worst`` and ``t`` (two-argmax trick), a move
-of rate ``r`` to ``t`` yields ``max(o(t), makespan - r, sums[t] + r)``
-and a swap with partner rate ``s`` yields
-``max(o(t), makespan + (s - r), sums[t] + (r - s))`` — each one numpy
-broadcast over the full candidate grid, laid out in the exact legacy
-enumeration order.  The legacy acceptance rule
-(``delta > best + 1e-12``, best updated on accept) only ever accepts
-strict prefix-maximum record breakers, so the kernel extracts the
-record breakers with a ``maximum.accumulate`` prefix scan and replays
-the margin rule on that short list — selecting the identical candidate,
-hence the identical move sequence and final assignment.  The legacy
+Sorted-partner candidate scan
+-----------------------------
+The legacy scan enumerates, for each item ``r`` of the worst way (in
+member order) and each other way ``t`` (ascending), a *block* of
+candidates: the move of ``r`` to ``t``, then the swaps of ``r`` with
+each ``s < r`` of ``t`` (member order).  It accepts ``delta > best +
+1e-12`` with ``best`` updated on accept; a candidate's delta is
+``makespan - new``, where with ``o(t)`` = the largest sum over ways
+other than ``worst`` and ``t`` a swap yields ``new = max(o(t),
+makespan + (s - r), sums[t] + (r - s))``.  A move is exactly a swap
+with ``s = 0.0`` (``s - r`` is ``-r`` and ``r - s`` is ``r`` in IEEE
+arithmetic), so every way carries one zero-rate phantom partner that
+stands for the move.  Instead of evaluating the O(n_worst * n)
+candidate grid, the kernel argues in three steps:
+
+1. **Single-peaked in the partner rate.**  ``makespan + (s - r)`` is
+   nondecreasing and ``sums[t] + (r - s)`` nonincreasing in ``s``,
+   since every rounded ``+``/``-`` is monotone in each operand, so the
+   delta is quasi-concave in ``s``.  Over ``t``'s partner rates sorted
+   ascending, the best swap is the first partner at which the
+   worst-side sum reaches the target side, or the one just below it.
+   All ways' partners sit in one array sorted by (way, rate), so two
+   ``searchsorted`` calls per round find that position for every
+   ``(r, t)`` from the key ``r - (makespan - sums[t]) / 2``; the exact
+   float predicate (itself monotone) confirms it, and an exact
+   bisection repairs the rare position that rounding put off.
+   Every partner ``s >= r`` leaves the worst way at ``>= makespan``, so
+   the crossing never lies past the valid partners, and letting an
+   invalid partner's delta (``<= 0``) into a block's best cannot change
+   which blocks clear the margin.
+2. **Only record-breaking blocks can hold the winner.**  Every accepted
+   candidate is a strict prefix-max record breaker (see
+   :func:`~repro.core.deltas.select_improving_record_breaker`), so its
+   block's best beats every earlier block's best, and the margin.
+3. **Replay only those blocks.**  They are expanded with the legacy
+   expressions in enumeration order and the margin rule is replayed on
+   their concatenation.  Skipped candidates were never accepted, so
+   the replay's state matches the full scan's at every kept candidate.
+
+The kernel therefore selects the identical candidate, hence the
+identical move sequence and final assignment, in O(n_worst * ways *
+log n) per round plus a sort of the O(n) partner keys.  The legacy
 scan survives as ``reference_refine_assignment`` in
 ``benchmarks/_reference_impl.py``, pinned by
 ``tests/core/test_solver_kernel_parity.py``.
@@ -37,6 +63,8 @@ scan survives as ``reference_refine_assignment`` in
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate, chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -51,6 +79,10 @@ from repro.scheduling.base import (
     ScheduleResult,
 )
 from repro.scheduling.rckk import RCKKScheduler
+
+#: Acceptance margin of the legacy scan: a candidate is taken only when
+#: its delta beats the best so far by more than this.
+_MARGIN = 1e-12
 
 
 def refine_assignment(
@@ -81,14 +113,35 @@ def refine_assignment(
     if max_rounds < 1:
         raise ValidationError(f"max_rounds must be >= 1, got {max_rounds!r}")
     current = list(assignment)
-    # Way sums stay an incrementally-updated Python float list with the
-    # legacy update expressions, so accumulated rounding is identical.
-    sums = [0.0] * num_ways
+    n = len(current)
     members: List[List[int]] = [[] for _ in range(num_ways)]
     for idx, way in enumerate(current):
-        sums[way] += rates[idx]
         members[way].append(idx)
-    rates_arr = np.asarray(rates, dtype=np.float64)
+    # A move of r to t is exactly a swap with a zero-rate partner
+    # (s - r = -r and r - s = r in IEEE arithmetic), so every way gets
+    # one phantom partner of rate 0.0, at index n + way; it comes first
+    # in the way's enumeration order, as the move came first in the
+    # legacy scan.  For r <= 0 neither can win: both deltas are <= 0.
+    ext = np.zeros(n + num_ways)
+    ext[:n] = rates
+    ways = np.asarray(current + list(range(num_ways)), dtype=np.int64)
+    # Way sums accumulate item by item in index order, as the legacy +=
+    # loop did (bincount adds its weights sequentially), and are then
+    # updated with the legacy expressions, so all rounding is identical.
+    sums = np.bincount(ways[:n], weights=ext[:n], minlength=num_ways).tolist()
+
+    # Every way's partner rates, ascending, in one array: partner i sorts
+    # on way * stride + rank(i), rank ordering all rates (ties by index),
+    # and each way's run is fenced by a -inf and a +inf sentinel.
+    size = n + num_ways
+    stride = size + 2
+    order = np.argsort(ext, kind="stable")
+    sorted_ext = ext[order]
+    fenced = np.concatenate(([-np.inf], sorted_ext, [np.inf]))
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(1, size + 1)
+    fences = np.arange(num_ways, dtype=np.int64) * stride
+    keys = np.concatenate((ways * stride + rank, fences, fences + stride - 1))
 
     moves = 0
     for _ in range(max_rounds):
@@ -99,79 +152,80 @@ def refine_assignment(
         if not row_items or not tlist:
             break
 
-        # o[t] = max sum over ways other than worst and t, via the
-        # top-two of the sums with worst masked out.
-        S = np.asarray(sums, dtype=np.float64)
-        t_arr = np.asarray(tlist, dtype=np.int64)
-        E = S.copy()
-        E[worst] = -np.inf
-        i1 = int(np.argmax(E))
-        top1 = float(E[i1])
-        E[i1] = -np.inf
-        top2 = float(E.max())
-        o = np.where(t_arr == i1, top2, top1)
-
-        # Candidate grid layout: one row per item of the worst way, and
-        # per target t a column block [move, swap(j) for j in members[t]]
-        # — C-order ravel of the grid is the legacy enumeration order.
-        R = rates_arr[row_items]
-        lens = np.asarray([len(members[t]) for t in tlist], dtype=np.int64)
-        j_all = np.asarray(
-            [j for t in tlist for j in members[t]], dtype=np.int64
+        # Per target t: its sum, o[t] = the max sum over ways other than
+        # worst and t (top two), and half the gap to the makespan.
+        t_sums = [sums[t] for t in tlist]
+        i1 = max(range(len(tlist)), key=t_sums.__getitem__)
+        others = [t_sums[i1]] * len(tlist)
+        others[i1] = max(t_sums[:i1] + t_sums[i1 + 1 :], default=-np.inf)
+        per_target = np.array(
+            [others, t_sums, [(makespan - v) * 0.5 for v in t_sums]],
+            dtype=np.float64,
         )
-        block_sizes = 1 + lens
-        L = int(block_sizes.sum())
-        col_tpos = np.repeat(np.arange(len(tlist)), block_sizes)
-        pos_move = np.concatenate(([0], np.cumsum(block_sizes)[:-1]))
-        pos_swap = np.delete(np.arange(L), pos_move)
+        o, St, half = per_target[..., None]
 
-        # Move idx -> t: max(o, makespan - r, sums[t] + r).
-        move_new = np.maximum(
-            o[None, :],
-            np.maximum((makespan - R)[:, None], S[t_arr][None, :] + R[:, None]),
+        # One row per target t, one column per worst-way item r, items by
+        # ascending rate so the searches below get sorted keys.  The best
+        # partner of (r, t) is the first s of t (ascending) whose
+        # worst-side sum reaches t's sum, or the one before: approximately
+        # at the key r - (makespan - sums[t]) / 2, then confirmed exactly.
+        Rv = ext[row_items]
+        by_rate = np.argsort(Rv, kind="stable")
+        R = Rv[by_rate]
+        sorted_keys = np.sort(keys)
+        partner = fenced[sorted_keys % stride]
+        base = fences[tlist][:, None]
+        pos = sorted_keys.searchsorted(
+            base + sorted_ext.searchsorted(R - half) + 1
         )
-        move_delta = makespan - move_new
+        best_new, ok = _partner_pair(partner, pos, R, St, makespan)
+        if not ok.all():
+            for t, i in zip(*np.nonzero(~ok)):
+                fence = base[t, 0]
+                lo, hi = sorted_keys.searchsorted((fence, fence + stride - 1))
+                pos[t, i] = _first_crossing(
+                    partner, lo, hi, R[i], St[t, 0], makespan
+                )
+            best_new, ok = _partner_pair(partner, pos, R, St, makespan)
 
-        flat = np.empty((len(row_items), L), dtype=np.float64)
-        flat[:, pos_move] = move_delta
-        if len(j_all):
-            # Swap idx <-> jdx: max(o, makespan + (s - r), sums[t] + (r - s)),
-            # grouped exactly like the legacy change dict (s - r first).
-            s = rates_arr[j_all]
-            tpos_j = np.repeat(np.arange(len(tlist)), lens)
-            swap_new = np.maximum(
-                o[tpos_j][None, :],
-                np.maximum(
-                    makespan + (s[None, :] - R[:, None]),
-                    S[t_arr[tpos_j]][None, :] + (R[:, None] - s[None, :]),
-                ),
-            )
-            # Swaps must shrink the worst way (s < r); others never
-            # existed in the legacy enumeration.
-            flat[:, pos_swap] = np.where(
-                s[None, :] < R[:, None], makespan - swap_new, -np.inf
-            )
-
-        # Accepted candidates under the sequential margin rule are all
-        # strict prefix-max record breakers; replay the rule on just the
-        # record breakers (identical winner, see module docstring).
-        sel = select_improving_record_breaker(flat.ravel())
-        if sel < 0:
+        # Block (r, t) = r's candidates with t in enumeration order, rows
+        # back in member order; only blocks whose best beats every earlier
+        # block's and the margin can hold an accepted candidate.
+        block_best = np.empty((len(row_items), len(tlist)))
+        block_best[by_rate] = (makespan - np.maximum(o, best_new)).T
+        record = np.maximum.accumulate(
+            np.concatenate(([_MARGIN], block_best.ravel()))
+        )
+        blocks = np.flatnonzero(record[1:] > record[:-1])
+        if not len(blocks):
             break
 
-        col = sel % L
-        idx = row_items[sel // L]
-        target = tlist[int(col_tpos[col])]
-        swap_pos = int(np.searchsorted(pos_swap, col))
-        is_move = not (swap_pos < len(pos_swap) and pos_swap[swap_pos] == col)
-        if is_move:
+        # Replay the legacy rule on just those blocks, expanded in the
+        # legacy enumeration order with the legacy expressions.
+        rows, cols = np.divmod(blocks, len(tlist))
+        parts = [
+            [n + tlist[c], *members[tlist[c]]] for c in cols.tolist()
+        ]
+        lens = [len(q) for q in parts]
+        r = np.repeat(Rv[rows], lens)
+        s = ext[np.fromiter(chain.from_iterable(parts), np.int64, sum(lens))]
+        o_t, s_t = np.repeat(per_target[:2, cols], lens, axis=1)
+        new = np.maximum(o_t, np.maximum(makespan + (s - r), s_t + (r - s)))
+        sel = select_improving_record_breaker(
+            np.where(s < r, makespan - new, -np.inf), _MARGIN
+        )
+
+        b = bisect_right(list(accumulate(lens)), sel)
+        idx = row_items[int(rows[b])]
+        target = tlist[int(cols[b])]
+        jdx = parts[b][sel - sum(lens[:b])]
+        if jdx >= n:
             members[worst].remove(idx)
             members[target].append(idx)
             sums[worst] -= rates[idx]
             sums[target] += rates[idx]
             current[idx] = target
         else:
-            jdx = int(j_all[swap_pos])
             members[worst].remove(idx)
             members[target].remove(jdx)
             members[worst].append(jdx)
@@ -179,8 +233,45 @@ def refine_assignment(
             sums[worst] += rates[jdx] - rates[idx]
             sums[target] += rates[idx] - rates[jdx]
             current[idx], current[jdx] = target, worst
+            keys[jdx] = worst * stride + rank[jdx]
+        keys[idx] = target * stride + rank[idx]
         moves += 1
     return current, moves
+
+
+#: Gather offsets of the partner pair around a crossing position.
+_PAIR = np.array([1, 0]).reshape(2, 1, 1)
+
+
+def _partner_pair(partner, pos, R, St, makespan):
+    """Best new sum of the swaps with the partners at ``pos - 1``, ``pos``.
+
+    Below the crossing the swap's new sum is the target side
+    ``sums[t] + (r - s)``, at and past it the worst side
+    ``makespan + (s - r)``; the best of the two, floored by ``o``
+    outside, is the block's best swap.  ``ok`` says that ``pos`` is
+    exactly the first partner whose worst side reaches its target side.
+    Sentinels make a missing partner's side ``inf``.
+    """
+    s = partner[pos - _PAIR]
+    worst_side = makespan + (s - R)
+    target_side = St + (R - s)
+    reached = worst_side >= target_side
+    ok = reached[1] > reached[0]
+    return np.minimum(target_side[0], worst_side[1]), ok
+
+
+def _first_crossing(partner, lo, hi, r, s_t, makespan):
+    """Exact bisection for the crossing in the run fenced at ``lo``, ``hi``."""
+    a, b = lo + 1, hi
+    while a < b:
+        mid = (a + b) // 2
+        s = partner[mid]
+        if makespan + (s - r) >= s_t + (r - s):
+            b = mid
+        else:
+            a = mid + 1
+    return a
 
 
 def swap_refine_columns(

@@ -1,7 +1,7 @@
 """Golden parity: array-native solver kernels vs the legacy loops.
 
 The PR-3 kernels (BFDSU residual-vector construction, flat-array RCKK,
-delta-evaluated local search, broadcast swap refinement) must be
+delta-evaluated local search, sorted-partner swap refinement) must be
 *byte-identical* to the pre-kernel implementations preserved under
 ``benchmarks/_reference_impl.py`` — same placements, same assignments,
 same move sequences, same iteration counts — for the default seed and
@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
@@ -40,6 +42,7 @@ from repro.partition.rckk import (  # noqa: E402
 )
 from repro.placement.base import PlacementProblem  # noqa: E402
 from repro.placement.bfdsu import BFDSUPlacement  # noqa: E402
+from repro.scheduling import swap_refine  # noqa: E402
 from repro.scheduling.swap_refine import refine_assignment  # noqa: E402
 from repro.seeding import DEFAULT_SEED, derive_seed  # noqa: E402
 from repro.workload.generator import WorkloadGenerator  # noqa: E402
@@ -133,6 +136,77 @@ class TestSwapRefineParity:
         assert refine_assignment(
             rates, start, num_ways
         ) == reference_refine_assignment(rates, start, num_ways)
+
+
+@st.composite
+def refine_cases(draw):
+    """Tie-heavy refine inputs with an arbitrary start assignment.
+
+    Integer rates and one-decimal rates repeat values often, and sums of
+    decimals round, so many candidates tie or near-tie; continuous rates
+    cover the generic case.
+    """
+    num_ways = draw(st.integers(2, 8))
+    rates = draw(
+        st.one_of(
+            st.lists(st.integers(0, 6).map(float), max_size=40),
+            st.lists(
+                st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.8, 1.1]), max_size=40
+            ),
+            st.lists(st.floats(0.0, 100.0), max_size=40),
+        )
+    )
+    start = draw(
+        st.lists(
+            st.integers(0, num_ways - 1),
+            min_size=len(rates),
+            max_size=len(rates),
+        )
+    )
+    return rates, start, num_ways, draw(st.integers(1, 20))
+
+
+class TestSwapRefineTieParity:
+    """The sorted-partner kernel selects exactly the legacy scan's move."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(refine_cases())
+    def test_matches_reference(self, case):
+        assert refine_assignment(*case) == reference_refine_assignment(*case)
+
+    @pytest.mark.parametrize(
+        "rates, start, expected",
+        [
+            # Swapping 9 with 4.0 (delta 2 - 1e-13) comes before swapping
+            # it with 4.0 + 1e-13 (delta 2.0) in the same block: the
+            # second does not beat the first by the margin.
+            ([9.0, 1.0, 5.0, 4.0, 4.0 + 1e-13], [0, 0, 0, 1, 1],
+             [1, 0, 0, 0, 1]),
+            # Moving 3.0 (delta 3.0) comes before moving 3.0 + 1e-13
+            # (delta 3.0 + 1e-13), a block later.
+            ([3.0, 3.0 + 1e-13, 1.0, 1.0], [0, 0, 0, 0], [1, 0, 0, 0]),
+        ],
+    )
+    def test_margin_keeps_the_first_near_tie(self, rates, start, expected):
+        assert refine_assignment(rates, start, 2, 1) == (expected, 1)
+        assert reference_refine_assignment(rates, start, 2, 1) == (
+            expected,
+            1,
+        )
+
+    def test_rounded_crossing_is_confirmed_exactly(self, monkeypatch):
+        # Key 0.8 - (0.9 - 0.7) / 2 lands on the partner 0.7, but the
+        # exact sums (0.7999999999999999 < 0.8) put the crossing past it.
+        calls = []
+        exact = swap_refine._first_crossing
+        monkeypatch.setattr(
+            swap_refine,
+            "_first_crossing",
+            lambda *args: calls.append(args) or exact(*args),
+        )
+        case = ([0.8, 0.7, 0.1], [0, 2, 0], 3)
+        assert refine_assignment(*case) == reference_refine_assignment(*case)
+        assert calls
 
 
 #: Float columns subject to the dtype policy (quantized for parity).

@@ -68,6 +68,39 @@ class TestRefineAssignment:
         with pytest.raises(ValidationError):
             refine_assignment([1.0], [0], 1, max_rounds=0)
 
+    def test_empty_target_way(self):
+        # Sums [8, 4, 0]: the best candidate is moving 6 to the empty
+        # way 2 (makespan 6), which beats the swap 6 <-> 3 (makespan 7).
+        assert refine_assignment([6.0, 2.0, 3.0, 1.0], [0, 0, 1, 1], 3) == (
+            [2, 0, 1, 1],
+            1,
+        )
+
+    def test_no_valid_swap_partner(self):
+        # Every worst-way item (1.0) is smaller than the only partner, so
+        # round 1 has no swap; moving the first item helps once, and
+        # nothing improves after it.
+        assert refine_assignment([1.0, 1.0, 1.0, 1.5], [0, 0, 0, 1], 2) == (
+            [1, 0, 0, 1],
+            1,
+        )
+        # And when moving cannot help either, nothing changes.
+        assert refine_assignment([1.0, 1.0, 1.0, 2.5], [0, 0, 0, 1], 2) == (
+            [0, 0, 0, 1],
+            0,
+        )
+
+    def test_one_way_holds_all_items(self):
+        # 4 -> way 1 (makespan 5), then 3 -> way 2 (makespan 4, optimal).
+        assert refine_assignment([4.0, 3.0, 2.0], [0, 0, 0], 3) == (
+            [1, 2, 0],
+            2,
+        )
+
+    def test_no_items_or_single_way(self):
+        assert refine_assignment([], [], 3) == ([], 0)
+        assert refine_assignment([2.0, 1.0], [0, 0], 1) == ([0, 0], 0)
+
 
 class TestSwapRefinedScheduler:
     def test_improves_round_robin(self):
