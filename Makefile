@@ -55,7 +55,7 @@ ci: lint
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_solvers.py --quick --out benchmarks/bench_solvers.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_sim.py --quick --out benchmarks/bench_sim.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_topo.py --quick --out benchmarks/bench_topo.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve.py --quick --min-speedup 50 --out benchmarks/bench_serve.json
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve.py --quick --min-speedup 50 --max-churn-ratio 1.4 --out benchmarks/bench_serve.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_scale.py --quick --jobs 2 --sim-packets 1e6 --max-seconds 300 --max-rss-mb 6144 --out benchmarks/bench_scale.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_faults.py --quick --max-p99-ms 2000 --out benchmarks/bench_faults.json
 

@@ -110,9 +110,15 @@ def _time(fn, repeats, warmup=1):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
+    q1, median, q3 = (
+        statistics.quantiles(times, n=4) if repeats > 1 else times * 3
+    )
     return {
         "best_s": min(times),
         "mean_s": statistics.fmean(times),
+        "median_s": median,
+        "q1_s": q1,
+        "q3_s": q3,
         "repeats": repeats,
     }
 

@@ -20,10 +20,15 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_solvers.py [--quick] [--out FILE]
 
 ``--quick`` shrinks the scenario for CI smoke runs; ``--out`` writes the
-JSON report to a file (it always prints to stdout).  ``--min-speedup``
-turns the report into a gate; the acceptance bars on the full scenario
-are 5x for local-search refinement and 3x for BFDSU, but quick-mode
-inputs are overhead-dominated, so the default is report-only.
+JSON report to a file (it always prints to stdout).  Each side runs at
+least 5 times; the report gives the median and the interquartile range
+(IQR) of each, the speedup is the ratio of the medians, and a pair
+whose IQRs overlap is flagged "within noise" (a best-of-N speedup moved
+by ~20% between runs of identical code on a 2-core host).
+``--min-speedup`` turns the report into a gate; the acceptance bars on
+the full scenario are 5x for local-search refinement and 3x for BFDSU,
+but quick-mode inputs are overhead-dominated, so the default is
+report-only.
 """
 
 from __future__ import annotations
@@ -46,12 +51,38 @@ from _reference_impl import (
     reference_refine_assignment,
     reference_refine_placement,
 )
-from bench_core import DEFAULT_SEED, _compare, build_scenario
+from bench_core import DEFAULT_SEED, _time, build_scenario
 from repro.core.local_search import refine_placement
 from repro.partition.rckk import rckk_partition
 from repro.placement.base import PlacementProblem
 from repro.placement.bfdsu import BFDSUPlacement
 from repro.scheduling.swap_refine import refine_assignment
+
+
+def _compare(name, reference_fn, kernel_fn, repeats, results):
+    """Median speedup of the kernel over the reference, with spreads."""
+    ref = _time(reference_fn, repeats)
+    vec = _time(kernel_fn, repeats)
+    speedup = ref["median_s"] / vec["median_s"]
+    noise = ref["q1_s"] <= vec["q3_s"] and vec["q1_s"] <= ref["q3_s"]
+    results[name] = {
+        "reference": ref,
+        "vectorized": vec,
+        "speedup": round(speedup, 2),
+        "within_noise": noise,
+    }
+
+    def spread(t):
+        return (
+            f"{t['median_s'] * 1e3:9.3f} ms "
+            f"(IQR {(t['q3_s'] - t['q1_s']) * 1e3:7.3f})"
+        )
+
+    print(
+        f"{name:<22} reference {spread(ref)}   kernel {spread(vec)}   "
+        f"{speedup:7.1f}x{'  within noise' if noise else ''}",
+        file=sys.stderr,
+    )
 
 
 def _check(name, ok):
@@ -79,7 +110,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.quick:
-        num_requests, num_nodes, num_vnfs, repeats = 300, 50, 20, 3
+        num_requests, num_nodes, num_vnfs, repeats = 300, 50, 20, 5
     else:
         num_requests, num_nodes, num_vnfs, repeats = 2000, 200, 40, 5
 

@@ -19,18 +19,22 @@ are never replaced in-repo).  Owners therefore build a
 
 One exception: the *request rows* (and their chain CSR) support
 in-place mutation through :meth:`ScenarioArrays.append_request` /
-:meth:`ScenarioArrays.remove_request` — the substrate of the
+:meth:`ScenarioArrays.remove_request` /
+:meth:`ScenarioArrays.remove_requests` — the substrate of the
 incremental :class:`~repro.core.incremental.DeploymentEngine`, where
 the request set churns while VNFs and nodes stay fixed.  Appends write
 into amortized-doubling backing buffers (the public columns are slices
-of them), removes shift the tail rows down, and both invalidate the
-two request-derived CSR caches (``vnf_requests`` /
-``vnf_chain_neighbors``) so the next query rebuilds them.  A mutated
-instance is column-for-column identical (exact, not approximate) to a
-from-scratch :meth:`ScenarioArrays.build` over the surviving request
-sequence — pinned by ``tests/core/test_arrays_mutation.py``.  The
-VNF/node columns and their caches (``node_str_rank``, topology
-attachment) remain immutable forever.
+of them), removes compact the surviving rows down with C-level array
+moves, and both invalidate the two request-derived CSR caches
+(``vnf_requests`` / ``vnf_chain_neighbors``) so the next query rebuilds
+them.  The id -> row map of a mutated scenario is a :class:`RowIndex`,
+which locates rows by arrival sequence, so a removal never renumbers
+the later ids.  A mutated instance is column-for-column identical
+(exact, not approximate) to a from-scratch :meth:`ScenarioArrays.build`
+over the surviving request sequence — pinned by
+``tests/core/test_arrays_mutation.py``.  The VNF/node columns and
+their caches (``node_str_rank``, topology attachment) remain immutable
+forever.
 
 The *dynamic* decision variables — the ``vnf_name -> node`` placement
 dict and the ``(request_id, vnf_name) -> k`` schedule dict — are
@@ -53,14 +57,72 @@ the columns.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from itertools import count
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.dtypes import ensure_index_capacity, resolve_policy
 from repro.exceptions import SchedulingError, ValidationError
 from repro.queueing.mm1 import mm1_mean_response_times, mm1_utilizations
+
+
+class RowIndex(Mapping):
+    """``request_id -> row`` of a mutable request table.
+
+    Each id keeps the arrival sequence number it was given when its row
+    joined.  Rows only join at the end and leave without reordering, so
+    the live sequence numbers, listed in row order, stay ascending and
+    an id's row is the bisect position of its number: O(log n) per
+    lookup, and a removal deletes one list slot instead of renumbering
+    every later id.  ``get``, ``[]``, ``in``, ``len``, iteration (row
+    order) and ``dict(...)`` equal the plain dict
+    :meth:`ScenarioArrays.build` makes over the same rows.
+    """
+
+    __slots__ = ("_seq", "_order", "_next")
+
+    def __init__(self, request_ids: Iterable[str] = ()) -> None:
+        #: id -> arrival sequence number (insertion order = row order).
+        self._seq: Dict[str, int] = dict(zip(request_ids, count()))
+        #: Live sequence numbers in row order (ascending).
+        self._order = list(range(len(self._seq)))
+        self._next = len(self._seq)
+
+    def __getitem__(self, request_id) -> int:
+        return bisect_left(self._order, self._seq[request_id])
+
+    def get(self, request_id, default=None):
+        seq = self._seq.get(request_id)
+        return default if seq is None else bisect_left(self._order, seq)
+
+    def __contains__(self, request_id) -> bool:
+        return request_id in self._seq
+
+    def __iter__(self):
+        return iter(self._seq)
+
+    def __len__(self) -> int:
+        return len(self._seq)
+
+    def as_dict(self) -> Dict[str, int]:
+        """The plain ``id -> row`` dict (one C-level pass)."""
+        return dict(zip(self._seq, range(len(self._seq))))
+
+    def append(self, request_id) -> None:
+        """Register ``request_id`` as the new last row."""
+        self._seq[request_id] = self._next
+        self._order.append(self._next)
+        self._next += 1
+
+    def remove(self, request_ids: Sequence[str], rows: Sequence[int]) -> None:
+        """Drop ``request_ids``, which sit at the descending ``rows``."""
+        for rid in request_ids:
+            del self._seq[rid]
+        for row in rows:
+            del self._order[row]
 
 
 @dataclass
@@ -128,7 +190,7 @@ class ScenarioArrays:
 
     # --- request columns ---------------------------------------------
     request_ids: Tuple[str, ...]
-    request_index: Dict[str, int]
+    request_index: Mapping[str, int]
     lambda_r: np.ndarray
     P_r: np.ndarray
     eff_rate: np.ndarray
@@ -397,6 +459,9 @@ class ScenarioArrays:
         vnf = np.empty(n, dtype=idt)
         k = np.empty(n, dtype=idt)
         request_index = self.request_index
+        if isinstance(request_index, RowIndex):
+            # Bulk lookups: one dict beats a bisect per entry.
+            request_index = request_index.as_dict()
         vnf_index = self.vnf_index
         M_f = self.M_f
         for i, ((request_id, vnf_name), kk) in enumerate(schedule.items()):
@@ -655,18 +720,17 @@ class ScenarioArrays:
         """Switch the request/chain columns onto growable backing buffers.
 
         Idempotent; called by the first :meth:`append_request` /
-        :meth:`remove_request`.  ``request_ids``/``chain_names`` become
-        lists, the numpy request columns become slices of
+        :meth:`remove_requests`.  ``request_ids``/``chain_names`` become
+        lists, ``request_index`` a :class:`RowIndex` (a streamed
+        scenario's lazy id view is replaced only here, on the first
+        mutation), the numpy request columns become slices of
         amortized-doubling buffers.
         """
         if self._lambda_buf is not None:
             return
         self.request_ids = list(self.request_ids)
         self.chain_names = list(self.chain_names)
-        if not isinstance(self.request_index, dict):
-            # Streamed scenarios carry a lazy id->index mapping view;
-            # mutation needs a real dict it can assign into.
-            self.request_index = dict(self.request_index)
+        self.request_index = RowIndex(self.request_ids)
         n = len(self.request_ids)
         c = len(self.chain_req)
         rcap = max(4, 2 * n)
@@ -752,7 +816,7 @@ class ScenarioArrays:
         self._chain_ptr_buf[n + 1] = c + m
         self.request_ids.append(rid)
         self.chain_names.extend(names)
-        self.request_index[rid] = n
+        self.request_index.append(rid)
         if any(i < 0 for i in idxs):
             self.chain_has_unknown = True
         self._reslice(n + 1, c + m)
@@ -762,43 +826,82 @@ class ScenarioArrays:
     def remove_request(self, request_id: str) -> int:
         """Remove one request row; returns the index it occupied.
 
-        Later rows shift down one slot (their chain entries shift with
-        them), so the surviving columns are exactly what :meth:`build`
-        would produce for the surviving request sequence.  O(rows after
-        the removed one); the request-derived CSR caches are
-        invalidated.
+        The one-row case of :meth:`remove_requests`.
 
         Raises
         ------
         ValidationError
             If ``request_id`` is unknown.
         """
-        i = self.request_index.get(request_id)
-        if i is None:
-            raise ValidationError(
-                f"cannot remove unknown request {request_id!r}"
-            )
+        return int(self.remove_requests((request_id,))[0])
+
+    def remove_requests(self, request_ids: Iterable[str]) -> np.ndarray:
+        """Remove request rows; returns the (ascending) rows they held.
+
+        The survivors keep their order and close ranks (their chain
+        entries move with them), so the columns are exactly what
+        :meth:`build` would produce for the surviving request sequence.
+        The cost is O(ids) Python work plus C-level array moves: one
+        slice shift per column for a single row, one masked copy per
+        column for several, and one list ``del`` per removed row.  No
+        later id is renumbered (see :class:`RowIndex`).  The
+        request-derived CSR caches are invalidated; nothing changes
+        when an id is unknown.
+
+        Raises
+        ------
+        ValidationError
+            If some id is unknown.
+        """
         self._ensure_mutable()
+        ids = list(dict.fromkeys(request_ids))
+        index = self.request_index
+        rows = []
+        for rid in ids:
+            i = index.get(rid)
+            if i is None:
+                raise ValidationError(
+                    f"cannot remove unknown request {rid!r}"
+                )
+            rows.append(i)
+        rows.sort()
         n = len(self.request_ids)
         c = int(self.chain_ptr[n])
-        lo = int(self.chain_ptr[i])
-        hi = int(self.chain_ptr[i + 1])
-        gap = hi - lo
-        for buf in (self._lambda_buf, self._P_buf, self._eff_buf):
-            buf[i : n - 1] = buf[i + 1 : n].copy()
-        # Shifted chain entries all belong to requests after ``i``.
-        self._chain_req_buf[lo : c - gap] = self._chain_req_buf[hi:c] - 1
-        self._chain_vnf_buf[lo : c - gap] = self._chain_vnf_buf[hi:c].copy()
-        self._chain_ptr_buf[i:n] = self._chain_ptr_buf[i + 1 : n + 1] - gap
-        del self.request_ids[i]
-        del self.chain_names[lo:hi]
-        del self.request_index[request_id]
-        for rid in self.request_ids[i:]:
-            self.request_index[rid] -= 1
-        self._reslice(n - 1, c - gap)
-        self.chain_has_unknown = bool((self.chain_vnf < 0).any())
+        ptr = self._chain_ptr_buf
+        spans = [(int(ptr[i]), int(ptr[i + 1])) for i in rows]
+        m = n - len(rows)
+        if len(rows) == 1:
+            (i,), ((lo, hi),) = rows, spans
+            gap = hi - lo
+            for buf in (self._lambda_buf, self._P_buf, self._eff_buf):
+                buf[i:m] = buf[i + 1 : n]
+            # Shifted chain entries all belong to requests after ``i``.
+            self._chain_req_buf[lo : c - gap] = self._chain_req_buf[hi:c] - 1
+            self._chain_vnf_buf[lo : c - gap] = self._chain_vnf_buf[hi:c]
+            ptr[i : m + 1] = ptr[i + 1 : n + 1] - gap
+            kept = c - gap
+        else:
+            keep = np.ones(n, dtype=bool)
+            keep[rows] = False
+            for buf in (self._lambda_buf, self._P_buf, self._eff_buf):
+                buf[:m] = buf[:n][keep]
+            chain_req = self._chain_req_buf[:c]
+            keep_entry = keep[chain_req]
+            kept = int(np.count_nonzero(keep_entry))
+            # A survivor's new row is its rank among the kept rows.
+            rank = np.cumsum(keep) - 1
+            self._chain_req_buf[:kept] = rank[chain_req[keep_entry]]
+            self._chain_vnf_buf[:kept] = self._chain_vnf_buf[:c][keep_entry]
+            np.cumsum(np.diff(ptr[: n + 1])[keep], out=ptr[1 : m + 1])
+        for i, (lo, hi) in zip(reversed(rows), reversed(spans)):
+            del self.request_ids[i]
+            del self.chain_names[lo:hi]
+        index.remove(ids, rows[::-1])
+        self._reslice(m, kept)
+        if self.chain_has_unknown:
+            self.chain_has_unknown = bool((self.chain_vnf < 0).any())
         self._invalidate_request_caches()
-        return i
+        return np.asarray(rows, dtype=np.int64)
 
     def response_per_request(
         self,

@@ -28,6 +28,7 @@ See ``docs/SCALE.md`` for the full dtype-mode contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,6 +93,13 @@ def resolve_policy(dtypes) -> DtypePolicy:
     return dtypes
 
 
+@lru_cache(maxsize=None)
+def _index_max(dtype) -> int:
+    """Largest value of an integer dtype, looked up once per dtype (the
+    guard runs on every appended request row)."""
+    return int(np.iinfo(np.dtype(dtype)).max)
+
+
 def ensure_index_capacity(count: int, dtype, what: str) -> None:
     """Guard: ``count`` values must be indexable by ``dtype``.
 
@@ -103,7 +111,7 @@ def ensure_index_capacity(count: int, dtype, what: str) -> None:
         ``what`` so a 3-billion-entry chain table fails loudly at
         construction, not subtly at evaluation.
     """
-    limit = int(np.iinfo(np.dtype(dtype)).max)
+    limit = _index_max(dtype)
     if count > limit:
         raise ValidationError(
             f"{what} needs {count} indexable entries but dtype "

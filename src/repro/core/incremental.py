@@ -14,7 +14,7 @@ turns the batch machinery into a long-running service:
   rejected admit leaves every residual untouched.
 * **depart(request_id)** — exact inverse: instance loads and routed
   chain flows are retracted, the request row leaves the columnar
-  scenario (:meth:`~repro.core.arrays.ScenarioArrays.remove_request`).
+  scenario (:meth:`~repro.core.arrays.ScenarioArrays.remove_requests`).
 * **rebalance()** — periodic re-optimization: a from-scratch two-phase
   solve (BFDSU + the configured scheduler) over the *surviving*
   requests with a fresh seeded RNG, reporting how many VNFs moved and
@@ -33,10 +33,16 @@ from-scratch recompute to float accumulation error.
 
 The solvers underneath run the exact kernels of the batch path
 (:mod:`repro.core.deltas`); see ``docs/SERVING.md`` for the full
-contract (what is O(1), what triggers a rebuild).
+contract (what is O(chain), what triggers a rebuild).
 
-Failure support (PR 9)
-----------------------
+Every write costs O(chain) Python work per touched request plus
+C-level array moves: a chain's route link ids are kept per (chain,
+placement) and dropped whenever the placement or the fabric model
+changes, and retractions of several requests are one ``subtract.at``
+per residual vector plus one row compaction.
+
+Failure support
+---------------
 :meth:`fail_node` / :meth:`fail_instance` mass-evict every chain
 touching the failed component with the exact :meth:`depart` retraction
 and mark it unschedulable; :meth:`recover_node` /
@@ -49,6 +55,7 @@ the pre-fault engine — see ``docs/RESILIENCE.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
@@ -70,6 +77,7 @@ from repro.scheduling.base import SchedulingAlgorithm, schedule_all_vnfs
 from repro.scheduling.least_loaded import least_loaded_admit
 from repro.scheduling.rckk import RCKKScheduler
 from repro.seeding import DEFAULT_SEED, RngLike, resolve_rng
+from repro.topology.network import BANDWIDTH_EPS
 
 #: Admission policies :class:`DeploymentEngine` knows how to run.
 ADMISSION_POLICIES = ("least-loaded", "power-of-two")
@@ -261,6 +269,21 @@ class DeploymentEngine:
         self._inst_loads = np.zeros(self._arrays.num_instances)
         self._network = None
         self._link_loads: Optional[np.ndarray] = None
+        #: VNF-name tuple -> VNF-index vector of a chain (static).
+        self._chain_idx: Dict[Tuple[str, ...], np.ndarray] = {}
+        #: VNF-name tuple -> ``(link ids, touched links, inverse,
+        #: touched limits)`` of the chain's route under the current
+        #: placement; emptied whenever the placement or ``_network``
+        #: changes (:meth:`move_vnf`, :meth:`_commit`).
+        self._routes: Dict[Tuple[str, ...], tuple] = {}
+        #: Per VNF: first global instance, instance count and the
+        #: admission cap ``mu_f * target_utilization`` (``None``: off).
+        self._inst_offset = self._arrays.instance_offset.tolist()
+        self._inst_count = self._arrays.M_f.tolist()
+        self._inst_cap = [
+            None if target_utilization is None else mu * target_utilization
+            for mu in self._arrays.mu_f.tolist()
+        ]
         if admission not in ADMISSION_POLICIES:
             raise SchedulingError(
                 f"unknown admission policy {admission!r}; "
@@ -375,15 +398,8 @@ class DeploymentEngine:
         if rid in self._requests:
             raise SchedulingError(f"request {rid!r} is already active")
         arrays = self._arrays
-        chain_names = list(request.chain)
-        chain_idx = np.empty(len(chain_names), dtype=np.int64)
-        for i, name in enumerate(chain_names):
-            fi = arrays.vnf_index.get(name)
-            if fi is None:
-                raise SchedulingError(
-                    f"request {rid!r} uses unknown VNF {name!r}"
-                )
-            chain_idx[i] = fi
+        chain_names = request.chain.vnf_names
+        chain_idx = self._chain_index(chain_names, rid)
         eff = float(request.effective_rate)
 
         if self._failed_nodes:
@@ -394,15 +410,10 @@ class DeploymentEngine:
                     )
 
         joins: List[Tuple[int, int]] = []  # (vnf index, instance k)
-        for fi in chain_idx:
-            fi = int(fi)
-            off = int(arrays.instance_offset[fi])
-            m = int(arrays.M_f[fi])
-            cap = (
-                None
-                if self._target is None
-                else float(arrays.mu_f[fi]) * self._target
-            )
+        for fi in chain_idx.tolist():
+            off = self._inst_offset[fi]
+            m = self._inst_count[fi]
+            cap = self._inst_cap[fi]
             loads = self._inst_loads[off : off + m]
             if self._down_inst is not None:
                 down = self._down_inst[off : off + m]
@@ -420,17 +431,18 @@ class DeploymentEngine:
                 )
             else:
                 k = least_loaded_admit(loads, eff, capacity=cap)
-            if k < 0 or not np.isfinite(loads[k]):
+            if k < 0 or not math.isfinite(loads[k]):
                 return AdmitReport(
                     request_id=rid, admitted=False, reason="capacity"
                 )
             joins.append((fi, k))
-        if self._network is not None and not self._network.chain_fits(
-            chain_idx, self._placement_vec, self._link_loads, eff
-        ):
-            return AdmitReport(
-                request_id=rid, admitted=False, reason="bandwidth"
-            )
+        route = None
+        if self._network is not None:
+            route = self._route(chain_names, chain_idx)
+            if not self._route_fits(route, eff):
+                return AdmitReport(
+                    request_id=rid, admitted=False, reason="bandwidth"
+                )
 
         # Commit.
         arrays.append_request(request)
@@ -438,12 +450,10 @@ class DeploymentEngine:
         assignment: Dict[str, int] = {}
         for (fi, k), name in zip(joins, chain_names):
             self._schedule[(rid, name)] = k
-            self._inst_loads[int(arrays.instance_offset[fi]) + k] += eff
+            self._inst_loads[self._inst_offset[fi] + k] += eff
             assignment[name] = k
-        if self._network is not None:
-            self._network.add_chain_flows(
-                chain_idx, self._placement_vec, self._link_loads, eff
-            )
+        if route is not None:
+            np.add.at(self._link_loads, route[0], eff)
         return AdmitReport(
             request_id=rid, admitted=True, assignment=assignment
         )
@@ -456,23 +466,10 @@ class DeploymentEngine:
         SchedulingError
             If ``request_id`` is not active.
         """
-        request = self._requests.pop(request_id, None)
+        request = self._requests.get(request_id)
         if request is None:
             raise SchedulingError(f"unknown request {request_id!r}")
-        arrays = self._arrays
-        eff = float(request.effective_rate)
-        chain_names = list(request.chain)
-        chain_idx = np.empty(len(chain_names), dtype=np.int64)
-        for i, name in enumerate(chain_names):
-            fi = arrays.vnf_index[name]
-            chain_idx[i] = fi
-            k = self._schedule.pop((request_id, name))
-            self._inst_loads[int(arrays.instance_offset[fi]) + k] -= eff
-        if self._network is not None:
-            self._network.add_chain_flows(
-                chain_idx, self._placement_vec, self._link_loads, eff, -1.0
-            )
-        arrays.remove_request(request_id)
+        self._retract([request])
 
     # ------------------------------------------------------------------
     # Failure operations (repro.faults)
@@ -481,10 +478,12 @@ class DeploymentEngine:
         """Mass-depart a set of active requests; returns them in
         arrival order.
 
-        Each eviction is the exact :meth:`depart` retraction (instance
-        loads and routed chain flows), so evicting any subset leaves
-        the residuals bit-identical to an engine rebuilt from the
-        survivors (pinned by ``tests/core/test_incremental.py``).
+        The retraction is the :meth:`depart` one, applied to the whole
+        set in one pass in arrival order, so the residuals are
+        bit-identical to departing the victims one by one in arrival
+        order, and evicting any subset then re-solving leaves the
+        engine identical to one rebuilt from the survivors (both pinned
+        by ``tests/core/test_incremental.py``).
 
         Raises
         ------
@@ -492,19 +491,50 @@ class DeploymentEngine:
             If some id is not active.
         """
         wanted = set(request_ids)
-        unknown = wanted - set(self._requests)
+        unknown = wanted.difference(self._requests)
         if unknown:
             raise SchedulingError(
                 f"cannot evict unknown requests {sorted(unknown)!r}"
             )
-        evicted = [
-            request
-            for rid, request in list(self._requests.items())
-            if rid in wanted
-        ]
-        for request in evicted:
-            self.depart(request.request_id)
-        return evicted
+        index = self._arrays.request_index
+        return self._evict_rows(sorted(index[rid] for rid in wanted))
+
+    def _evict_rows(self, rows) -> List[Request]:
+        """Evict the active requests at ascending scenario ``rows``
+        (row order is arrival order)."""
+        ids = self._arrays.request_ids
+        victims = [self._requests[ids[row]] for row in rows]
+        if victims:
+            self._retract(victims)
+        return victims
+
+    def _retract(self, victims: List[Request]) -> None:
+        """Remove active ``victims`` (arrival order) and their loads.
+
+        Each residual vector gets one ufunc ``at`` call whose entries
+        run victim by victim in the given order, chain order within a
+        victim — the exact float sequence of departing them one at a
+        time.  The rows leave the scenario in one compaction.
+        """
+        schedule = self._schedule
+        offset = self._inst_offset
+        inst: List[int] = []
+        rates: List[float] = []
+        chains = []
+        for request in victims:
+            rid = request.request_id
+            del self._requests[rid]
+            eff = float(request.effective_rate)
+            names = request.chain.vnf_names
+            chain_idx = self._chain_index(names, rid)
+            for name, fi in zip(names, chain_idx.tolist()):
+                inst.append(offset[fi] + schedule.pop((rid, name)))
+                rates.append(eff)
+            chains.append((names, chain_idx, eff))
+        np.subtract.at(self._inst_loads, inst, rates)
+        if self._network is not None:
+            self._shift_flows(chains, -1.0)
+        self._arrays.remove_requests([r.request_id for r in victims])
 
     def fail_node(self, node) -> List[Request]:
         """Crash one compute node: evict every chain it touches and
@@ -522,19 +552,12 @@ class DeploymentEngine:
         if node in self._failed_nodes:
             return []
         self._failed_nodes.add(node)
-        down_vnfs = {
-            name
-            for name, placed in self._placement.items()
-            if placed == node
-        }
-        if not down_vnfs:
+        arrays = self._arrays
+        down = self._placement_vec == arrays.node_index[node]
+        if not down.any():
             return []
-        victims = [
-            rid
-            for rid, request in self._requests.items()
-            if any(name in down_vnfs for name in request.chain)
-        ]
-        return self.evict(victims)
+        hit = down[arrays.chain_vnf]
+        return self._evict_rows(np.unique(arrays.chain_req[hit]).tolist())
 
     def recover_node(self, node) -> None:
         """Mark a failed node schedulable again (state is otherwise
@@ -567,12 +590,16 @@ class DeploymentEngine:
         if self._down_inst[gi]:
             return []
         self._down_inst[gi] = True
-        victims = [
-            rid
-            for rid in self._requests
-            if self._schedule.get((rid, vnf_name)) == k
-        ]
-        return self.evict(victims)
+        arrays = self._arrays
+        ids = arrays.request_ids
+        users = arrays.chain_req[arrays.chain_vnf == fi].tolist()
+        return self._evict_rows(
+            [
+                row
+                for row in users
+                if self._schedule[(ids[row], vnf_name)] == k
+            ]
+        )
 
     def recover_instance(self, vnf_name: str, k: int) -> None:
         """Clear the down mask of one instance."""
@@ -615,43 +642,34 @@ class DeploymentEngine:
         if loads[ni] + demand > float(arrays.A_v[ni]) + FIT_EPS:
             return False
 
+        network = self._network
+        if network is None:
+            self._placement_vec[fi] = ni
+            self._placement[vnf_name] = node
+            return True
+        ids = arrays.request_ids
+        users = arrays.chain_req[arrays.chain_vnf == fi].tolist()
         affected = []
-        if self._network is not None:
-            for request in self._requests.values():
-                if vnf_name not in request.chain:
-                    continue
-                chain_idx = np.asarray(
-                    [arrays.vnf_index[n] for n in request.chain],
-                    dtype=np.int64,
-                )
-                affected.append((chain_idx, float(request.effective_rate)))
-            for chain_idx, eff in affected:
-                self._network.add_chain_flows(
-                    chain_idx, self._placement_vec, self._link_loads, eff, -1.0
-                )
+        for row in users:
+            request = self._requests[ids[row]]
+            names = request.chain.vnf_names
+            affected.append(
+                (names, self._chain_index(names), float(request.effective_rate))
+            )
+        self._shift_flows(affected, -1.0)
         self._placement_vec[fi] = ni
-        if self._network is not None:
-            added = []
-            for chain_idx, eff in affected:
-                if not self._network.chain_fits(
-                    chain_idx, self._placement_vec, self._link_loads, eff
-                ):
-                    # Revert: drop what we re-added, restore the source
-                    # placement and every retracted flow.
-                    for c, e in added:
-                        self._network.add_chain_flows(
-                            c, self._placement_vec, self._link_loads, e, -1.0
-                        )
-                    self._placement_vec[fi] = source
-                    for c, e in affected:
-                        self._network.add_chain_flows(
-                            c, self._placement_vec, self._link_loads, e
-                        )
-                    return False
-                self._network.add_chain_flows(
-                    chain_idx, self._placement_vec, self._link_loads, eff
-                )
-                added.append((chain_idx, eff))
+        self._routes.clear()
+        for j, (names, chain_idx, eff) in enumerate(affected):
+            route = self._route(names, chain_idx)
+            if not self._route_fits(route, eff):
+                # Revert: drop what was re-added, restore the source
+                # placement and every retracted flow.
+                self._shift_flows(affected[:j], -1.0)
+                self._placement_vec[fi] = source
+                self._routes.clear()
+                self._shift_flows(affected, 1.0)
+                return False
+            np.add.at(self._link_loads, route[0], eff)
         self._placement[vnf_name] = node
         return True
 
@@ -849,6 +867,71 @@ class DeploymentEngine:
         self._inst_loads = inst_loads
         self._network = network
         self._link_loads = link_loads
+        self._routes.clear()
+
+    def _chain_index(self, names: Tuple[str, ...], rid=None) -> np.ndarray:
+        """VNF-index vector of the chain ``names`` (cached per chain).
+
+        Raises
+        ------
+        SchedulingError
+            If the chain names a VNF unknown to the engine.
+        """
+        chain_idx = self._chain_idx.get(names)
+        if chain_idx is None:
+            vnf_index = self._arrays.vnf_index
+            for name in names:
+                if name not in vnf_index:
+                    raise SchedulingError(
+                        f"request {rid!r} uses unknown VNF {name!r}"
+                    )
+            chain_idx = np.asarray(
+                [vnf_index[name] for name in names], dtype=np.int64
+            )
+            self._chain_idx[names] = chain_idx
+        return chain_idx
+
+    def _route(self, names: Tuple[str, ...], chain_idx: np.ndarray) -> tuple:
+        """The chain's route under the current placement (cached).
+
+        ``(ids, touched, inverse, limit)``: the link id of every routed
+        hop (:meth:`NetworkModel.chain_link_flows` order), the distinct
+        links, each hop's position among them, and each distinct
+        link's bandwidth plus :data:`BANDWIDTH_EPS`.
+        """
+        route = self._routes.get(names)
+        if route is None:
+            ids, _ = self._network.chain_link_flows(
+                chain_idx, self._placement_vec, 0.0
+            )
+            touched, inverse = np.unique(ids, return_inverse=True)
+            limit = self._network.bandwidth[touched] + BANDWIDTH_EPS
+            route = (ids, touched, inverse, limit)
+            self._routes[names] = route
+        return route
+
+    def _route_fits(self, route: tuple, eff: float) -> bool:
+        """:meth:`NetworkModel.chain_fits` on a cached route: the same
+        per-link sums, so the same verdict bit for bit."""
+        ids, touched, inverse, limit = route
+        if not len(ids):
+            return True
+        add = np.bincount(
+            inverse, weights=np.full(len(ids), eff), minlength=len(touched)
+        )
+        return bool((self._link_loads[touched] + add <= limit).all())
+
+    def _shift_flows(self, chains, sign: float) -> None:
+        """Add (``sign=1``) or retract (``sign=-1``) the routed flows of
+        ``(names, chain_idx, eff)`` chains in order, in one ``add.at``
+        (the float sequence of one call per chain)."""
+        if not chains:
+            return
+        ids = [self._route(names, idx)[0] for names, idx, _ in chains]
+        flows = np.repeat(
+            [sign * eff for _, _, eff in chains], [len(x) for x in ids]
+        )
+        np.add.at(self._link_loads, np.concatenate(ids), flows)
 
     def _resolve(self) -> None:
         """Full two-phase solve over the active set; resets residuals."""

@@ -472,7 +472,7 @@ def _shard_worker(
                 raise SimulationError(f"unknown shard op {op!r}")
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         pass
-    except Exception:  # pragma: no cover - exercised via dead-worker paths
+    except Exception:
         import traceback
 
         try:

@@ -1,17 +1,30 @@
-"""Mutation parity for ``ScenarioArrays.append_request/remove_request``.
+"""Mutation parity for ``ScenarioArrays.append_request`` /
+``remove_request`` / ``remove_requests``.
 
 The contract (docs/ARRAYS_CORE.md + docs/SERVING.md): after any
-sequence of appends and removes, every request-derived column and both
-cached CSR views match a from-scratch ``ScenarioArrays.build`` over the
-surviving request sequence at 1e-12.
+sequence of appends and removes, every request-derived column, both
+cached CSR views and the ``request_index`` mapping match a from-scratch
+``ScenarioArrays.build`` over the surviving request sequence.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.arrays import ScenarioArrays
+from repro.core.dtypes import LEAN_POLICY
 from repro.exceptions import ValidationError
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
@@ -38,6 +51,17 @@ def capacities():
 def _request(i: int, names, rate: float, p: float = 1.0) -> Request:
     return Request(f"r{i}", ServiceChain(list(names)), rate,
                    delivery_probability=p)
+
+
+#: Chains over the fixture VNFs; "ghost" is unknown to the scenario.
+_CHAINS = st.lists(
+    st.sampled_from(["fw", "nat", "lb", "ghost"]),
+    min_size=1,
+    max_size=3,
+    unique=True,
+)
+_RATES = st.floats(0.5, 100.0)
+_PROBS = st.floats(0.5, 1.0)
 
 
 def assert_matches_rebuild(arrays, vnfs, requests, capacities):
@@ -188,3 +212,123 @@ class TestChurnSequence:
             arrays.append_request(_request(i, ["nat"], float(i)))
         np.testing.assert_array_equal(arrays.lambda_r[:1], before)
         assert arrays.lambda_r[39] == 39.0
+
+
+class RowMutationMachine(RuleBasedStateMachine):
+    """Random append / remove / batch-remove sequences, checked per step.
+
+    After every step the request columns, the chain CSR and the
+    ``request_index`` mapping (lookups, membership, length, iteration,
+    ``dict(...)`` and a pickle round trip) equal a fresh
+    :meth:`ScenarioArrays.build` over the live requests, exactly.
+    Removed ids may come back, so an id can hold several rows over its
+    life.
+    """
+
+    VNFS = [
+        VNF("fw", demand_per_instance=10.0, num_instances=2,
+            service_rate=100.0),
+        VNF("nat", demand_per_instance=5.0, num_instances=3,
+            service_rate=200.0),
+        VNF("lb", demand_per_instance=8.0, num_instances=1,
+            service_rate=150.0),
+    ]
+    CAPACITIES = {"n0": 50.0, "n1": 40.0}
+
+    def __init__(self):
+        super().__init__()
+        self.live = []
+        self.gone = []
+        self.next_id = 0
+
+    def _new(self, chain, rate, p):
+        request = _request(self.next_id, chain, rate, p)
+        self.next_id += 1
+        return request
+
+    @initialize(
+        specs=st.lists(
+            st.tuples(_CHAINS, _RATES, _PROBS), max_size=6
+        ),
+        lean=st.booleans(),
+    )
+    def start(self, specs, lean):
+        self.policy = LEAN_POLICY if lean else None
+        self.live = [self._new(*spec) for spec in specs]
+        self.arrays = ScenarioArrays.build(
+            self.VNFS, self.live, self.CAPACITIES, dtypes=self.policy
+        )
+
+    @rule(chain=_CHAINS, rate=_RATES, p=_PROBS)
+    def append(self, chain, rate, p):
+        request = self._new(chain, rate, p)
+        assert self.arrays.append_request(request) == len(self.live)
+        self.live.append(request)
+
+    @precondition(lambda self: self.gone)
+    @rule(data=st.data())
+    def readmit(self, data):
+        request = data.draw(st.sampled_from(self.gone))
+        self.gone.remove(request)
+        assert self.arrays.append_request(request) == len(self.live)
+        self.live.append(request)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def remove_one(self, data):
+        request = data.draw(st.sampled_from(self.live))
+        row = self.live.index(request)
+        assert self.arrays.remove_request(request.request_id) == row
+        self.live.remove(request)
+        self.gone.append(request)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def remove_many(self, data):
+        victims = data.draw(
+            st.lists(st.sampled_from(self.live), unique=True, min_size=1)
+        )
+        rows = sorted(self.live.index(r) for r in victims)
+        got = self.arrays.remove_requests(r.request_id for r in victims)
+        assert got.tolist() == rows
+        self.live = [r for r in self.live if r not in victims]
+        self.gone.extend(victims)
+
+    @invariant()
+    def matches_build(self):
+        arrays = self.arrays
+        fresh = ScenarioArrays.build(
+            self.VNFS, self.live, self.CAPACITIES, dtypes=self.policy
+        )
+        for column in (
+            "lambda_r", "P_r", "eff_rate", "chain_ptr", "chain_req",
+            "chain_vnf",
+        ):
+            got, want = getattr(arrays, column), getattr(fresh, column)
+            assert got.dtype == want.dtype, column
+            np.testing.assert_array_equal(got, want, err_msg=column)
+        assert list(arrays.request_ids) == list(fresh.request_ids)
+        assert list(arrays.chain_names) == list(fresh.chain_names)
+        assert arrays.chain_has_unknown == fresh.chain_has_unknown
+        index, want = arrays.request_index, fresh.request_index
+        assert len(index) == len(want)
+        assert list(index) == list(want)
+        assert dict(index) == want
+        assert index == want
+        for rid, row in want.items():
+            assert rid in index
+            assert index[rid] == row
+            assert index.get(rid) == row
+        for request in self.gone:
+            if request.request_id not in want:
+                assert request.request_id not in index
+                assert index.get(request.request_id) is None
+                with pytest.raises(KeyError):
+                    index[request.request_id]
+        assert dict(pickle.loads(pickle.dumps(index))) == want
+
+
+RowMutationMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestRowMutationMachine = RowMutationMachine.TestCase

@@ -9,6 +9,8 @@ and without ``bandwidth=``.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,8 @@ from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
 from repro.seeding import derive_seed
+from repro.topology.leafspine import leaf_spine
+from repro.topology.network import NetworkModel
 from repro.topology.random_topology import random_datacenter
 from repro.workload.generator import WorkloadGenerator
 
@@ -478,28 +482,135 @@ class TestMassDepartParity:
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
     def test_evict_matches_sequential_departs(self, data):
+        """One-pass evict == departing the victims one by one in
+        arrival order, bit for bit, with and without a fabric."""
         w = _parity_workload()
-        mass = DeploymentEngine(
-            w.vnfs, w.capacities, list(w.requests),
+        fabric = _parity_fabric(w)
+        for vnfs, caps, requests, topo in (
+            (w.vnfs, w.capacities, list(w.requests), None),
+            fabric,
+        ):
+            kwargs = dict(
+                topology=topo,
+                bandwidth=None if topo is None else 1e6,
+                target_utilization=None,
+            )
+            mass = DeploymentEngine(vnfs, caps, requests, **kwargs)
+            serial = DeploymentEngine(vnfs, caps, requests, **kwargs)
+            ids = list(mass.active_requests)
+            victims = data.draw(
+                st.sets(st.sampled_from(ids), min_size=1, max_size=len(ids))
+            )
+            mass.evict(victims)
+            # Same arrival-order retraction sequence as evict's
+            # internals — float subtraction is order-sensitive.
+            for rid in (i for i in ids if i in victims):
+                serial.depart(rid)
+            assert mass.active_requests == serial.active_requests
+            np.testing.assert_array_equal(
+                mass.instance_loads(), serial.instance_loads()
+            )
+            assert dict(mass.state().schedule) == dict(
+                serial.state().schedule
+            )
+            if topo is not None:
+                assert mass._link_loads.tobytes() == (
+                    serial._link_loads.tobytes()
+                )
+
+
+def _parity_fabric(w):
+    """The parity workload on a 2x2 leaf-spine with 5 servers a leaf."""
+    sizes = list(w.capacities.values())
+    caps = {f"server{i}": cap for i, cap in enumerate(sizes)}
+    topo = leaf_spine(2, 2, 5, capacity_fn=lambda i: sizes[i])
+    return w.vnfs, caps, list(w.requests), topo
+
+
+def _fresh_link_loads(engine, topo, bandwidth):
+    """Link loads of the engine's active set, recomputed from scratch."""
+    model = NetworkModel.for_deployment(engine.state(), topo, bandwidth)
+    return model.link_loads(engine.placement_vector())
+
+
+class TestCachedRouteVerdicts:
+    def test_admit_verdicts_match_chain_fits(self):
+        """Cached-route probes decide exactly as
+        ``NetworkModel.chain_fits`` does, down to links a chain crosses
+        twice, while the fabric fills up."""
+        w = _parity_workload()
+        vnfs, caps, requests, topo = _parity_fabric(w)
+        engine = DeploymentEngine(
+            vnfs, caps, requests[:8], topology=topo, bandwidth=2000.0,
             target_utilization=None,
         )
-        serial = DeploymentEngine(
-            w.vnfs, w.capacities, list(w.requests),
-            target_utilization=None,
+        index = engine.arrays.vnf_index
+        verdicts = []
+        for i in range(300):
+            request = _request(
+                i, requests[i % len(requests)].chain, 5.0 + i % 7,
+                prefix="fill",
+            )
+            chain_idx = np.asarray(
+                [index[name] for name in request.chain], dtype=np.int64
+            )
+            expected = engine._network.chain_fits(
+                chain_idx, engine.placement_vector(), engine._link_loads,
+                float(request.effective_rate),
+            )
+            assert engine.admit(request).admitted == expected
+            verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
+
+class TestRouteInvalidation:
+    """Cached chain routes follow every placement change.
+
+    Admits after a committed ``move_vnf``, a reverted one and a
+    ``rebalance`` must charge the routes of the placement in force, so
+    the engine's link loads stay equal to a from-scratch recompute over
+    the active set.
+    """
+
+    BANDWIDTH = 2000.0
+
+    def test_admits_after_moves_and_rebalance_route_correctly(self):
+        w = _parity_workload()
+        vnfs, caps, requests, topo = _parity_fabric(w)
+        engine = DeploymentEngine(
+            vnfs, caps, requests[:16], topology=topo,
+            bandwidth=self.BANDWIDTH, target_utilization=None,
         )
-        ids = list(mass.active_requests)
-        victims = data.draw(
-            st.sets(st.sampled_from(ids), min_size=1, max_size=len(ids))
+        # Light flows, so most admits fit wherever the chains route.
+        pool = (
+            _request(i, requests[i % len(requests)].chain, 1.0, prefix="x")
+            for i in itertools.count()
         )
-        mass.evict(victims)
-        # Same arrival-order retraction sequence as evict's internals —
-        # float subtraction is order-sensitive, the semantics are not.
-        for rid in (i for i in ids if i in victims):
-            serial.depart(rid)
-        assert mass.active_requests == serial.active_requests
-        np.testing.assert_array_equal(
-            mass.instance_loads(), serial.instance_loads()
-        )
-        assert dict(mass.state().schedule) == dict(
-            serial.state().schedule
-        )
+
+        def admit_and_check():
+            admitted = engine.admit(next(pool)).admitted
+            np.testing.assert_allclose(
+                engine._link_loads,
+                _fresh_link_loads(engine, topo, self.BANDWIDTH),
+                rtol=1e-9, atol=1e-9,
+            )
+            return admitted
+
+        assert admit_and_check()
+        arrays = engine.arrays
+        outcomes = set()
+        for name in arrays.vnf_names:
+            fi = arrays.vnf_index[name]
+            for node in arrays.node_keys:
+                pvec = engine.placement_vector()
+                ni = arrays.node_index[node]
+                free = arrays.A_v[ni] - arrays.node_loads(pvec)[ni]
+                if pvec[fi] == ni or free < arrays.total_demand_f[fi]:
+                    continue
+                # Capacity fits, so False means the bandwidth revert.
+                moved = engine.move_vnf(name, node)
+                outcomes.add((moved, admit_and_check()))
+        # Admits went through after committed and after reverted moves.
+        assert {(True, True), (False, True)} <= outcomes
+        assert engine.rebalance().committed
+        assert admit_and_check()

@@ -10,6 +10,9 @@ partition, merge-order invariance, and the serial fallback.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from repro.sim.shard import (
     open_shard_executor,
     partition_by_shard,
 )
+from repro.sim import shard
 from repro.sim.simulator import SimulationConfig
 from repro.exceptions import SimulationError, ValidationError
 from repro.scheduling.kernels import schedule_columns
@@ -215,6 +219,62 @@ class TestSerialFallback:
             assert isinstance(ex, _SerialShardExecutor)
         finally:
             ex.close()
+
+
+_SHM_DIR = "/dev/shm"
+_REAL_WORKER = shard._shard_worker
+
+
+def _worker_exiting_on_first_sweep(conn, *args):
+    """A shard worker whose process exits as its first sweep arrives."""
+
+    class _Conn:
+        def recv(self):
+            msg = conn.recv()
+            if msg[0] == "sweep":
+                os._exit(3)
+            return msg
+
+        def __getattr__(self, name):
+            return getattr(conn, name)
+
+    _REAL_WORKER(_Conn(), *args)
+
+
+def _failing_sweep(self, pkt, inst, t):
+    raise RuntimeError("injected sweep failure")
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not os.path.isdir(_SHM_DIR),
+    reason="needs fork workers and a POSIX shared-memory directory",
+)
+class TestDeadWorker:
+    """A worker lost mid-sweep ends the run in ``SimulationError`` and
+    leaves none of the run's shared-memory segments behind.  Forked
+    workers inherit the patched code."""
+
+    def _run(self):
+        arrays, sched = build_case(DEFAULT_SEED, num_requests=80)
+        cfg = SimulationConfig(duration=0.6, warmup=0.0, seed=DEFAULT_SEED)
+        before = set(os.listdir(_SHM_DIR))
+        with pytest.raises(SimulationError) as err:
+            simulate_columns(arrays, sched, cfg, jobs=2, start_method="fork")
+        assert set(os.listdir(_SHM_DIR)) <= before
+        return str(err.value)
+
+    def test_worker_killed_mid_sweep(self, monkeypatch):
+        monkeypatch.setattr(
+            shard, "_shard_worker", _worker_exiting_on_first_sweep
+        )
+        assert "died mid-run" in self._run()
+
+    def test_worker_error_is_reported(self, monkeypatch):
+        monkeypatch.setattr(shard._ShardSim, "sweep", _failing_sweep)
+        message = self._run()
+        assert "scale shard worker failed" in message
+        assert "injected sweep failure" in message
 
 
 def measure_strategy(num_instances, generated):
