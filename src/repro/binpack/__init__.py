@@ -1,38 +1,22 @@
-"""Variable-sized bin-packing substrate.
+"""Lower bounds on the number of bins (nodes in service).
 
-The paper proves VNF chain placement NP-hard by reduction from bin
-packing (Theorem 1), and its placement algorithms — BFDSU and the FFD
-baseline — are bin-packing heuristics at heart.  This package provides the
-shared vocabulary (:class:`Item`, :class:`Bin`, :class:`PackingResult`)
-and the classic packers over *variable-sized, finitely-supplied* bins:
-
-* first-fit / first-fit-decreasing
-* best-fit / best-fit-decreasing
-* worst-fit / worst-fit-decreasing
-* next-fit
-
-plus standard lower bounds on the optimal bin count used by the placement
-optimality tests.
+The paper proves VNF chain placement NP-hard by reduction from
+variable-sized bin packing (Theorem 1).  This package keeps the classic
+lower bounds on the optimal bin count over *variable-sized,
+finitely-supplied* bins, which sandwich the placement heuristics as
+``lower_bound <= OPT <= heuristic``.
 """
 
-from repro.binpack.base import Bin, Item, PackingResult
-from repro.binpack.best_fit import best_fit, best_fit_decreasing
-from repro.binpack.first_fit import first_fit, first_fit_decreasing
-from repro.binpack.lower_bounds import continuous_lower_bound, l2_lower_bound
-from repro.binpack.next_fit import next_fit
-from repro.binpack.worst_fit import worst_fit, worst_fit_decreasing
+from repro.binpack.lower_bounds import (
+    best_l2_lower_bound,
+    continuous_lower_bound,
+    l2_lower_bound,
+    min_bins_possible,
+)
 
 __all__ = [
-    "Item",
-    "Bin",
-    "PackingResult",
-    "first_fit",
-    "first_fit_decreasing",
-    "best_fit",
-    "best_fit_decreasing",
-    "worst_fit",
-    "worst_fit_decreasing",
-    "next_fit",
     "continuous_lower_bound",
     "l2_lower_bound",
+    "best_l2_lower_bound",
+    "min_bins_possible",
 ]

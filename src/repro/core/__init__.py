@@ -34,7 +34,6 @@ from repro.core.incremental import (
     RebalanceReport,
     solve_joint,
 )
-from repro.core.online import OnlineScheduler
 from repro.core.topology_eval import (
     average_total_latency_on_topology,
     total_latency_on_topology,
@@ -59,7 +58,6 @@ __all__ = [
     "average_total_latency_on_topology",
     "refine_placement",
     "RefinementReport",
-    "OnlineScheduler",
     "DeploymentEngine",
     "AdmitReport",
     "RebalanceReport",

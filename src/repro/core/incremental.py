@@ -656,18 +656,18 @@ class DeploymentEngine:
             affected.append(
                 (names, self._chain_index(names), float(request.effective_rate))
             )
+        # A revert restores this copy: retracting and re-adding the
+        # flows would round the float link loads.
+        saved_link_loads = self._link_loads.copy()
         self._shift_flows(affected, -1.0)
         self._placement_vec[fi] = ni
         self._routes.clear()
-        for j, (names, chain_idx, eff) in enumerate(affected):
+        for names, chain_idx, eff in affected:
             route = self._route(names, chain_idx)
             if not self._route_fits(route, eff):
-                # Revert: drop what was re-added, restore the source
-                # placement and every retracted flow.
-                self._shift_flows(affected[:j], -1.0)
+                self._link_loads[:] = saved_link_loads
                 self._placement_vec[fi] = source
                 self._routes.clear()
-                self._shift_flows(affected, 1.0)
                 return False
             np.add.at(self._link_loads, route[0], eff)
         self._placement[vnf_name] = node

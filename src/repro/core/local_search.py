@@ -140,27 +140,10 @@ def refine_placement(
     if max_rounds < 1:
         raise ValidationError(f"max_rounds must be >= 1, got {max_rounds!r}")
     state.validate()
-
     # validate() guarantees every VNF is placed on a known node and
-    # every chain entry names a known VNF, so the delta kernel applies;
-    # the scalar hill climb stays as a defensive fallback for exotic
-    # states constructed around validation.
-    arrays = state.arrays()
-    if not arrays.chain_has_unknown:
-        try:
-            placement_vec = arrays.placement_vector(state.placement)
-        except KeyError:
-            placement_vec = None
-        if placement_vec is not None and not bool((placement_vec < 0).any()):
-            return _refine_delta(
-                state, placement_vec, max_rounds, trace, network
-            )
-    if network is not None:
-        raise ValidationError(
-            "bandwidth-aware refinement requires a fully placed state "
-            "with known chain VNFs"
-        )
-    return _refine_scalar(state, max_rounds, trace)
+    # every chain entry names a known VNF, so the delta kernel applies.
+    placement_vec = state.arrays().placement_vector(state.placement)
+    return _refine_delta(state, placement_vec, max_rounds, trace, network)
 
 
 def refine_placement_columns(
@@ -295,53 +278,6 @@ def _refine_delta(
             )
     state.validate()
     return report
-
-
-def _refine_scalar(
-    state: DeploymentState,
-    max_rounds: int,
-    trace: Optional[List[Tuple[str, Hashable, Hashable]]],
-) -> RefinementReport:
-    """Full-recount hill climb (fallback for degenerate states)."""
-    initial_hops = total_inter_node_hops(state)
-    current_hops = initial_hops
-    moves = 0
-
-    nodes = list(state.node_capacities.keys())
-    for _ in range(max_rounds):
-        improved_this_round = False
-        for vnf in state.vnfs:
-            source = state.placement[vnf.name]
-            best_target: Optional[Hashable] = None
-            best_hops = current_hops
-            for target in nodes:
-                if target == source:
-                    continue
-                if not _fits_after_move(state, vnf.name, target):
-                    continue
-                state.placement[vnf.name] = target
-                hops = total_inter_node_hops(state)
-                if hops < best_hops:
-                    best_hops = hops
-                    best_target = target
-                state.placement[vnf.name] = source
-            if best_target is not None:
-                state.placement[vnf.name] = best_target
-                current_hops = best_hops
-                moves += 1
-                improved_this_round = True
-                if trace is not None:
-                    trace.append((vnf.name, source, best_target))
-        if not improved_this_round:
-            break
-
-    state.validate()
-    return RefinementReport(
-        moves_applied=moves,
-        initial_hops=initial_hops,
-        final_hops=current_hops,
-        hops_saved=initial_hops - current_hops,
-    )
 
 
 @dataclass(frozen=True)
@@ -524,19 +460,3 @@ def swap_placement(
         final_latency=final,
         latency_saved=initial - final,
     )
-
-
-def _fits_after_move(
-    state: DeploymentState, vnf_name: str, target: Hashable
-) -> bool:
-    """Whether moving ``vnf_name`` to ``target`` respects Eq. (6)."""
-    vnf = state._vnf_by_name[vnf_name]
-    capacity = state.node_capacities.get(target)
-    if capacity is None:
-        return False
-    load = sum(
-        f.total_demand
-        for f in state.vnfs
-        if f.name != vnf_name and state.placement.get(f.name) == target
-    )
-    return load + vnf.total_demand <= capacity + 1e-9

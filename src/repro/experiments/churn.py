@@ -16,17 +16,14 @@ admission rule (Eq. (9) utilization cap at the
   rejected when the re-solved schedule would push some instance past
   the utilization cap.
 
-Reported per policy: mean re-embedding latency per arrival (wall-clock
-ms), migrations (assignment changes an operator would have to enact),
-and the rejection rate.  A separate ``probe_2k`` row prices one
-warm-start admit against one from-scratch joint solve at 2000 active
-requests — the incremental path must be >= 50x faster (asserted by
-``tests/experiments/test_churn.py``).
+Reported per policy: migrations (assignment changes an operator would
+have to enact) and the rejection rate.  Both are deterministic per
+seed; the wall-clock price of an admit against a from-scratch solve is
+measured and gated by ``benchmarks/bench_serve.py`` instead.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List
 
 import numpy as np
@@ -53,8 +50,6 @@ ARRIVAL_RATE = 0.03
 MEAN_HOLDING = 800.0
 #: Full re-optimization cadence of the incremental policy (admits).
 REBALANCE_EVERY = 25
-#: Active population of the admit-vs-resolve pricing probe.
-PROBE_ACTIVE = 2000
 
 
 def _scenario(ss: np.random.SeedSequence):
@@ -89,7 +84,6 @@ def _full_resolve_policy(
     rejected = set()
     placement: Dict[str, object] = {}
     schedule: Dict[tuple, int] = {}
-    latencies: List[float] = []
     migrations = 0
     arrivals = 0
     rejections = 0
@@ -98,11 +92,8 @@ def _full_resolve_policy(
             arrivals += 1
             candidate = dict(active)
             candidate[event.request_id] = event.request
-            start = time.perf_counter()
             state = solve_joint(vnfs, list(candidate.values()), capacities)
-            accept = _max_utilization(state, vnfs) <= target
-            latencies.append(time.perf_counter() - start)
-            if not accept:
+            if _max_utilization(state, vnfs) > target:
                 rejections += 1
                 rejected.add(event.request_id)
                 continue
@@ -132,7 +123,6 @@ def _full_resolve_policy(
                 if key[0] != event.request_id
             }
     return {
-        "re_embed_ms": 1e3 * float(np.mean(latencies)) if latencies else 0.0,
         "migrations": float(migrations),
         "rejection_rate": rejections / arrivals if arrivals else 0.0,
     }
@@ -172,40 +162,12 @@ def _trial(task) -> Dict[str, Dict[str, float]]:
 
     return {
         "incremental": {
-            "re_embed_ms": 1e3 * report.mean_admit_latency,
             "migrations": float(report.migrations),
             "rejection_rate": report.rejection_rate,
         },
         "full-resolve": _full_resolve_policy(
             vnfs, capacities, events, target
         ),
-    }
-
-
-def probe_speedup(seed: int = 20170605) -> Dict[str, float]:
-    """Price one warm-start admit vs one batch solve at 2k actives."""
-    gen = WorkloadGenerator(np.random.default_rng(seed))
-    w = gen.workload(
-        num_vnfs=12, num_nodes=24, num_requests=PROBE_ACTIVE + 200
-    )
-    base = w.requests[:PROBE_ACTIVE]
-    extra = w.requests[PROBE_ACTIVE:]
-
-    start = time.perf_counter()
-    solve_joint(w.vnfs, list(base), w.capacities)
-    resolve_s = time.perf_counter() - start
-
-    engine = DeploymentEngine(
-        w.vnfs, w.capacities, base, target_utilization=None
-    )
-    start = time.perf_counter()
-    for request in extra:
-        engine.admit(request)
-    admit_s = (time.perf_counter() - start) / len(extra)
-    return {
-        "resolve_ms": 1e3 * resolve_s,
-        "admit_ms": 1e3 * admit_s,
-        "speedup": resolve_s / admit_s if admit_s > 0 else float("inf"),
     }
 
 
@@ -230,7 +192,7 @@ def run(
         )
     variants = ("incremental", "full-resolve")
     acc: Dict[str, Dict[str, List[float]]] = {
-        v: {"re_embed_ms": [], "migrations": [], "rejection_rate": []}
+        v: {"migrations": [], "rejection_rate": []}
         for v in variants
     }
     trials = run_trials(
@@ -242,36 +204,18 @@ def run(
         for variant, values in metrics.items():
             for column, value in values.items():
                 acc[variant][column].append(value)
-    probe = probe_speedup(seed)
 
     result = ExperimentResult(
         experiment_id="churn",
         title="Incremental serving vs per-arrival full re-solve",
-        columns=[
-            "variant",
-            "re_embed_ms",
-            "migrations",
-            "rejection_rate",
-            "speedup_vs_resolve",
-        ],
+        columns=["variant", "migrations", "rejection_rate"],
     )
-    resolve_ms = float(np.mean(acc["full-resolve"]["re_embed_ms"]))
     for variant in variants:
-        mean_ms = float(np.mean(acc[variant]["re_embed_ms"]))
         result.add_row(
             variant=variant,
-            re_embed_ms=mean_ms,
             migrations=float(np.mean(acc[variant]["migrations"])),
             rejection_rate=float(np.mean(acc[variant]["rejection_rate"])),
-            speedup_vs_resolve=resolve_ms / mean_ms if mean_ms else 0.0,
         )
-    result.add_row(
-        variant="probe_2k",
-        re_embed_ms=probe["admit_ms"],
-        migrations=0.0,
-        rejection_rate=0.0,
-        speedup_vs_resolve=probe["speedup"],
-    )
     result.notes.append(
         f"{DURATION / 3600:.0f}h simulated Poisson churn, lambda="
         f"{ARRIVAL_RATE}/s, mean holding {MEAN_HOLDING:.0f}s (~"
@@ -279,16 +223,9 @@ def run(
         f"incremental rebalances every {REBALANCE_EVERY} admits"
     )
     result.notes.append(
-        "re_embed_ms: wall-clock per arrival decision (warm-start admit "
-        "vs from-scratch two-phase solve); migrations: placement moves "
-        "+ schedule reassignments; the naive policy re-solves on "
-        "arrivals only (departures retract bookkeeping lazily)"
-    )
-    result.notes.append(
-        f"probe_2k: one admit vs one batch solve at {PROBE_ACTIVE} "
-        f"active requests — measured speedup {probe['speedup']:.0f}x "
-        f"(acceptance floor 50x), resolve {probe['resolve_ms']:.1f}ms "
-        f"vs admit {probe['admit_ms'] * 1e3:.1f}us"
+        "migrations: placement moves + schedule reassignments; the "
+        "naive policy re-solves on arrivals only (departures retract "
+        "bookkeeping lazily)"
     )
     if admission != "least-loaded":
         result.notes.append(

@@ -30,8 +30,7 @@ def least_loaded_admit(
     """Single-request warm-start admit: pick one instance for ``rate``.
 
     The O(M) kernel behind :class:`~repro.core.incremental
-    .DeploymentEngine` — the generalization of the single-VNF
-    ``OnlineScheduler.arrive`` rule to any instance-load vector:
+    .DeploymentEngine` admits, on any instance-load vector:
 
     * the least-loaded instance wins, first index on ties
       (``np.argmin``), matching the heap tie-break above and the

@@ -6,9 +6,8 @@ arrival/departure events in time order, admits each arrival with the
 engine's warm-start kernels (measuring the wall-clock re-embedding
 latency), retracts departures, and optionally re-optimizes every
 ``rebalance_every`` admitted arrivals — the admit-online /
-rebalance-periodically policy of the single-VNF
-:class:`~repro.core.online.OnlineScheduler`, generalized to whole
-chains with capacity and bandwidth admission control.
+rebalance-periodically policy over whole chains, with capacity and
+bandwidth admission control.
 
 Faults (PR 9): a ``faults=`` stream of
 :class:`~repro.faults.events.FaultEvent` is merged into the timeline —

@@ -9,6 +9,7 @@ and without ``bandwidth=``.
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import numpy as np
@@ -614,3 +615,57 @@ class TestRouteInvalidation:
         assert {(True, True), (False, True)} <= outcomes
         assert engine.rebalance().committed
         assert admit_and_check()
+
+
+class TestMoveRevert:
+    """A move that does not fit the fabric leaves the engine untouched.
+
+    ``move_vnf`` retracts every affected flow before it routes them at
+    the target; when one does not fit it must restore the link loads
+    byte for byte, not re-add the flows (float round trips would leave
+    the residuals a few ulps off and could flip a later admit).
+    """
+
+    BANDWIDTH = 2000.0
+
+    def test_reverted_moves_restore_state_exactly(self):
+        w = _parity_workload()
+        vnfs, caps, requests, topo = _parity_fabric(w)
+        engine = DeploymentEngine(
+            vnfs, caps, requests[:16], topology=topo,
+            bandwidth=self.BANDWIDTH, target_utilization=None,
+        )
+        probes = [
+            _request(i, requests[i % len(requests)].chain,
+                     5.0 + 40.0 * (i % 6), prefix="probe")
+            for i in range(30)
+        ]
+
+        def verdicts(snapshot):
+            return [snapshot.admit(r).admitted for r in probes]
+
+        arrays = engine.arrays
+        reverted = 0
+        seen = set()
+        for name in arrays.vnf_names:
+            fi = arrays.vnf_index[name]
+            for node in arrays.node_keys:
+                pvec = engine.placement_vector()
+                ni = arrays.node_index[node]
+                free = arrays.A_v[ni] - arrays.node_loads(pvec)[ni]
+                if pvec[fi] == ni or free < arrays.total_demand_f[fi]:
+                    continue
+                before = copy.deepcopy(engine)
+                link_bytes = engine._link_loads.tobytes()
+                # Capacity fits, so False means the bandwidth revert.
+                if engine.move_vnf(name, node):
+                    continue
+                reverted += 1
+                assert engine._link_loads.tobytes() == link_bytes
+                np.testing.assert_array_equal(engine.placement_vector(), pvec)
+                assert engine.placement == before.placement
+                expected = verdicts(before)
+                assert verdicts(copy.deepcopy(engine)) == expected
+                seen.update(expected)
+        assert reverted
+        assert seen == {True, False}

@@ -8,15 +8,19 @@ from repro.experiments import runall
 from repro.experiments.harness import ExperimentResult
 
 
+#: The tiny repetition profile shared by the tests below.
+QUICK = dict(
+    placement_repetitions=2,
+    scheduling_repetitions=5,
+    tail_repetitions=5,
+    include_headline=False,
+)
+
+
 @pytest.fixture(scope="module")
 def quick_results():
     """One tiny full sweep shared by the tests below (seconds, not minutes)."""
-    return runall.run_all(
-        placement_repetitions=2,
-        scheduling_repetitions=5,
-        tail_repetitions=5,
-        include_headline=False,
-    )
+    return runall.run_all(**QUICK)
 
 
 class TestRunAll:
@@ -43,6 +47,17 @@ class TestRunAll:
             assert back.rows == result.rows
             assert back.columns == result.columns
             assert back.notes == result.notes
+
+    def test_second_run_is_identical(self, quick_results):
+        """Rows and notes carry no wall-clock time: a rerun reproduces
+        every table exactly (only ``meta`` may differ)."""
+        again = runall.run_all(**QUICK)
+        assert [r.experiment_id for r in again] == [
+            r.experiment_id for r in quick_results
+        ]
+        for first, second in zip(quick_results, again):
+            assert second.rows == first.rows, first.experiment_id
+            assert second.notes == first.notes, first.experiment_id
 
 
 class TestCli:
