@@ -7,8 +7,12 @@ legacy paths produce byte-identical solutions, then times both:
 
 * ``bfdsu_place`` — Algorithm 1 construction (residual-vector kernel vs
   dict/list loops), same seed per run so both draw identically,
-* ``rckk_partition`` — Algorithm 2 multi-way differencing (flat-array
-  kernel vs tuple partitions) on the full request-rate vector,
+* ``rckk_partition`` — Algorithm 2 multi-way differencing (list-row
+  kernel with singleton insertion vs tuple partitions) on the full
+  request-rate vector,
+* ``rckk_serve_shape`` — the same on one VNF's share at a serving-engine
+  rebalance: the first 300 rates into 20 ways, where partition +
+  singleton inserts are nearly every combine,
 * ``local_search_refine`` — relocate hill climb (neighbor-count delta
   kernel vs full hop recount per candidate),
 * ``swap_refine`` — move/swap makespan refinement (sorted-partner
@@ -57,6 +61,10 @@ from repro.partition.rckk import rckk_partition
 from repro.placement.base import PlacementProblem
 from repro.placement.bfdsu import BFDSUPlacement
 from repro.scheduling.swap_refine import refine_assignment
+
+#: One VNF's users and instances at a serve_churn rebalance (251-450
+#: users, ``M_f`` 16-23 in perfbench/workloads.json's deployment).
+SERVE_VALUES, SERVE_WAYS = 300, 20
 
 
 def _compare(name, reference_fn, kernel_fn, repeats, results):
@@ -128,6 +136,7 @@ def main(argv=None):
     )
     rates = [r.effective_rate for r in requests]
     num_ways = max(f.num_instances for f in vnfs)
+    serve_rates, serve_ways = rates[:SERVE_VALUES], SERVE_WAYS
     start_assignment = [i % num_ways for i in range(len(rates))]
 
     # ------------------------------------------------------------------
@@ -151,6 +160,16 @@ def main(argv=None):
         "rckk subsets + iterations",
         kernel_part.subsets == legacy_part.subsets
         and kernel_part.iterations == legacy_part.iterations,
+    )
+
+    kernel_serve = rckk_partition(serve_rates, serve_ways)
+    legacy_serve = reference_kk_multiway(
+        serve_rates, serve_ways, reverse_combine=True
+    )
+    _check(
+        "rckk serve-shape subsets + iterations",
+        kernel_serve.subsets == legacy_serve.subsets
+        and kernel_serve.iterations == legacy_serve.iterations,
     )
 
     baseline_placement = dict(state.placement)
@@ -201,6 +220,15 @@ def main(argv=None):
         repeats,
         results,
     )
+    _compare(
+        "rckk_serve_shape",
+        lambda: reference_kk_multiway(
+            serve_rates, serve_ways, reverse_combine=True
+        ),
+        lambda: rckk_partition(serve_rates, serve_ways),
+        repeats,
+        results,
+    )
 
     def _legacy_refine():
         _restore()
@@ -228,6 +256,7 @@ def main(argv=None):
             "num_nodes": num_nodes,
             "num_vnfs": num_vnfs,
             "num_ways": num_ways,
+            "serve_shape": {"num_values": len(serve_rates), "num_ways": serve_ways},
             "local_search_moves": kernel_report.moves_applied,
             "bfdsu_iterations": kernel_bfdsu.iterations,
             "seed": args.seed,

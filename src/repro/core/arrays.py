@@ -60,7 +60,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -453,18 +453,16 @@ class ScenarioArrays:
             outside ``[0, M_f)`` — mirroring
             :meth:`~repro.nfv.state.DeploymentState.instances`.
         """
-        n = len(schedule)
-        idt = self.index_dtype
-        req = np.empty(n, dtype=idt)
-        vnf = np.empty(n, dtype=idt)
-        k = np.empty(n, dtype=idt)
+        req: List[int] = []
+        vnf: List[int] = []
+        k: List[int] = []
         request_index = self.request_index
         if isinstance(request_index, RowIndex):
             # Bulk lookups: one dict beats a bisect per entry.
             request_index = request_index.as_dict()
         vnf_index = self.vnf_index
-        M_f = self.M_f
-        for i, ((request_id, vnf_name), kk) in enumerate(schedule.items()):
+        M_f = self.M_f.tolist()
+        for (request_id, vnf_name), kk in schedule.items():
             ri = request_index.get(request_id)
             if ri is None:
                 raise ValidationError(
@@ -475,9 +473,11 @@ class ScenarioArrays:
                 raise ValidationError(
                     f"schedule references unknown instance ({vnf_name!r}, {kk})"
                 )
-            req[i] = ri
-            vnf[i] = fi
-            k[i] = kk
+            req.append(ri)
+            vnf.append(fi)
+            k.append(kk)
+        idt = self.index_dtype
+        req, vnf, k = (np.array(col, dtype=idt) for col in (req, vnf, k))
         inst = self.instance_offset[vnf] + k
         return ScheduleArrays(req=req, vnf=vnf, k=k, inst=inst)
 

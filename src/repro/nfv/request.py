@@ -8,11 +8,11 @@ VNF on its chain to ``lambda_r / P_r`` (Eq. 7).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
 from repro.nfv.chain import ServiceChain
-from repro.queueing.feedback import effective_arrival_rate
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class Request:
     chain:
         The :class:`ServiceChain` this request must traverse, in order.
     arrival_rate:
-        External Poisson rate ``lambda_r > 0`` (packets/s).
+        External Poisson rate ``lambda_r > 0`` (packets/s), finite.
     delivery_probability:
         ``P_r`` in ``(0, 1]``; ``1 - P_r`` of packets are NACKed and
         retransmitted.
@@ -45,6 +45,11 @@ class Request:
                 f"request {self.request_id!r}: arrival rate must be positive, "
                 f"got {self.arrival_rate!r}"
             )
+        if not math.isfinite(self.arrival_rate):
+            raise ValidationError(
+                f"request {self.request_id!r}: arrival rate must be finite, "
+                f"got {self.arrival_rate!r}"
+            )
         if not 0.0 < self.delivery_probability <= 1.0:
             raise ValidationError(
                 f"request {self.request_id!r}: delivery probability must be "
@@ -53,8 +58,13 @@ class Request:
 
     @property
     def effective_rate(self) -> float:
-        """Effective per-VNF rate with loss feedback, ``lambda_r / P_r``."""
-        return effective_arrival_rate(self.arrival_rate, self.delivery_probability)
+        """Effective per-VNF rate with loss feedback, ``lambda_r / P_r``.
+
+        The value of
+        :func:`repro.queueing.feedback.effective_arrival_rate`, whose
+        checks the constructor has already made.
+        """
+        return self.arrival_rate / self.delivery_probability
 
     def uses(self, vnf_name: str) -> bool:
         """The ``U_r^f`` indicator for this request."""

@@ -17,6 +17,7 @@ All ``M_f`` instances of a VNF are placed together on one computing node
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 from repro.exceptions import ValidationError
@@ -46,11 +47,13 @@ class VNF:
         Unique identifier, e.g. ``"firewall"`` or ``"nat#2"`` for a
         replica.
     demand_per_instance:
-        ``D_f`` — resource units consumed by each service instance.
+        ``D_f`` — resource units consumed by each service instance
+        (positive, finite).
     num_instances:
         ``M_f`` — how many service instances this VNF deploys.
     service_rate:
-        ``mu_f`` — exponential per-instance service rate (packets/s).
+        ``mu_f`` — exponential per-instance service rate (packets/s;
+        positive, finite).
     category:
         Functional category from the Li & Chen taxonomy.
     """
@@ -69,6 +72,11 @@ class VNF:
                 f"VNF {self.name!r}: per-instance demand must be positive, "
                 f"got {self.demand_per_instance!r}"
             )
+        if not math.isfinite(self.demand_per_instance):
+            raise ValidationError(
+                f"VNF {self.name!r}: per-instance demand must be finite, "
+                f"got {self.demand_per_instance!r}"
+            )
         if self.num_instances < 1:
             raise ValidationError(
                 f"VNF {self.name!r}: instance count must be >= 1, "
@@ -77,6 +85,11 @@ class VNF:
         if self.service_rate <= 0.0:
             raise ValidationError(
                 f"VNF {self.name!r}: service rate must be positive, "
+                f"got {self.service_rate!r}"
+            )
+        if not math.isfinite(self.service_rate):
+            raise ValidationError(
+                f"VNF {self.name!r}: service rate must be finite, "
                 f"got {self.service_rate!r}"
             )
 

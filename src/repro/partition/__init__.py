@@ -17,9 +17,9 @@ This package provides:
 * :mod:`repro.partition.rckk` — the paper's Reverse Complete
   Karmarkar-Karp heuristic (Algorithm 2), with provenance tracking so the
   request sets ``s_i`` fall out of the final partition.
-* :mod:`repro.partition.kernels` — the array-native multi-way KK kernel
-  (flat numpy value rows + a provenance merge tree) that RCKK runs on,
-  byte-identical to the tuple-based reference.
+* :mod:`repro.partition.kernels` — the multi-way KK kernel that RCKK
+  runs on (list rows, implicit singletons, insertion for partition +
+  singleton combines), byte-identical to the tuple-based reference.
 * :mod:`repro.partition.exact` — exhaustive/branch-and-bound optimum for
   small instances, used to measure heuristic gaps in tests.
 """

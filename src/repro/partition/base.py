@@ -9,6 +9,7 @@ back to requests, which is exactly what scheduling needs for the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -16,12 +17,15 @@ from repro.exceptions import ValidationError
 
 
 def validate_instance(values: Sequence[float], num_ways: int) -> None:
-    """Check the raw MWNP instance is well formed."""
+    """Check the raw MWNP instance is well formed: ``num_ways >= 1`` and
+    every value finite and non-negative."""
     if num_ways < 1:
         raise ValidationError(f"number of ways must be >= 1, got {num_ways!r}")
     for v in values:
-        if v < 0.0:
-            raise ValidationError(f"values must be non-negative, got {v!r}")
+        if not 0.0 <= v < math.inf:
+            if v < 0.0:
+                raise ValidationError(f"values must be non-negative, got {v!r}")
+            raise ValidationError(f"values must be finite, got {v!r}")
 
 
 @dataclass
@@ -80,8 +84,12 @@ class PartitionResult:
         ValidationError
             On a missing, duplicated, or out-of-range index.
         """
-        seen: Dict[int, int] = {}
         n = len(self.values)
+        flat = [idx for subset in self.subsets for idx in subset]
+        if len(flat) == n and sorted(flat) == list(range(n)):
+            return
+        # Some index is wrong: find the first one in the legacy order.
+        seen: Dict[int, int] = {}
         for subset in self.subsets:
             for idx in subset:
                 if not 0 <= idx < n:

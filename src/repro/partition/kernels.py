@@ -1,60 +1,53 @@
-"""Array-native multi-way Karmarkar-Karp kernel (RCKK/CKK hot path).
+"""List-based multi-way Karmarkar-Karp kernel (RCKK/CKK hot path).
 
 :func:`kk_multiway_kernel` re-implements
-:func:`repro.partition.karmarkar_karp.karmarkar_karp_multiway` on flat
-numpy state, producing the *identical* partition (same subsets, same
-within-subset index order, same iteration count) for every input:
+:func:`repro.partition.karmarkar_karp.karmarkar_karp_multiway` and
+produces the *identical* partition (same subsets, same within-subset
+index order, same iteration count) for every input:
 
-* Partition values are flat float64 rows (one live row per heap slot) —
-  a combine is ``a + b[::-1]`` (reverse alignment), a stable argsort of
-  the negated row (the same descending stable order as the legacy
-  ``sorted(key=-value)``) and a floor subtraction.  All float operations
-  happen in the legacy order, so heads and heap keys are bit-identical.
-* Provenance is a merge *tree* instead of tuple concatenation: each
-  occupied cell points at a node that is either a leaf (one original
-  index) or an internal pair ``(left, right)`` recording "left's indices
-  then right's indices".  The final subsets materialize with one
-  left-to-right traversal per way — exactly the order the legacy
-  ``a_idx + b_idx`` concatenation produced, without the O(subset)
-  copying per combine.
+* A partition is one row of ``m`` negated values in ascending order
+  (the legacy descending tuple, sign flipped) held as a Python list, plus
+  a parallel list of provenance cells.  ``m`` is at most a few dozen, too
+  small to repay numpy's per-call overhead.  Negation is exact in IEEE
+  arithmetic, so every sum and floor subtraction gives the legacy value
+  with its sign flipped, and every comparison the legacy one mirrored.
+* Singletons ``(v, 0, .., 0)`` stay implicit (a heap entry and the input
+  value) until their first combine.
+* A combine takes one of two paths.  A reverse combine that pops a
+  partition (or singleton) ``P`` first and a singleton ``s`` second is
+  an *insertion*: ``P``'s last cell is exactly ``0.0``, so the legacy sum
+  row is ``P[:m-1]`` followed by ``s``, and its stable descending sort
+  puts ``s`` after every entry ``>= s`` -- one ``bisect`` and one list
+  insert.  ``s`` takes over the provenance of ``P``'s last cell (joining
+  its indices when that cell is occupied), and the floor is the new last
+  entry, usually ``0.0``, whose subtraction is skipped as a no-op.  That
+  is ``O(m)`` C-level list work, no sort and ``O(1)`` provenance work.
+  Every other combine (partition + partition, singleton + partition, and
+  every combine of the forward ablation) runs the legacy rule: cellwise
+  sum, stable sort, floor subtraction, ``O(m log m)``.  On serve-shaped
+  inputs (251-450 values, 16-23 ways) 95% of the combines are
+  insertions and 90% end with a zero floor.
+* A provenance cell is the list of original indices its way holds, in
+  legacy order, or ``None`` while empty.  Each list belongs to exactly
+  one live cell, so a combine extends ``a``'s list by ``b``'s in place
+  (``a_idx + b_idx`` without building a new tuple) and the final
+  subsets are the final cells themselves.
 * The heap holds ``(-head, counter, slot)`` triples with the same
   insertion-counter tie-breaking as the legacy implementation, so the
   combine sequence is identical.
 
 ``tests/partition`` and ``tests/core/test_solver_kernel_parity.py`` pin
-kernel-vs-legacy equality; ``benchmarks/bench_solvers.py`` tracks the
-speedup.
+kernel-vs-legacy equality, on tie-heavy inputs too;
+``benchmarks/bench_solvers.py`` tracks the speedup.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from bisect import bisect_right
+from typing import List, Optional, Sequence
 
 from repro.partition.base import PartitionResult, validate_instance
-
-
-def _resolve_subset(
-    root: int, node_left: List[int], node_right: List[int], num_leaves: int
-) -> List[int]:
-    """Collect a provenance tree's leaf indices in left-to-right order."""
-    if root < 0:
-        return []
-    out: List[int] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node < num_leaves:
-            out.append(node)
-        else:
-            internal = node - num_leaves
-            # Push right first so left pops (and emits) first.
-            stack.append(node_right[internal])
-            stack.append(node_left[internal])
-    return out
 
 
 def kk_multiway_kernel(
@@ -62,13 +55,14 @@ def kk_multiway_kernel(
     num_ways: int,
     reverse_combine: bool = True,
 ) -> PartitionResult:
-    """Multi-way KK differencing on flat array state.
+    """Multi-way KK differencing on list rows with singleton insertion.
 
     Drop-in replacement for
     :func:`~repro.partition.karmarkar_karp.karmarkar_karp_multiway`
     with byte-identical output; see the module docstring for the
-    representation.  ``reverse_combine=True`` is the paper's RCKK rule,
-    ``False`` the deliberately weaker forward-ablation rule.
+    representation and the combine cases.  ``reverse_combine=True`` is
+    the paper's RCKK rule, ``False`` the deliberately weaker
+    forward-ablation rule.
     """
     validate_instance(values, num_ways)
     n = len(values)
@@ -82,59 +76,82 @@ def kk_multiway_kernel(
         )
 
     m = num_ways
-    # Slot i < n holds the singleton (values[i], 0, ..., 0); a combine
-    # frees two slots and writes one, so reusing slot ``a`` keeps the
-    # live set at n rows.  Rows are rebound (not copied) per combine.
-    seed_vals = np.zeros((n, m), dtype=np.float64)
-    seed_vals[:, 0] = np.asarray(values, dtype=np.float64)
-    seed_prov = np.full((n, m), -1, dtype=np.int64)
-    seed_prov[:, 0] = np.arange(n)
-    vals = list(seed_vals)
-    prov = list(seed_prov)
+    neg = [-float(v) for v in values]
+    # rows[slot] is None while the slot holds its implicit singleton; a
+    # combine frees two slots and writes one, so reusing slot ``a``
+    # keeps at most n rows.  A provenance cell is the list of indices
+    # that way holds, in legacy order, or None while it is empty; each
+    # list belongs to one live cell, so combines extend it in place.
+    rows: List = [None] * n
+    provs: List = [None] * n
+    pad_values = [0.0] * (m - 1)
+    pad_prov: List[Optional[List[int]]] = [None] * (m - 1)
 
-    # Internal provenance nodes; node id ``n + j`` is pair j.
-    node_left: List[int] = []
-    node_right: List[int] = []
+    heap = [(neg[i], i, i) for i in range(n)]
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    counter = n
+    for _ in range(n - 1):
+        _, _, a = heappop(heap)
+        _, _, b = heappop(heap)
+        row = rows[a]
+        if reverse_combine and rows[b] is None:
+            # Insertion: drop P's exact-zero last cell, insert s after
+            # every entry >= s; s joins the dropped cell's indices.
+            s = neg[b]
+            if row is None:
+                row = [neg[a]] + pad_values[1:]
+                prov = [[a]] + pad_prov[1:]
+                cell = [b]
+            else:
+                prov = provs[a]
+                row.pop()
+                cell = prov.pop()
+                if cell is None:
+                    cell = [b]
+                else:
+                    cell.append(b)
+            at = bisect_right(row, s)
+            row.insert(at, s)
+            prov.insert(at, cell)
+        else:
+            if row is None:
+                row, prov_a = [neg[a]] + pad_values, [[a]] + pad_prov
+            else:
+                prov_a = provs[a]
+            row_b, prov_b = rows[b], provs[b]
+            if row_b is None:
+                row_b, prov_b = [neg[b]] + pad_values, [[b]] + pad_prov
+            if reverse_combine:
+                row_b, prov_b = row_b[::-1], prov_b[::-1]
+            combined = [x + y for x, y in zip(row, row_b)]
+            merged = []
+            for cell_a, cell_b in zip(prov_a, prov_b):
+                if cell_a is None:
+                    merged.append(cell_b)
+                else:
+                    if cell_b is not None:
+                        cell_a.extend(cell_b)
+                    merged.append(cell_a)
+            # Legacy normalized(): the stable ascending sort of negated
+            # values is the stable descending sort of the values.
+            order = sorted(range(m), key=combined.__getitem__)
+            row = [combined[k] for k in order]
+            prov = [merged[k] for k in order]
+        floor = row[-1]
+        if floor:
+            row = [x - floor for x in row]
+        rows[a] = row
+        provs[a] = prov
+        heappush(heap, (row[0], counter, a))
+        counter += 1
 
-    counter = itertools.count()
-    heap: List[Tuple[float, int, int]] = []
-    for i in range(n):
-        heapq.heappush(heap, (-seed_vals[i, 0], next(counter), i))
-
-    iterations = 0
-    while len(heap) > 1:
-        iterations += 1
-        _, _, a = heapq.heappop(heap)
-        _, _, b = heapq.heappop(heap)
-        a_prov = prov[a]
-        b_vals = vals[b][::-1] if reverse_combine else vals[b]
-        b_prov = prov[b][::-1] if reverse_combine else prov[b]
-
-        a_occ = a_prov >= 0
-        merged = np.where(a_occ, a_prov, b_prov)
-        pair_at = (a_occ & (b_prov >= 0)).nonzero()[0]
-        if len(pair_at):
-            base = n + len(node_left)
-            node_left.extend(a_prov.take(pair_at).tolist())
-            node_right.extend(b_prov.take(pair_at).tolist())
-            merged[pair_at] = np.arange(base, base + len(pair_at))
-
-        # Legacy normalized(): stable sort descending, subtract floor.
-        combined = vals[a] + b_vals
-        order = (-combined).argsort(kind="stable")
-        combined = combined.take(order)
-        combined -= combined[-1]
-        vals[a] = combined
-        prov[a] = merged.take(order)
-        heapq.heappush(heap, (-combined[0], next(counter), a))
-
-    _, _, final = heap[0]
-    subsets = [
-        _resolve_subset(int(root), node_left, node_right, n)
-        for root in prov[final]
-    ]
+    final = heap[0][2]
+    cells = provs[final] if rows[final] is not None else [[final]] + pad_prov
     result = PartitionResult(
-        subsets=subsets, values=list(values), iterations=iterations
+        subsets=[cell if cell is not None else [] for cell in cells],
+        values=list(values),
+        iterations=n - 1,
     )
     result.validate()
     return result

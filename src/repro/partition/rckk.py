@@ -20,11 +20,18 @@ sorted-ascending greedily minimizes the combined spread, so RCKK reaches
 near-balanced partitions in ``O(n m log m)`` — the complexity the paper
 derives in Section IV-D.
 
-Both entry points run on the array-native kernel
+Both entry points run on the list-row kernel
 (:func:`repro.partition.kernels.kk_multiway_kernel`), which produces the
 identical partition to the tuple-based
 :func:`~repro.partition.karmarkar_karp.karmarkar_karp_multiway`; the
 latter stays as the legacy reference pinned by the kernel-parity tests.
+Each partition is a list of ``m`` values plus ``m`` index lists, and
+singletons stay implicit until combined.  A reverse combine of a
+partition with a singleton -- nearly every combine when ``n`` is many
+times ``m``, as at a serving-engine rebalance -- is a ``bisect`` and a
+list insert, ``O(m)`` with no sort, and its floor is usually ``0.0``;
+other combines (and every forward-ablation combine) sum, sort and
+subtract the floor in ``O(m log m)``, as the legacy rule does.
 """
 
 from __future__ import annotations

@@ -168,6 +168,10 @@ class ScheduleResult:
                     f"request {request.request_id!r}: instance {k} out of "
                     f"range [0, {m})"
                 )
+        # Every (unique) request id is assigned, so extras exist exactly
+        # when the map is longer than the request list.
+        if len(self.assignment) == self.problem.num_requests:
+            return
         extras = set(self.assignment) - {
             r.request_id for r in self.problem.requests
         }

@@ -30,11 +30,12 @@ class RCKKScheduler(SchedulingAlgorithm):
             for request_index in subset:
                 request = problem.requests[request_index]
                 assignment[request.request_id] = instance_index
-        result = ScheduleResult(
+        # Valid by construction: the kernel checks that every index sits
+        # in exactly one of the ``M_f`` subsets, and the problem's ids
+        # are unique, so Eq. (5) holds without a second pass.
+        return ScheduleResult(
             assignment=assignment,
             problem=problem,
             iterations=partition.iterations,
             algorithm=self.name,
         )
-        result.validate()
-        return result

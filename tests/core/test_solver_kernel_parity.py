@@ -36,6 +36,10 @@ from repro.core.local_search import (  # noqa: E402
 from repro.exceptions import ValidationError  # noqa: E402
 from repro.scheduling.kernels import schedule_columns  # noqa: E402
 from repro.scheduling.swap_refine import swap_refine_columns  # noqa: E402
+from repro.partition.karmarkar_karp import (  # noqa: E402
+    karmarkar_karp_multiway,
+)
+from repro.partition.kernels import kk_multiway_kernel  # noqa: E402
 from repro.partition.rckk import (  # noqa: E402
     forward_ckk_partition,
     rckk_partition,
@@ -103,6 +107,53 @@ class TestRCKKParity:
         legacy = reference_kk_multiway(rates, 4, reverse_combine=False)
         assert kernel.subsets == legacy.subsets
         assert kernel.iterations == legacy.iterations
+
+
+# Tie-heavy rates: zeros, small ints, multiples of 0.1 (inexact in
+# binary, so sums of them tie or miss by an ulp) and a few repeated
+# floats.  Distinct uniform rates never reach the stable-sort tie order
+# that the kernel's insertion path has to reproduce.
+_TIE_ATOMS = st.one_of(
+    st.just(0.0),
+    st.just(0),
+    st.integers(0, 6),
+    st.integers(0, 30).map(lambda k: k * 0.1),
+    st.sampled_from([0.5, 1.0, 2.5]),
+    st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _tie_heavy_values(draw):
+    pool = draw(st.lists(_TIE_ATOMS, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool) | _TIE_ATOMS, max_size=80))
+
+
+def _assert_kernel_matches_legacy(values, num_ways, reverse_combine):
+    kernel = kk_multiway_kernel(values, num_ways, reverse_combine)
+    legacy = karmarkar_karp_multiway(values, num_ways, reverse_combine)
+    # List equality covers the subsets and the order inside each one.
+    assert kernel.subsets == legacy.subsets
+    assert kernel.iterations == legacy.iterations
+
+
+class TestRCKKTieParity:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=_tie_heavy_values(),
+        num_ways=st.integers(1, 24),
+        reverse_combine=st.booleans(),
+    )
+    def test_tie_heavy_inputs(self, values, num_ways, reverse_combine):
+        _assert_kernel_matches_legacy(values, num_ways, reverse_combine)
+
+    @pytest.mark.parametrize("reverse_combine", [True, False])
+    def test_serve_shape(self, reverse_combine):
+        # One VNF's users at a serving-engine rebalance: ~300 rates into
+        # ~20 ways, rounded to 0.05 so equal rates and equal sums occur.
+        rng = np.random.default_rng(derive_seed(DEFAULT_SEED, "rckk-serve"))
+        rates = np.round(rng.uniform(0.5, 4.0, size=300) * 20) / 20
+        _assert_kernel_matches_legacy(rates.tolist(), 20, reverse_combine)
 
 
 class TestLocalSearchParity:

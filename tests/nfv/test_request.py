@@ -30,6 +30,14 @@ class TestConstruction:
             Request("r0", chain, 5.0, delivery_probability=0.0)
         with pytest.raises(ValidationError):
             Request("r0", chain, 5.0, delivery_probability=1.2)
+        with pytest.raises(ValidationError):
+            Request("r0", chain, 5.0, delivery_probability=float("nan"))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, chain, rate):
+        # ``nan <= 0.0`` is False, so a sign check alone lets NaN in.
+        with pytest.raises(ValidationError, match="finite"):
+            Request("r0", chain, rate)
 
 
 class TestDerived:

@@ -28,6 +28,16 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             VNF("f", 1.0, 1, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_demand_rejected(self, bad):
+        with pytest.raises(ValidationError, match="demand must be finite"):
+            VNF("f", bad, 1, 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, bad):
+        with pytest.raises(ValidationError, match="rate must be finite"):
+            VNF("f", 1.0, 1, bad)
+
 
 class TestDerived:
     def test_total_demand(self):

@@ -10,6 +10,8 @@ from repro.partition.base import (
     balance_metrics,
     validate_instance,
 )
+from repro.partition.karmarkar_karp import karmarkar_karp_multiway
+from repro.partition.rckk import rckk_partition
 
 
 class TestValidateInstance:
@@ -23,6 +25,20 @@ class TestValidateInstance:
     def test_negative_value_rejected(self):
         with pytest.raises(ValidationError):
             validate_instance([1.0, -2.0], 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            validate_instance([1.0, bad, 2.0], 2)
+
+    @pytest.mark.parametrize(
+        "solve", [rckk_partition, karmarkar_karp_multiway]
+    )
+    def test_solvers_reject_nan(self, solve):
+        # NaN fails every comparison, so unchecked it lands wherever each
+        # solver's sort happens to put it, and the two solvers disagree.
+        with pytest.raises(ValidationError, match="finite"):
+            solve([1, float("nan"), 2, 0.5], 2)
 
 
 class TestPartitionResult:
@@ -58,6 +74,11 @@ class TestPartitionResult:
     def test_validate_out_of_range(self):
         r = PartitionResult(subsets=[[0, 5]], values=[1.0])
         with pytest.raises(ValidationError):
+            r.validate()
+
+    def test_validate_right_count_wrong_indices(self):
+        r = PartitionResult(subsets=[[0], [0]], values=[1.0, 2.0])
+        with pytest.raises(ValidationError, match="index 0 assigned 2 times"):
             r.validate()
 
     def test_empty(self):
