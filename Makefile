@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-core bench-solvers bench-sim bench-topo bench-serve bench-scale bench-faults lint experiments examples ci clean
+.PHONY: install test golden bench bench-core bench-solvers bench-sim bench-topo bench-serve bench-scale bench-faults lint experiments examples ci clean
 
 PYTHON ?= python
 
@@ -7,6 +7,11 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Rewrite tests/golden/quick.json (the fixture-reps experiment tables
+# that tests/experiments/test_runall.py compares against).
+golden:
+	PYTHONPATH=src $(PYTHON) tests/golden/regen.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

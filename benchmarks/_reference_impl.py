@@ -6,7 +6,10 @@ the columnar :mod:`repro.core.arrays` refactor (see the git history of
 the old ``ServiceInstance.assign`` performed.  ``bench_core.py`` times
 them against the vectorized replacements and cross-checks parity; the
 property tests in ``tests/core/test_metric_parity.py`` hold the two
-paths within 1e-12 relative error.
+paths within 1e-12 relative error.  ``total_latency_on_topology_scalar``
+(the per-request Router walk) plays the same role for the fabric-aware
+Eq. (16): ``bench_topo.py`` gates on it and
+``tests/core/test_topology_parity.py`` holds the two within 1e-9.
 
 The second half of the module preserves the pre-kernel *solver* paths
 (legacy BFDSU, full-recount local search, per-candidate swap refine;
@@ -23,11 +26,14 @@ from typing import Dict, Hashable, List, Tuple
 
 from repro.core.admission import apply_admission_control
 from repro.core.evaluation import EvaluationReport
+from repro.core.objectives import per_request_response_time
+from repro.core.topology_eval import _check_nodes, request_path_latency
 from repro.exceptions import SchedulingError, ValidationError
 from repro.nfv.instance import ServiceInstance
 from repro.nfv.state import DeploymentState
 from repro.scheduling.base import SchedulingProblem
 from repro.topology.graph import DEFAULT_LINK_LATENCY
+from repro.topology.routing import Router
 
 
 def reference_instances(state: DeploymentState) -> List[ServiceInstance]:
@@ -108,6 +114,22 @@ def reference_total_latency(
     for request in state.requests:
         hops = state.inter_node_hops(request.request_id)
         total += response[request.request_id] + hops * link_latency
+    return total
+
+
+def total_latency_on_topology_scalar(state: DeploymentState, topology) -> float:
+    """The per-request Router walk — the parity reference for
+    :func:`repro.core.topology_eval.total_latency_on_topology`
+    (identical contract)."""
+    _check_nodes(state, topology)
+    response = per_request_response_time(state)
+    router = Router(topology)
+    total = 0.0
+    for request in state.requests:
+        w = response[request.request_id]
+        if math.isinf(w):
+            return math.inf
+        total += w + request_path_latency(state, router, request.request_id)
     return total
 
 

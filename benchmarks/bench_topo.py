@@ -41,11 +41,9 @@ except ImportError:  # pragma: no cover
 
 import numpy as np
 
+from _reference_impl import total_latency_on_topology_scalar
 from bench_core import DEFAULT_SEED, _compare, _time, build_scenario
-from repro.core.topology_eval import (
-    total_latency_on_topology,
-    total_latency_on_topology_scalar,
-)
+from repro.core.topology_eval import total_latency_on_topology
 from repro.topology.arrays import TopologyArrays
 from repro.topology.network import NetworkModel
 from repro.topology.random_topology import random_datacenter

@@ -43,7 +43,12 @@ placement in place).  They are converted to index vectors per call:
 
 * :meth:`ScenarioArrays.placement_vector` is O(|F|) — cheap enough to
   rebuild on every metric evaluation, so placement mutation needs no
-  invalidation at all.
+  invalidation at all.  Its checked forms,
+  :meth:`ScenarioArrays.checked_placement_vector` (every chain walkable)
+  and :meth:`ScenarioArrays.complete_placement_vector` (every VNF placed,
+  Eq. 2), are the one place a bad placement is turned into a
+  ``ValidationError``; :meth:`ScenarioArrays.check_node_capacity` adds
+  Eq. (6).
 * :meth:`ScenarioArrays.schedule_arrays` is O(|z|); owners that hold a
   schedule (``DeploymentState``) cache the result keyed on the dict's
   identity and length and expose ``invalidate_arrays()`` for the one
@@ -51,8 +56,8 @@ placement in place).  They are converted to index vectors per call:
 
 Adding a new vectorized metric (see ``docs/ARRAYS_CORE.md``) is: fetch
 the owner's cached ``ScenarioArrays``, convert the decision dicts with
-the two methods above, then express the metric as numpy reductions over
-the columns.
+the checked methods above, then express the metric as numpy reductions
+over the columns — there is no scalar second path.
 """
 
 from __future__ import annotations
@@ -203,8 +208,9 @@ class ScenarioArrays:
     #: ``-1`` when the name is unknown).
     chain_names: Tuple[str, ...]
     #: True when some chain references a VNF name absent from ``vnfs``
-    #: (``chain_vnf`` holds ``-1`` there); vectorized consumers must
-    #: fall back to the scalar path so legacy errors are preserved.
+    #: (``chain_vnf`` holds ``-1`` there).  Per-VNF scheduling views
+    #: legitimately carry such chains; :meth:`checked_placement_vector`
+    #: rejects them before any chain-walking metric runs.
     chain_has_unknown: bool = False
 
     # --- inverted chain views (static, lazily built) -----------------
@@ -427,12 +433,15 @@ class ScenarioArrays:
     def placement_vector(self, placement: Mapping[str, Hashable]) -> np.ndarray:
         """Node index per VNF; ``-1`` for an unplaced VNF.
 
+        The unchecked conversion, for placements already validated (or
+        produced by a solver).  Metrics on user input go through
+        :meth:`checked_placement_vector` or
+        :meth:`complete_placement_vector`.
+
         Raises
         ------
         KeyError
-            If some VNF is placed on a node absent from the capacity map
-            (callers fall back to the scalar path to surface the legacy
-            error for that case).
+            If some VNF is placed on a node absent from the capacity map.
         """
         vec = np.empty(len(self.vnf_names), dtype=np.int64)
         node_index = self.node_index
@@ -440,6 +449,93 @@ class ScenarioArrays:
             node = placement.get(name)
             vec[i] = -1 if node is None else node_index[node]
         return vec
+
+    def _known_node_vector(self, placement: Mapping[str, Hashable]) -> np.ndarray:
+        """:meth:`placement_vector` with an unknown node raised as a
+        :class:`ValidationError`."""
+        node_index = self.node_index
+        for name in self.vnf_names:
+            node = placement.get(name)
+            if node is not None and node not in node_index:
+                raise ValidationError(
+                    f"VNF {name!r} placed at unknown node {node!r}"
+                )
+        return self.placement_vector(placement)
+
+    def _chain_entry_request(self, entry: int) -> str:
+        return self.request_ids[int(self.chain_req[entry])]
+
+    def checked_placement_vector(
+        self, placement: Mapping[str, Hashable]
+    ) -> np.ndarray:
+        """The metric boundary: :meth:`placement_vector` for a placement
+        every chain can walk.
+
+        After this check the chain-walking columns (``hops_per_request``,
+        ``topology_latency_per_request``) are valid as they stand.  VNFs
+        no chain uses may stay unplaced (``-1``).
+
+        Raises
+        ------
+        ValidationError
+            If a VNF is placed at a node absent from the capacity map, a
+            chain references an unknown VNF, or a chain uses an unplaced
+            VNF.
+        """
+        vec = self._known_node_vector(placement)
+        if self.chain_has_unknown:
+            entry = int(np.argmax(self.chain_vnf < 0))
+            raise ValidationError(
+                f"request {self._chain_entry_request(entry)!r} references "
+                f"unknown VNF {self.chain_names[entry]!r}"
+            )
+        unplaced = vec[self.chain_vnf] < 0
+        if unplaced.any():
+            entry = int(np.argmax(unplaced))
+            raise ValidationError(
+                f"request {self._chain_entry_request(entry)!r} uses "
+                f"unplaced VNF {self.chain_names[entry]!r}"
+            )
+        return vec
+
+    def complete_placement_vector(
+        self, placement: Mapping[str, Hashable]
+    ) -> np.ndarray:
+        """:meth:`placement_vector` for a placement that places every
+        VNF on a known node (Eq. 2).
+
+        Raises
+        ------
+        ValidationError
+            On a node absent from the capacity map or an unplaced VNF.
+        """
+        vec = self._known_node_vector(placement)
+        unplaced = vec < 0
+        if unplaced.any():
+            name = self.vnf_names[int(np.argmax(unplaced))]
+            raise ValidationError(f"VNF {name!r} is not placed (Eq. 2)")
+        return vec
+
+    def check_node_capacity(self, placement_vec: np.ndarray) -> None:
+        """Check Eq. (6): no node is loaded past ``A_v``.
+
+        Raises
+        ------
+        ValidationError
+            Naming the first overloaded node in node-key order.
+        """
+        loads = self.node_loads(placement_vec)
+        over = loads > self.A_v + 1e-9
+        if over.any():
+            i = int(np.argmax(over))
+            raise ValidationError(
+                f"node {self.node_keys[i]!r} over capacity: load "
+                f"{loads[i]:.6g} > A_v {self.A_v[i]:.6g} (Eq. 6)"
+            )
+
+    def validate_placement(self, placement: Mapping[str, Hashable]) -> None:
+        """Check Eqs. (2) and (6) for ``placement``."""
+        self.check_node_capacity(self.complete_placement_vector(placement))
 
     def schedule_arrays(
         self, schedule: Mapping[Tuple[str, str], int]
@@ -500,6 +596,28 @@ class ScenarioArrays:
             placement_vec[mask], minlength=len(self.node_keys)
         )
         return counts > 0
+
+    def average_node_utilization(self, placement_vec: np.ndarray) -> float:
+        """Eq. (13): mean load/capacity over the nodes in service."""
+        used_mask = self.used_node_mask(placement_vec)
+        if not used_mask.any():
+            return 0.0
+        capacities = self.A_v[used_mask]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            utilization = np.where(
+                capacities > 0.0,
+                self.node_loads(placement_vec)[used_mask] / capacities,
+                0.0,
+            )
+        return float(utilization.sum() / used_mask.sum())
+
+    def nodes_in_service(self, placement_vec: np.ndarray) -> int:
+        """Eq. (14): ``sum_v y_v``."""
+        return int(self.used_node_mask(placement_vec).sum())
+
+    def occupied_capacity(self, placement_vec: np.ndarray) -> float:
+        """Fig. 9's resource occupation: ``sum_v y_v A_v``."""
+        return float(self.A_v[self.used_node_mask(placement_vec)].sum())
 
     # ------------------------------------------------------------------
     # Instance aggregates (Eqs. 7/9/12)
@@ -920,11 +1038,9 @@ class ScenarioArrays:
         missing = inst < 0
         if missing.any():
             entry = int(np.argmax(missing))
-            request_id = self.request_ids[int(self.chain_req[entry])]
-            vnf_name = self.chain_names[entry]
             raise SchedulingError(
-                f"request {request_id!r} unscheduled on "
-                f"VNF {vnf_name!r}"
+                f"request {self._chain_entry_request(entry)!r} unscheduled "
+                f"on VNF {self.chain_names[entry]!r}"
             )
         return np.bincount(
             self.chain_req,

@@ -9,23 +9,25 @@ evaluation section uses, in one pass:
 * the coordinated objective (Eq. 16) with link latency ``L``,
 * job rejection rate under admission control.
 
-The hot path runs on the state's cached columnar view
+The state is validated once, at entry; the scoring itself is
+:func:`evaluate_columns` on the state's cached columnar view
 (:mod:`repro.core.arrays`): instance rates, utilizations and the Eq. (12)
 response times are segment sums over the schedule's index arrays, and
 the Eq. (16) communication term is one pass over the chain CSR.  Only
-when admission control actually has to shed load does the evaluation
-drop to the per-object path, which models the greedy per-instance
-rejection exactly.
+when admission control actually has to shed load do the latency and
+rejection fields come from the per-object path, because the greedy
+per-instance rejection policy is sequential.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from repro.core import objectives
 from repro.core.admission import (
     DEFAULT_TARGET_UTILIZATION,
     apply_admission_control,
@@ -55,18 +57,6 @@ class EvaluationReport:
     def is_stable(self) -> bool:
         """Whether every serving instance has a steady state."""
         return math.isfinite(self.average_response_latency)
-
-
-def _resource_occupation(state: DeploymentState) -> float:
-    """Sum of ``A_v`` over nodes in service."""
-    arrays = state.arrays()
-    try:
-        placement_vec = arrays.placement_vector(state.placement)
-    except KeyError:
-        return sum(
-            state.node_capacities[v] for v in state.nodes_in_service()
-        )
-    return float(arrays.A_v[arrays.used_node_mask(placement_vec)].sum())
 
 
 def evaluate_deployment(
@@ -99,116 +89,61 @@ def evaluate_deployment(
     state.validate()
     arrays = state.arrays()
     sched = state.schedule_arrays()
-    equivalent, external, counts = arrays.instance_rates(sched)
-    serving = counts > 0
-    utilization = arrays.instance_utilizations(equivalent)
-
-    if with_admission and bool(
-        (equivalent[serving] > arrays.mu_inst[serving]
-         * DEFAULT_TARGET_UTILIZATION).any()
+    report = evaluate_columns(
+        arrays,
+        arrays.placement_vector(state.placement),
+        sched,
+        link_latency,
+        topology,
+    )
+    if (
+        with_admission
+        and report.max_instance_utilization > DEFAULT_TARGET_UTILIZATION
     ):
-        # Some instance must shed load: the greedy per-request rejection
-        # policy is inherently sequential, so run the object path.
-        return _evaluate_with_shedding(state, link_latency, topology)
-
-    max_util = (
-        float(utilization[serving].max()) if serving.any() else 0.0
-    )
-
-    if serving.any() and bool((utilization[serving] < 1.0).all()):
-        instance_w = arrays.instance_response_times(equivalent, external)
-        w = instance_w[serving]
-        avg_w = float(w.sum() / len(w))
-    else:
-        instance_w = None
-        avg_w = math.inf
-
-    if math.isfinite(avg_w):
-        response = arrays.response_per_request(sched, instance_w)
-        placement_vec = arrays.placement_vector(state.placement)
-        if topology is None:
-            hops = arrays.hops_per_request(placement_vec)
-            comm = hops * link_latency
-        else:
-            comm = arrays.topology_latency_per_request(
-                placement_vec, topology
-            )
-        total = float(np.sum(response + comm))
-        avg_total = total / len(state.requests) if state.requests else 0.0
-    else:
-        total = math.inf
-        avg_total = math.inf
-
-    return EvaluationReport(
-        average_node_utilization=state.average_node_utilization(),
-        nodes_in_service=state.total_nodes_in_service(),
-        resource_occupation=_resource_occupation(state),
-        average_response_latency=avg_w,
-        max_instance_utilization=max_util,
-        total_latency=total,
-        average_total_latency=avg_total,
-        num_rejected=0,
-        rejection_rate=0.0,
-    )
+        return _evaluate_with_shedding(state, report, link_latency, topology)
+    return report
 
 
 def _evaluate_with_shedding(
-    state: DeploymentState, link_latency: float, topology=None
+    state: DeploymentState,
+    report: EvaluationReport,
+    link_latency: float,
+    topology=None,
 ) -> EvaluationReport:
-    """The pre-vectorization object path, for deployments that shed."""
-    instances = state.instances()
-    serving = [inst for inst in instances if inst.requests]
-
+    """``report`` with its latency and rejection fields recomputed over
+    the load that admission control keeps."""
+    serving = [inst for inst in state.instances() if inst.requests]
     outcome = apply_admission_control(serving)
-    num_rejected = outcome.num_rejected
-    rejection_rate = outcome.rejection_rate
     latency_instances = [inst for inst in outcome.instances if inst.requests]
 
+    total = avg_total = avg_w = math.inf
     if latency_instances and all(i.is_stable for i in latency_instances):
         avg_w = sum(i.mean_response_time for i in latency_instances) / len(
             latency_instances
         )
-    else:
-        avg_w = math.inf
-
-    max_util = max((i.utilization for i in serving), default=0.0)
-
-    if math.isfinite(avg_w) and not num_rejected:
-        if topology is None:
-            total = objectives.total_latency(state, link_latency)
-        else:
-            from repro.core.topology_eval import total_latency_on_topology
-
-            total = total_latency_on_topology(state, topology)
-        avg_total = total / len(state.requests) if state.requests else 0.0
-    elif math.isfinite(avg_w):
-        # Shedding occurred: approximate per-request totals over admitted
-        # load by rebuilding a shed-aware latency sum.
-        total = _total_latency_after_admission(
+        total, counted = _latency_after_admission(
             state, latency_instances, link_latency, topology
         )
-        avg_total = total
-    else:
-        total = math.inf
-        avg_total = math.inf
+        if counted:
+            avg_total = total / counted
+        else:
+            total = math.inf
 
-    return EvaluationReport(
-        average_node_utilization=state.average_node_utilization(),
-        nodes_in_service=state.total_nodes_in_service(),
-        resource_occupation=_resource_occupation(state),
+    return dataclasses.replace(
+        report,
         average_response_latency=avg_w,
-        max_instance_utilization=max_util,
         total_latency=total,
         average_total_latency=avg_total,
-        num_rejected=num_rejected,
-        rejection_rate=rejection_rate,
+        num_rejected=outcome.num_rejected,
+        rejection_rate=outcome.rejection_rate,
     )
 
 
-def _total_latency_after_admission(
+def _latency_after_admission(
     state, instances, link_latency, topology=None
-) -> float:
-    """Mean per-admitted-request latency when some requests were shed."""
+) -> Tuple[float, int]:
+    """Summed Eq. (16) latency over the requests admission kept, and
+    how many requests that sum counts."""
     instance_w = {
         inst.key: inst.mean_response_time for inst in instances if inst.requests
     }
@@ -217,15 +152,15 @@ def _total_latency_after_admission(
         for inst in instances
         for request in inst.requests
     }
-    router = None
-    if topology is not None:
-        from repro.core.topology_eval import request_path_latency
-        from repro.topology.routing import Router
-
-        router = Router(topology)
+    arrays = state.arrays()
+    placement_vec = arrays.placement_vector(state.placement)
+    if topology is None:
+        comm = arrays.hops_per_request(placement_vec) * link_latency
+    else:
+        comm = arrays.topology_latency_per_request(placement_vec, topology)
     total = 0.0
     counted = 0
-    for request in state.requests:
+    for i, request in enumerate(state.requests):
         if request.request_id not in admitted:
             continue
         ok = True
@@ -239,15 +174,9 @@ def _total_latency_after_admission(
             response += w
         if not ok:
             continue
-        if router is not None:
-            comm = request_path_latency(state, router, request.request_id)
-        else:
-            comm = state.inter_node_hops(request.request_id) * link_latency
-        total += response + comm
+        total += response + float(comm[i])
         counted += 1
-    if counted == 0:
-        return math.inf
-    return total / counted
+    return total, counted
 
 
 def evaluate_columns(
@@ -257,17 +186,15 @@ def evaluate_columns(
     link_latency: float = DEFAULT_LINK_LATENCY,
     topology=None,
 ) -> EvaluationReport:
-    """State-free :func:`evaluate_deployment` over raw columns.
+    """Score a ``(ScenarioArrays, placement-vector, ScheduleArrays)``
+    triple on every paper metric.
 
-    The million-request path: scores a ``(ScenarioArrays,
-    placement-vector, ScheduleArrays)`` triple without ever building a
-    :class:`~repro.nfv.state.DeploymentState` (whose dict-shaped
-    ``placement``/``schedule`` would cost more than the evaluation
-    itself at scale).  Matches ``evaluate_deployment(state,
-    with_admission=False)`` to float64 round-off on the same solution —
-    pinned by ``tests/core/test_dtypes.py`` and
-    ``tests/scheduling/test_schedule_columns.py``.  Admission control is not
-    modeled here: callers arrange stability up front (e.g.
+    The body of :func:`evaluate_deployment`, and the million-request
+    path: it never builds a :class:`~repro.nfv.state.DeploymentState`
+    (whose dict-shaped ``placement``/``schedule`` would cost more than
+    the evaluation itself at scale).  The columns are trusted as given —
+    validation belongs to the caller's boundary.  Admission control is
+    not modeled here: callers arrange stability up front (e.g.
     :func:`repro.workload.stream.rescale_to_stability`), so the
     rejection metrics are reported as zero exactly as the
     ``with_admission=False`` route does.
@@ -302,22 +229,12 @@ def evaluate_columns(
         total = math.inf
         avg_total = math.inf
 
-    loads = arrays.node_loads(placement_vec)
-    used_mask = arrays.used_node_mask(placement_vec)
-    if used_mask.any():
-        capacities = arrays.A_v[used_mask]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            node_util = np.where(
-                capacities > 0.0, loads[used_mask] / capacities, 0.0
-            )
-        avg_node_util = float(node_util.sum() / used_mask.sum())
-    else:
-        avg_node_util = 0.0
-
     return EvaluationReport(
-        average_node_utilization=avg_node_util,
-        nodes_in_service=int(used_mask.sum()),
-        resource_occupation=float(arrays.A_v[used_mask].sum()),
+        average_node_utilization=arrays.average_node_utilization(
+            placement_vec
+        ),
+        nodes_in_service=arrays.nodes_in_service(placement_vec),
+        resource_occupation=arrays.occupied_capacity(placement_vec),
         average_response_latency=avg_w,
         max_instance_utilization=max_util,
         total_latency=total,

@@ -80,24 +80,12 @@ class RefinementReport:
 def total_inter_node_hops(state: DeploymentState) -> int:
     """Sum of Eq. (16)'s hop counts over all requests.
 
-    The count is one vectorized pass over the chain CSR (this is the
-    inner loop of every relocate-move evaluation); degenerate states —
-    an unplaced chain VNF, a node missing from the capacity map — fall
-    back to the per-request walk for its exact legacy errors.
+    One vectorized pass over the chain CSR; an unplaced chain VNF or a
+    node missing from the capacity map raises ``ValidationError``.
     """
     arrays = state.arrays()
-    if not arrays.chain_has_unknown:
-        try:
-            placement_vec = arrays.placement_vector(state.placement)
-        except KeyError:
-            placement_vec = None
-        if placement_vec is not None and not bool(
-            (placement_vec[arrays.chain_vnf] < 0).any()
-        ):
-            return int(arrays.hops_per_request(placement_vec).sum())
-    return sum(
-        state.inter_node_hops(r.request_id) for r in state.requests
-    )
+    placement_vec = arrays.checked_placement_vector(state.placement)
+    return int(arrays.hops_per_request(placement_vec).sum())
 
 
 def refine_placement(
@@ -352,14 +340,10 @@ def swap_placement(
     if max_rounds < 1:
         raise ValidationError(f"max_rounds must be >= 1, got {max_rounds!r}")
     state.validate()
+    # validate() guarantees a full placement on known nodes and chains
+    # over known VNFs.
     arrays = state.arrays()
-    if arrays.chain_has_unknown:
-        raise ValidationError(
-            "swap_placement requires chains over known VNFs"
-        )
     placement_vec = arrays.placement_vector(state.placement)
-    if bool((placement_vec < 0).any()):
-        raise ValidationError("swap_placement requires a full placement")
 
     num_vnfs = len(arrays.vnf_names)
     num_nodes = len(arrays.node_keys)

@@ -9,9 +9,10 @@ These functions score a complete :class:`~repro.nfv.state.DeploymentState`:
   instance response times plus ``(sum_v eta_v^r - 1) * L`` link latency.
 
 All four run on the state's cached :class:`~repro.core.arrays.ScenarioArrays`
-(segment sums over instance/request columns); degenerate states — an
-unplaced chain VNF, a node missing from the capacity map — drop to the
-scalar walk so the legacy error surfaces unchanged.
+(segment sums over instance/request columns).  The state is checked once,
+at entry: an unplaced chain VNF, a node missing from the capacity map or
+a chain VNF without a schedule entry raises ``ValidationError`` before any
+column is reduced.
 """
 
 from __future__ import annotations
@@ -39,10 +40,13 @@ def _instance_response_times(state: DeploymentState) -> Tuple:
     """``(arrays, sched, instance_w, serving)`` for the current schedule.
 
     ``instance_w`` holds ``W(f,k)`` per global instance — ``inf`` for an
-    unstable serving instance, ``nan`` for an idle one.
+    unstable serving instance, ``nan`` for an idle one.  A chain VNF
+    without a schedule entry raises the Eq. (5) ``ValidationError``.
     """
     arrays = state.arrays()
     sched = state.schedule_arrays()
+    if bool((arrays.chain_instances(sched) < 0).any()):
+        state.validate_schedule()  # raises the Eq. 5 message
     equivalent, external, counts = arrays.instance_rates(sched)
     instance_w = arrays.instance_response_times(equivalent, external)
     return arrays, sched, instance_w, counts > 0
@@ -87,28 +91,11 @@ def total_latency(state: DeploymentState, link_latency: float) -> float:
         The per-hop constant ``L`` (propagation + transmission).
     """
     arrays, sched, instance_w, _ = _instance_response_times(state)
+    hops = arrays.hops_per_request(
+        arrays.checked_placement_vector(state.placement)
+    )
     response = arrays.response_per_request(sched, instance_w)
-
-    placement_vec = None
-    if not arrays.chain_has_unknown:
-        try:
-            placement_vec = arrays.placement_vector(state.placement)
-        except KeyError:
-            placement_vec = None
-        if placement_vec is not None and bool(
-            (placement_vec[arrays.chain_vnf] < 0).any()
-        ):
-            placement_vec = None
-    if placement_vec is not None:
-        hops = arrays.hops_per_request(placement_vec)
-        return float(np.sum(response + hops * link_latency))
-
-    # Scalar fallback: surfaces the legacy unplaced-VNF error.
-    total = 0.0
-    for i, request in enumerate(state.requests):
-        hops = state.inter_node_hops(request.request_id)
-        total += float(response[i]) + hops * link_latency
-    return total
+    return float(np.sum(response + hops * link_latency))
 
 
 def average_total_latency(state: DeploymentState, link_latency: float) -> float:

@@ -12,10 +12,10 @@ from the scenario's cached column arrays and the communication term is
 one gather from the fabric's dense compute-pair latency matrix
 (:meth:`ScenarioArrays.topology_latency_per_request
 <repro.core.arrays.ScenarioArrays.topology_latency_per_request>`) —
-no per-request Router loop.  The original per-request walk survives as
-:func:`total_latency_on_topology_scalar`, the parity reference, and as
-the fallback for degenerate states (unknown chain VNFs, unplaced chain
-VNFs) so legacy errors surface unchanged.
+no per-request Router loop.  A degenerate state (unknown or unplaced
+chain VNF, unknown node) raises ``ValidationError`` at entry.  The
+per-request Router walk it replaced is kept as the parity reference
+``total_latency_on_topology_scalar`` in ``benchmarks/_reference_impl.py``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.objectives import (
-    _instance_response_times,
-    per_request_response_time,
-)
+from repro.core.objectives import _instance_response_times
 from repro.exceptions import SchedulingError, ValidationError
 from repro.nfv.state import DeploymentState
 from repro.topology.graph import DatacenterTopology
@@ -73,59 +70,18 @@ def total_latency_on_topology(
     Raises
     ------
     ValidationError
-        If a placement node is not a compute node of the topology.
+        If a placement node is not a compute node of the topology, or
+        the state fails the entry checks of :func:`repro.core.objectives
+        .total_latency`.
     """
+    placement_vec = state.arrays().checked_placement_vector(state.placement)
     _check_nodes(state, topology)
     arrays, sched, instance_w, _ = _instance_response_times(state)
     response = arrays.response_per_request(sched, instance_w)
-
-    placement_vec = None
-    if not arrays.chain_has_unknown:
-        try:
-            placement_vec = arrays.placement_vector(state.placement)
-        except KeyError:
-            placement_vec = None
-        if placement_vec is not None and bool(
-            (placement_vec[arrays.chain_vnf] < 0).any()
-        ):
-            placement_vec = None
-    if placement_vec is not None:
-        if np.isinf(response).any():
-            return math.inf
-        comm = arrays.topology_latency_per_request(placement_vec, topology)
-        return float(np.sum(response + comm))
-
-    return _total_latency_scalar_walk(state, topology, response, arrays)
-
-
-def total_latency_on_topology_scalar(
-    state: DeploymentState,
-    topology: DatacenterTopology,
-) -> float:
-    """The per-request Router walk — the parity reference for
-    :func:`total_latency_on_topology` (identical contract)."""
-    _check_nodes(state, topology)
-    response = per_request_response_time(state)
-    router = Router(topology)
-    total = 0.0
-    for request in state.requests:
-        w = response[request.request_id]
-        if math.isinf(w):
-            return math.inf
-        total += w + request_path_latency(state, router, request.request_id)
-    return total
-
-
-def _total_latency_scalar_walk(state, topology, response, arrays) -> float:
-    """Fallback walk for degenerate states (surfaces legacy errors)."""
-    router = Router(topology)
-    total = 0.0
-    for i, request in enumerate(state.requests):
-        w = float(response[i])
-        if math.isinf(w):
-            return math.inf
-        total += w + request_path_latency(state, router, request.request_id)
-    return total
+    if np.isinf(response).any():
+        return math.inf
+    comm = arrays.topology_latency_per_request(placement_vec, topology)
+    return float(np.sum(response + comm))
 
 
 def average_total_latency_on_topology(

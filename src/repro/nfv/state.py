@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from repro.exceptions import ValidationError
 from repro.nfv.instance import ServiceInstance
 from repro.nfv.request import Request
@@ -222,22 +220,7 @@ class DeploymentState:
         ValidationError
             On an unplaced VNF, an unknown node, or a capacity violation.
         """
-        for vnf in self.vnfs:
-            node = self.placement.get(vnf.name)
-            if node is None:
-                raise ValidationError(f"VNF {vnf.name!r} is not placed (Eq. 2)")
-            if node not in self.node_capacities:
-                raise ValidationError(
-                    f"VNF {vnf.name!r} placed at unknown node {node!r}"
-                )
-        for node in self.nodes_in_service():
-            load = self.node_load(node)
-            capacity = self.node_capacities[node]
-            if load > capacity + 1e-9:
-                raise ValidationError(
-                    f"node {node!r} over capacity: load {load:.6g} > "
-                    f"A_v {capacity:.6g} (Eq. 6)"
-                )
+        self.arrays().validate_placement(self.placement)
 
     def validate_schedule(self) -> None:
         """Check Eq. (5): each (request, used VNF) maps to exactly one instance.
@@ -292,30 +275,13 @@ class DeploymentState:
     def average_node_utilization(self) -> float:
         """Objective 1 value (Eq. 13): mean utilization over used nodes."""
         arrays = self.arrays()
-        try:
-            placement_vec = arrays.placement_vector(self.placement)
-        except KeyError:
-            # A VNF sits on a node with no capacity entry; the scalar
-            # path raises the legacy "unknown node" error.
-            used = self.nodes_in_service()
-            if not used:
-                return 0.0
-            return sum(self.node_utilization(v) for v in used) / len(used)
-        loads = arrays.node_loads(placement_vec)
-        used_mask = arrays.used_node_mask(placement_vec)
-        if not used_mask.any():
-            return 0.0
-        capacities = arrays.A_v[used_mask]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            utilization = np.where(
-                capacities > 0.0, loads[used_mask] / capacities, 0.0
-            )
-        return float(utilization.sum() / used_mask.sum())
+        return arrays.average_node_utilization(
+            arrays.checked_placement_vector(self.placement)
+        )
 
     def total_nodes_in_service(self) -> int:
         """Objective value of Eq. (14)."""
-        try:
-            placement_vec = self.arrays().placement_vector(self.placement)
-        except KeyError:
-            return len(self.nodes_in_service())
-        return int(self.arrays().used_node_mask(placement_vec).sum())
+        arrays = self.arrays()
+        return arrays.nodes_in_service(
+            arrays.checked_placement_vector(self.placement)
+        )

@@ -156,40 +156,24 @@ class PlacementResult:
     # Derived state
     # ------------------------------------------------------------------
     def _placement_vector(self):
-        """Node index per VNF (``np.ndarray``), or ``None`` when a
-        placement node is absent from the capacity map (scalar fallback
-        territory)."""
-        try:
-            return self.problem.arrays().placement_vector(self.placement)
-        except KeyError:
-            return None
-
-    def _node_loads_scalar(self) -> Dict[Hashable, float]:
-        loads: Dict[Hashable, float] = {}
-        for vnf in self.problem.vnfs:
-            node = self.placement.get(vnf.name)
-            if node is None:
-                continue
-            loads[node] = loads.get(node, 0.0) + vnf.total_demand
-        return loads
+        """Node index per VNF, checked at the boundary: a node absent
+        from the capacity map or an unplaced VNF (Eq. 2) raises."""
+        return self.problem.arrays().complete_placement_vector(self.placement)
 
     def node_loads(self) -> Dict[Hashable, float]:
         """Placed demand per node (zero-load nodes omitted).
 
-        Keys keep the legacy first-placed-VNF order; the per-node sums
-        come from one ``np.bincount`` over the columnar view.
+        Keys follow the first-placed-VNF order; the per-node sums come
+        from one ``np.bincount`` over the columnar view.
         """
         placement_vec = self._placement_vector()
-        if placement_vec is None:
-            return self._node_loads_scalar()
         arrays = self.problem.arrays()
         loads = arrays.node_loads(placement_vec)
         result: Dict[Hashable, float] = {}
         for node_idx in placement_vec:
-            if node_idx >= 0:
-                node = arrays.node_keys[node_idx]
-                if node not in result:
-                    result[node] = float(loads[node_idx])
+            node = arrays.node_keys[node_idx]
+            if node not in result:
+                result[node] = float(loads[node_idx])
         return result
 
     def used_nodes(self) -> List[Hashable]:
@@ -199,44 +183,20 @@ class PlacementResult:
     @property
     def num_used_nodes(self) -> int:
         """``sum_v y_v`` — the Eq. (14) objective."""
-        placement_vec = self._placement_vector()
-        if placement_vec is None:
-            return len(self._node_loads_scalar())
-        arrays = self.problem.arrays()
-        return int(arrays.used_node_mask(placement_vec).sum())
+        return self.problem.arrays().nodes_in_service(self._placement_vector())
 
     @property
     def average_utilization(self) -> float:
         """Eq. (13): mean of per-used-node load/capacity."""
-        placement_vec = self._placement_vector()
-        if placement_vec is None:
-            loads = self._node_loads_scalar()
-            if not loads:
-                return 0.0
-            total = 0.0
-            for node, load in loads.items():
-                total += load / self.problem.capacities[node]
-            return total / len(loads)
-        arrays = self.problem.arrays()
-        used_mask = arrays.used_node_mask(placement_vec)
-        if not used_mask.any():
-            return 0.0
-        loads = arrays.node_loads(placement_vec)
-        utilization = loads[used_mask] / arrays.A_v[used_mask]
-        return float(utilization.sum() / used_mask.sum())
+        return self.problem.arrays().average_node_utilization(
+            self._placement_vector()
+        )
 
     @property
     def total_occupied_capacity(self) -> float:
         """Sum of ``A_v`` over used nodes (Fig. 9's "resource occupation")."""
-        placement_vec = self._placement_vector()
-        if placement_vec is None:
-            return sum(
-                self.problem.capacities[node]
-                for node in self._node_loads_scalar()
-            )
-        arrays = self.problem.arrays()
-        return float(
-            arrays.A_v[arrays.used_node_mask(placement_vec)].sum()
+        return self.problem.arrays().occupied_capacity(
+            self._placement_vector()
         )
 
     def node_of(self, vnf_name: str) -> Hashable:
@@ -257,21 +217,7 @@ class PlacementResult:
         ValidationError
             On an unplaced VNF, unknown node, or capacity violation.
         """
-        for vnf in self.problem.vnfs:
-            node = self.placement.get(vnf.name)
-            if node is None:
-                raise ValidationError(f"VNF {vnf.name!r} unplaced (Eq. 2)")
-            if node not in self.problem.capacities:
-                raise ValidationError(
-                    f"VNF {vnf.name!r} placed on unknown node {node!r}"
-                )
-        for node, load in self.node_loads().items():
-            capacity = self.problem.capacities[node]
-            if load > capacity + 1e-9:
-                raise ValidationError(
-                    f"node {node!r} over capacity: {load:.6g} > {capacity:.6g} "
-                    "(Eq. 6)"
-                )
+        self.problem.arrays().validate_placement(self.placement)
 
 
 class PlacementAlgorithm(abc.ABC):

@@ -110,6 +110,24 @@ class ScheduleResult:
     iterations: int = 0
     algorithm: str = ""
 
+    def instance_vector(self) -> np.ndarray:
+        """Instance index ``k`` per request, in problem order.
+
+        A missing or out-of-range ``k`` calls :meth:`validate`, which
+        raises the Eq. (5) ``ValidationError``.
+        """
+        k = np.fromiter(
+            (
+                self.assignment.get(r.request_id, -1)
+                for r in self.problem.requests
+            ),
+            dtype=np.int64,
+            count=self.problem.num_requests,
+        )
+        if bool(((k < 0) | (k >= self.problem.num_instances)).any()):
+            self.validate()
+        return k
+
     def instances(self) -> List[ServiceInstance]:
         """Materialize the VNF's instances with their scheduled requests."""
         table = [
@@ -126,25 +144,12 @@ class ScheduleResult:
         return table
 
     def instance_rates(self) -> List[float]:
-        """Per-instance equivalent arrival rates ``Lambda_k^f`` (Eq. 7).
-
-        One ``np.bincount`` over the columnar request table; degenerate
-        assignments (missing or out-of-range ``k``) drop to the object
-        path so its legacy errors surface unchanged.
-        """
-        m = self.problem.num_instances
-        k = np.fromiter(
-            (
-                self.assignment.get(r.request_id, -1)
-                for r in self.problem.requests
-            ),
-            dtype=np.int64,
-            count=self.problem.num_requests,
-        )
-        if ((k < 0) | (k >= m)).any():
-            return [inst.equivalent_arrival_rate for inst in self.instances()]
+        """Per-instance equivalent arrival rates ``Lambda_k^f`` (Eq. 7),
+        one ``np.bincount`` over the columnar request table."""
         rates = np.bincount(
-            k, weights=self.problem.arrays().eff_rate, minlength=m
+            self.instance_vector(),
+            weights=self.problem.arrays().eff_rate,
+            minlength=self.problem.num_instances,
         )
         return [float(rate) for rate in rates]
 

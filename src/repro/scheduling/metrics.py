@@ -63,62 +63,43 @@ def schedule_report(
         latency fields infinite (no steady state exists).
     """
     problem = result.problem
+    k = result.instance_vector()  # the Eq. (5) check, for both branches
     if not apply_admission:
         m = problem.num_instances
-        k = np.fromiter(
-            (
-                result.assignment.get(r.request_id, -1)
-                for r in problem.requests
-            ),
-            dtype=np.int64,
-            count=problem.num_requests,
+        arrays = problem.arrays()
+        equivalent = np.bincount(k, weights=arrays.eff_rate, minlength=m)
+        external = np.bincount(k, weights=arrays.lambda_r, minlength=m)
+        serving = np.bincount(k, minlength=m) > 0
+        mu = problem.vnf.service_rate
+        utilizations = equivalent / mu
+        if serving.any() and bool((utilizations[serving] < 1.0).all()):
+            response_times = mm1_mean_response_times(
+                equivalent[serving], mu, external[serving]
+            )
+            average_w = float(response_times.sum() / len(response_times))
+            max_w = float(response_times.max())
+        else:
+            average_w = math.inf
+            max_w = math.inf
+        rates = tuple(float(rate) for rate in equivalent)
+        return ScheduleReport(
+            algorithm=result.algorithm,
+            instance_rates=rates,
+            utilizations=tuple(float(u) for u in utilizations),
+            average_response_time=average_w,
+            max_response_time=max_w,
+            makespan=max(rates) if rates else 0.0,
+            spread=(max(rates) - min(rates)) if rates else 0.0,
+            num_requests=problem.num_requests,
+            num_rejected=0,
+            iterations=result.iterations,
         )
-        if not ((k < 0) | (k >= m)).any():
-            arrays = problem.arrays()
-            equivalent = np.bincount(
-                k, weights=arrays.eff_rate, minlength=m
-            )
-            external = np.bincount(
-                k, weights=arrays.lambda_r, minlength=m
-            )
-            serving = np.bincount(k, minlength=m) > 0
-            mu = problem.vnf.service_rate
-            utilizations = equivalent / mu
-            if serving.any() and bool((utilizations[serving] < 1.0).all()):
-                response_times = mm1_mean_response_times(
-                    equivalent[serving], mu, external[serving]
-                )
-                average_w = float(
-                    response_times.sum() / len(response_times)
-                )
-                max_w = float(response_times.max())
-            else:
-                average_w = math.inf
-                max_w = math.inf
-            rates = tuple(float(rate) for rate in equivalent)
-            return ScheduleReport(
-                algorithm=result.algorithm,
-                instance_rates=rates,
-                utilizations=tuple(float(u) for u in utilizations),
-                average_response_time=average_w,
-                max_response_time=max_w,
-                makespan=max(rates) if rates else 0.0,
-                spread=(max(rates) - min(rates)) if rates else 0.0,
-                num_requests=problem.num_requests,
-                num_rejected=0,
-                iterations=result.iterations,
-            )
-        # Degenerate assignment: the object path raises legacy errors.
 
-    instances = result.instances()
-    num_requests = problem.num_requests
-    num_rejected = 0
-    if apply_admission:
-        from repro.core.admission import apply_admission_control
+    # Shedding is sequential per instance: run it on the object view.
+    from repro.core.admission import apply_admission_control
 
-        outcome = apply_admission_control(instances)
-        instances = outcome.instances
-        num_rejected = outcome.num_rejected
+    outcome = apply_admission_control(result.instances())
+    instances = outcome.instances
 
     serving = [inst for inst in instances if inst.requests]
     rates = tuple(inst.equivalent_arrival_rate for inst in instances)
@@ -140,8 +121,8 @@ def schedule_report(
         max_response_time=max_w,
         makespan=max(rates) if rates else 0.0,
         spread=(max(rates) - min(rates)) if rates else 0.0,
-        num_requests=num_requests,
-        num_rejected=num_rejected,
+        num_requests=problem.num_requests,
+        num_rejected=outcome.num_rejected,
         iterations=result.iterations,
     )
 

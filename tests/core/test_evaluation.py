@@ -54,6 +54,20 @@ class TestOverloadedDeployment:
         assert report.rejection_rate == pytest.approx(0.5)
         assert math.isfinite(report.average_response_latency)
 
+    def test_total_latency_sums_the_counted_requests(self):
+        # mu=40, rates (10, 10, 30): the 30 is shed, the two 10s stay on
+        # a load of 20, each with W = 1 / (40 - 20) = 0.05.
+        report = evaluate_deployment(
+            _state(mu=40.0, rates=(10.0, 10.0, 30.0)),
+            link_latency=0.0,
+            with_admission=True,
+        )
+        assert report.num_rejected == 1
+        assert report.total_latency == pytest.approx(0.10, rel=1e-12)
+        assert report.average_total_latency == pytest.approx(
+            0.05, rel=1e-12
+        )
+
     def test_without_admission_inf(self):
         report = evaluate_deployment(
             _state(mu=40.0), link_latency=0.0, with_admission=False

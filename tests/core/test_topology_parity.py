@@ -3,7 +3,8 @@
 Mirrors ``tests/core/test_metric_parity.py`` for the topology-aware
 evaluation path: :func:`total_latency_on_topology` (one gather from the
 precomputed compute-pair latency matrix) must agree with
-:func:`total_latency_on_topology_scalar` (per-request Router walk) to
+:func:`total_latency_on_topology_scalar` (per-request Router walk, kept in
+``benchmarks/_reference_impl.py``) to
 1e-9 relative on solved scenarios across the default seed plus ten
 derived seeds, and :func:`evaluate_deployment(topology=...)
 <repro.core.evaluation.evaluate_deployment>` must report the same
@@ -13,21 +14,23 @@ total.
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.evaluation import evaluate_deployment
-from repro.core.joint import JointOptimizer
-from repro.core.topology_eval import (
-    total_latency_on_topology,
-    total_latency_on_topology_scalar,
-)
-from repro.nfv.request import Request
-from repro.scheduling.least_loaded import LeastLoadedScheduler
-from repro.seeding import DEFAULT_SEED, derive_seed
-from repro.topology.random_topology import random_datacenter
-from repro.workload.generator import WorkloadGenerator
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from _reference_impl import total_latency_on_topology_scalar  # noqa: E402
+from repro.core.evaluation import evaluate_deployment  # noqa: E402
+from repro.core.joint import JointOptimizer  # noqa: E402
+from repro.core.topology_eval import total_latency_on_topology  # noqa: E402
+from repro.nfv.request import Request  # noqa: E402
+from repro.scheduling.least_loaded import LeastLoadedScheduler  # noqa: E402
+from repro.seeding import DEFAULT_SEED, derive_seed  # noqa: E402
+from repro.topology.random_topology import random_datacenter  # noqa: E402
+from repro.workload.generator import WorkloadGenerator  # noqa: E402
 
 RTOL = 1e-9
 

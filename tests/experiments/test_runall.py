@@ -1,20 +1,13 @@
 """Integration tests for the run-everything harness."""
 
 import json
+import math
 
 import pytest
 
 from repro.experiments import runall
 from repro.experiments.harness import ExperimentResult
-
-
-#: The tiny repetition profile shared by the tests below.
-QUICK = dict(
-    placement_repetitions=2,
-    scheduling_repetitions=5,
-    tail_repetitions=5,
-    include_headline=False,
-)
+from tests.golden.regen import GOLDEN_PATH, QUICK, snapshot
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +51,42 @@ class TestRunAll:
         for first, second in zip(quick_results, again):
             assert second.rows == first.rows, first.experiment_id
             assert second.notes == first.notes, first.experiment_id
+
+
+def _assert_matches(got, want, where):
+    """Integers (and bools, strings, None) exactly; floats within rel 1e-9."""
+    if isinstance(want, float) or isinstance(got, float):
+        assert isinstance(got, float) and isinstance(want, float), where
+        if math.isnan(want):
+            assert math.isnan(got), where
+        else:
+            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0), (
+                f"{where}: {got!r} != {want!r}"
+            )
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        got = list(got) if isinstance(got, tuple) else got
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (
+            f"{where}: {got!r} != {want!r}"
+        )
+
+
+class TestGolden:
+    def test_quick_run_matches_golden(self, quick_results):
+        """The fixture's reduced-reps run reproduces ``tests/golden/quick.json``
+        (``make golden`` rewrites it; a change to it is named in CHANGES.md)."""
+        golden = json.loads(GOLDEN_PATH.read_text())
+        got = snapshot(quick_results)
+        assert list(got) == list(golden)
+        for experiment_id, want in golden.items():
+            _assert_matches(got[experiment_id], want, experiment_id)
 
 
 class TestCli:

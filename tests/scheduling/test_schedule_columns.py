@@ -134,23 +134,8 @@ class TestEvaluateColumnsParity:
             arrays.placement_vector(placement.placement),
             schedule_columns(arrays, policy="least_loaded"),
         )
-        assert got.average_node_utilization == pytest.approx(
-            ref.average_node_utilization, rel=1e-12
-        )
-        assert got.nodes_in_service == ref.nodes_in_service
-        assert got.resource_occupation == pytest.approx(
-            ref.resource_occupation, rel=1e-12
-        )
-        assert got.max_instance_utilization == pytest.approx(
-            ref.max_instance_utilization, rel=1e-12
-        )
-        if np.isfinite(ref.average_response_latency):
-            assert got.average_response_latency == pytest.approx(
-                ref.average_response_latency, rel=1e-12
-            )
-            assert got.total_latency == pytest.approx(
-                ref.total_latency, rel=1e-12
-            )
-        else:
-            assert not np.isfinite(got.average_response_latency)
+        # evaluate_deployment is evaluate_columns on the state's columns,
+        # and schedule_columns reproduces the object schedule row for row,
+        # so the two reports are equal field for field.
+        assert got == ref
         assert got.num_rejected == 0
