@@ -9,7 +9,9 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Rewrite tests/golden/quick.json (the fixture-reps experiment tables
-# that tests/experiments/test_runall.py compares against).
+# that tests/experiments/test_runall.py compares against) and
+# tests/golden/sim_digests.json (the simulator digests that
+# tests/sim/test_sim_digests.py compares against).
 golden:
 	PYTHONPATH=src $(PYTHON) tests/golden/regen.py
 

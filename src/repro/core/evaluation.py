@@ -50,7 +50,9 @@ class EvaluationReport:
     # Coordinated objective (Eq. 16)
     total_latency: float
     average_total_latency: float
-    # Admission (Figs. 15-16)
+    # Admission (Figs. 15-16).  Both count (request, instance) slots: a
+    # request shed at two instances of its chain counts twice, and the
+    # rate is shed slots over scheduled slots.
     num_rejected: int
     rejection_rate: float
 
@@ -142,16 +144,18 @@ def _evaluate_with_shedding(
 def _latency_after_admission(
     state, instances, link_latency, topology=None
 ) -> Tuple[float, int]:
-    """Summed Eq. (16) latency over the requests admission kept, and
-    how many requests that sum counts."""
-    instance_w = {
-        inst.key: inst.mean_response_time for inst in instances if inst.requests
-    }
-    admitted = {
-        request.request_id
-        for inst in instances
-        for request in inst.requests
-    }
+    """Summed Eq. (16) latency over the requests admission kept at every
+    VNF of their chain, and how many requests that sum counts.
+
+    A request shed at any one instance of its chain is left out, even
+    where other instances kept it.
+    """
+    instance_w = {}
+    kept = set()
+    for inst in instances:
+        if inst.requests:
+            instance_w[inst.key] = inst.mean_response_time
+            kept.update((r.request_id, inst.key) for r in inst.requests)
     arrays = state.arrays()
     placement_vec = arrays.placement_vector(state.placement)
     if topology is None:
@@ -161,21 +165,15 @@ def _latency_after_admission(
     total = 0.0
     counted = 0
     for i, request in enumerate(state.requests):
-        if request.request_id not in admitted:
-            continue
-        ok = True
         response = 0.0
         for vnf_name in request.chain:
-            k = state.schedule.get((request.request_id, vnf_name))
-            w = instance_w.get((vnf_name, k))
-            if w is None:
-                ok = False
+            key = (vnf_name, state.schedule.get((request.request_id, vnf_name)))
+            if (request.request_id, key) not in kept:
                 break
-            response += w
-        if not ok:
-            continue
-        total += response + float(comm[i])
-        counted += 1
+            response += instance_w[key]
+        else:
+            total += response + float(comm[i])
+            counted += 1
     return total, counted
 
 

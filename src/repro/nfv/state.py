@@ -84,19 +84,20 @@ class DeploymentState:
         return self._scenario_arrays
 
     def schedule_arrays(self) -> "ScheduleArrays":
-        """Index form of ``schedule``, cached on (dict identity, size).
+        """Index form of ``schedule``, cached on its entries.
 
-        Replacing the dict or adding/removing entries invalidates the
-        cache automatically; mutating an entry's *value* in place is the
-        one pattern that requires :meth:`invalidate_arrays`.
+        The cache is reused only while ``schedule`` holds the same keys
+        with the same values in the same order, so any edit — replacing
+        the dict, adding, removing or re-valuing an entry — converts
+        afresh.  The check is two list comparisons, O(|z|) but far
+        cheaper than the conversion.
         """
+        keys, values = list(self.schedule), list(self.schedule.values())
         cache = self._schedule_arrays_cache
-        key = (id(self.schedule), len(self.schedule))
-        if cache is None or cache[0] != key:
+        if cache is None or cache[0] != keys or cache[1] != values:
             sched = self.arrays().schedule_arrays(self.schedule)
-            self._schedule_arrays_cache = (key, sched)
-            return sched
-        return cache[1]
+            cache = self._schedule_arrays_cache = (keys, values, sched)
+        return cache[2]
 
     def invalidate_arrays(self) -> None:
         """Drop the cached columnar views (after entity-level edits)."""
@@ -225,12 +226,31 @@ class DeploymentState:
     def validate_schedule(self) -> None:
         """Check Eq. (5): each (request, used VNF) maps to exactly one instance.
 
+        One :meth:`~repro.core.arrays.ScenarioArrays.chain_instances`
+        pass finds every chain entry's instance; the schedule is valid
+        when each is found and the schedule holds no other entry.  Only
+        an invalid schedule is walked entry by entry, for the first
+        error: chain entries in request order, then schedule entries in
+        insertion order.
+
         Raises
         ------
         ValidationError
             On a missing mapping, a mapping for an unused VNF, or an
             out-of-range instance index.
         """
+        arrays = self.arrays()
+        try:
+            sched = self.schedule_arrays()
+        except ValidationError:
+            sched = None  # the walk below raises the Eq. 5 message
+        if (
+            sched is not None
+            and not arrays.chain_has_unknown
+            and len(sched) == len(arrays.chain_vnf)
+            and (arrays.chain_instances(sched) >= 0).all()
+        ):
+            return
         for request in self.requests:
             for vnf_name in request.chain:
                 vnf = self._vnf_by_name.get(vnf_name)

@@ -175,11 +175,11 @@ def segmented_maximum_accumulate(
     (idempotent — no reassociation error), with no Python-level loop
     over segments.  The scan stops at the *longest segment* rather than
     ``n`` — shifts past it compare only across boundaries and are
-    no-ops — so the cost is ``O(n log max_run)``: with millions of rows
-    spread over thousands of per-instance queues this roughly halves
-    the pass count, and it is the profile-dominant kernel of the
-    million-request simulation path.  Scratch buffers are allocated
-    once and sliced per shift instead of re-allocated per iteration.
+    no-ops — so the cost is ``O(n log max_run)``: with many rows spread
+    over thousands of per-instance queues this roughly halves the pass
+    count.  It is the running max inside :func:`segmented_lindley`.
+    Scratch buffers are allocated once and sliced per shift instead of
+    re-allocated per iteration.
     """
     out = _as_float(values).copy()
     seg = np.asarray(segments)

@@ -11,16 +11,17 @@ packet columns:
 
 * arrivals are one vectorized draw: per-request Poisson *counts*, then
   uniform order statistics on ``[0, duration)`` (exactly the
-  conditional law of a Poisson process given its count);
-* each hop level is one ``(instance, time)`` lexsort plus one
-  segmented Lindley pass (:func:`~repro.sim.kernels.segmented_lindley`)
-  per instance shard at that level;
+  conditional law of a Poisson process given its count), sorted within
+  each request's segment;
+* each hop level is partitioned by shard, and each shard sorts its
+  sub-batch by ``(instance, time)`` once and runs one segmented Lindley
+  pass (:func:`~repro.sim.kernels.segmented_lindley`) over it;
 * cross-pass backlog (the trace backend's departure frontier) is one
-  ``searchsorted`` per shard against its accumulated history, keyed by
-  ``instance * span + time``;
-* the measurement sweep is a lexsort + segmented Lindley per shard over
-  every recorded (packet, hop, round) visit, merged back per packet in
-  shard order.
+  ``searchsorted`` per shard into its visit log, which every swept
+  batch is merged into in (instance, time) order;
+* the measurement sweep is one segmented Lindley pass per shard over
+  that log — every recorded (packet, hop, round) visit, already in
+  order — merged back per packet in shard order.
 
 Sharded execution (``jobs=N``)
 ------------------------------
@@ -62,7 +63,7 @@ from repro.core.arrays import ScenarioArrays, ScheduleArrays
 from repro.exceptions import SimulationError
 from repro.sim.shard import (
     ScaleShardPlan,
-    _History,  # noqa: F401  (re-export; the frontier lived here pre-shard)
+    index_dtype,
     merge_shard_measurements,
     open_shard_executor,
     partition_by_shard,
@@ -114,6 +115,21 @@ class ScaleSimMetrics:
         return (
             self.total_delivered / self.duration if self.duration else 0.0
         )
+
+
+def _sorted_within(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``values`` sorted within each contiguous segment of the given
+    lengths — the values of ``np.lexsort((values, segment_id))``.
+
+    Segments of one length are sorted together as the rows of one
+    matrix, so the cost is one row sort per distinct length.
+    """
+    out = values.copy()
+    starts = np.cumsum(counts) - counts
+    for length in np.unique(counts[counts > 1]):
+        rows = starts[counts == length][:, None] + np.arange(length)
+        out[rows] = np.sort(values[rows], axis=1)
+    return out
 
 
 def simulate_columns(
@@ -179,7 +195,9 @@ def simulate_columns(
             f"instances but the scenario has {num_instances}"
         )
     num_shards = shard_plan.num_shards
-    shard_of_inst = shard_plan.shard_of_inst
+    shard_of_inst = shard_plan.shard_of_inst.astype(
+        index_dtype(num_shards), copy=False
+    )
 
     root = np.random.SeedSequence(int(cfg.seed))
     children = root.spawn(2 + 2 * num_shards)
@@ -196,10 +214,7 @@ def simulate_columns(
     pkt_req = np.repeat(
         np.arange(num_requests, dtype=np.int64), counts
     )
-    raw = arrival_rng.random(generated) * horizon
-    order = np.lexsort((raw, pkt_req))
-    created = raw[order]  # sorted within each request's segment
-    del raw
+    created = _sorted_within(arrival_rng.random(generated) * horizon, counts)
 
     extra_delay = np.zeros(generated, dtype=np.float64)
     delivered = np.zeros(num_requests, dtype=np.int64)

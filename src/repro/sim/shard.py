@@ -3,16 +3,19 @@
 :func:`repro.sim.scale.simulate_columns` sweeps each (round, hop
 level) batch with one segmented Lindley pass per instance segment.
 Those segments are independent across instances *within* a level, and
-the cross-level departure frontier (:class:`_History`) is keyed per
+the cross-level departure frontier (:class:`_History`) is kept per
 instance — so the whole causal sweep decomposes over any fixed
 partition of the instances.  This module owns that decomposition:
 
 * :class:`ScaleShardPlan` — a deterministic instance -> shard map,
   built once from the scenario + schedule and **independent of the
   worker count** (the same plan drives ``jobs=1`` and ``jobs=N``);
-* :class:`_ShardSim` — one shard's private sweep state: its own
-  departure-frontier history, visit log, and causal/measurement RNG
-  streams;
+* :class:`_ShardSim` — one shard's private sweep state: its visit log
+  (:class:`_History`, which is also its departure frontier) and its
+  causal/measurement RNG streams;
+* the sort kernels — :func:`visit_order` (a level sub-batch by
+  (instance, time)) and :func:`partition_by_shard` (a level batch by
+  shard), both exact stable sorts on narrow :func:`index_dtype` keys;
 * the executors — a serial loop and a process pool whose workers
   attach the scenario via :func:`repro.experiments.shm.publish_arrays`
   / ``attach_arrays`` snapshots and exchange per-level batches through
@@ -59,11 +62,12 @@ import numpy as np
 
 from repro.core.arrays import ScenarioArrays, ScheduleArrays
 from repro.exceptions import SimulationError, ValidationError
-from repro.sim.kernels import segmented_lindley, segmented_maximum_accumulate
+from repro.sim.kernels import segmented_lindley
 
 __all__ = [
     "DEFAULT_NUM_SHARDS",
     "ScaleShardPlan",
+    "index_dtype",
     "merge_shard_measurements",
     "open_shard_executor",
     "partition_by_shard",
@@ -131,6 +135,33 @@ class ScaleShardPlan:
         shard_of_inst[order] = snake
         return cls(num_shards=shards, shard_of_inst=shard_of_inst)
 
+    def members(self, shard: int) -> np.ndarray:
+        """Instance ids of one shard, ascending."""
+        return np.flatnonzero(self.shard_of_inst == shard)
+
+    def local_index(self) -> np.ndarray:
+        """Each instance's index among its shard's members, as the
+        :func:`index_dtype` of the largest shard."""
+        sizes = np.bincount(self.shard_of_inst, minlength=self.num_shards)
+        order = np.argsort(self.shard_of_inst, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        local = np.empty(self.shard_of_inst.size, dtype=np.int64)
+        local[order] = np.arange(order.size) - np.repeat(starts, sizes)
+        return local.astype(index_dtype(int(sizes.max(initial=0))))
+
+
+def index_dtype(size: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds the indexes ``0 .. size - 1``.
+
+    numpy's stable sort is a radix sort on 8- and 16-bit integers and a
+    comparison sort on wider ones; both give the one stable permutation,
+    so the key's width changes the cost of a sort, never its result.
+    """
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if size <= int(np.iinfo(dtype).max) + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
 
 def partition_by_shard(
     shard_ids: np.ndarray, num_shards: int
@@ -141,64 +172,157 @@ def partition_by_shard(
     ``s`` occupies ``[bounds[s], bounds[s + 1])``, preserving the
     relative order of entries within each shard.  Both executors
     receive the batch through this exact permutation, which is one of
-    the byte-identity legs of the determinism contract.
+    the byte-identity legs of the determinism contract.  Ids are sorted
+    as :func:`index_dtype` ``(num_shards)`` keys (pass them in that
+    dtype to skip the cast).
     """
     if num_shards == 1:
         return (
             np.arange(shard_ids.size, dtype=np.int64),
             np.asarray([0, shard_ids.size], dtype=np.int64),
         )
-    order = np.argsort(shard_ids, kind="stable")
-    bounds = np.searchsorted(
-        shard_ids[order], np.arange(num_shards + 1, dtype=np.int64)
-    )
+    keys = shard_ids.astype(index_dtype(num_shards), copy=False)
+    order = np.argsort(keys, kind="stable")
+    bounds = np.zeros(num_shards + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=num_shards), out=bounds[1:])
     return order, bounds
 
 
-class _History:
-    """Departure frontier of every causal pass, per instance.
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` through numpy's default
+    (vectorized, unstable) sort.
 
-    Stores (instance, arrival, running-max departure) of all packets
-    already swept, sorted by ``instance * span + arrival`` so one
-    global ``searchsorted`` answers "latest backlog this arrival sees
-    at its instance" for a whole level at once.  Under sharding each
-    shard keeps its own history — instances never cross shards, so the
-    per-shard frontiers partition the global one exactly.
+    Runs of equal values are put back in index order afterwards; they
+    are rare in float times, so that pass is nearly free.
+    """
+    order = np.argsort(values)
+    ranked = values[order]
+    tied = np.zeros(order.size, dtype=bool)
+    np.equal(ranked[1:], ranked[:-1], out=tied[1:])
+    tied[:-1] |= tied[1:]
+    runs = np.flatnonzero(tied)
+    idx = order[runs]
+    order[runs] = idx[np.lexsort((idx, ranked[runs]))]
+    return order
+
+
+def visit_order(local: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Permutation sorting visits by (instance, time): exactly
+    ``np.lexsort((t, local))``.
+
+    ``local`` is a shard-local instance index (:func:`index_dtype`
+    keys): a stable sort on time, then a stable radix sort on the
+    narrow index, which is how ``lexsort`` composes its keys.
+    """
+    by_t = stable_argsort(t)
+    return by_t[np.argsort(local[by_t], kind="stable")]
+
+
+class _History:
+    """One shard's visit log and departure frontier.
+
+    Holds every visit already swept — shard-local instance, arrival,
+    packet, and the running-max departure at its instance — in exact
+    lexicographic (instance, arrival) order, ties kept in sweep order.
+    A float key ``instance * span + arrival`` lets one ``searchsorted``
+    answer "latest backlog this arrival sees at its instance" for a
+    whole level; where the key rounds two distinct times to one value,
+    :meth:`rank` breaks the tie on the arrival itself.  Instances never
+    cross shards, so the per-shard frontiers partition the global one
+    exactly, and the measurement sweep reads the log as it stands.
     """
 
-    def __init__(self, span: float) -> None:
+    def __init__(self, span: float, index_type: np.dtype) -> None:
         self._span = span
-        self._keys = np.empty(0, dtype=np.float64)
-        self._inst = np.empty(0, dtype=np.int64)
-        self._dep_cummax = np.empty(0, dtype=np.float64)
+        self.keys = np.empty(0, dtype=np.float64)
+        self.inst = np.empty(0, dtype=index_type)
+        self.arr = np.empty(0, dtype=np.float64)
+        self.pkt = np.empty(0, dtype=np.int64)
+        self.dep_cummax = np.empty(0, dtype=np.float64)
 
     def key_of(self, inst: np.ndarray, t: np.ndarray) -> np.ndarray:
         return inst.astype(np.float64) * self._span + t
 
-    def waits(self, inst: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Residual backlog each (instance, time) arrival queues behind."""
-        if not self._keys.size:
+    def rank(self, inst: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Per visit, the number of log entries lexicographically at or
+        before its (instance, time)."""
+        keys = self.key_of(inst, t)
+        pos = np.searchsorted(self.keys, keys, side="right")
+        # Step back over tied keys whose entry lies after the visit.
+        tied = np.flatnonzero(pos > 0)
+        while tied.size:
+            tied = tied[self.keys[pos[tied] - 1] == keys[tied]]
+            j = pos[tied] - 1
+            after = (self.inst[j] > inst[tied]) | (
+                (self.inst[j] == inst[tied]) & (self.arr[j] > t[tied])
+            )
+            tied = tied[after]
+            pos[tied] -= 1
+            tied = tied[pos[tied] > 0]
+        return pos
+
+    def waits(
+        self, pos: np.ndarray, inst: np.ndarray, t: np.ndarray
+    ) -> np.ndarray:
+        """Residual backlog each visit queues behind, from its
+        :meth:`rank`."""
+        if not self.keys.size:
             return np.zeros(t.shape, dtype=np.float64)
-        idx = np.searchsorted(self._keys, self.key_of(inst, t), "right") - 1
-        safe = np.maximum(idx, 0)
-        valid = (idx >= 0) & (self._inst[safe] == inst)
+        prev = np.maximum(pos - 1, 0)
+        valid = (pos > 0) & (self.inst[prev] == inst)
         return np.where(
-            valid, np.clip(self._dep_cummax[safe] - t, 0.0, None), 0.0
+            valid, np.clip(self.dep_cummax[prev] - t, 0.0, None), 0.0
         )
 
     def record(
-        self, inst: np.ndarray, t: np.ndarray, dep: np.ndarray
+        self,
+        pos: np.ndarray,
+        inst: np.ndarray,
+        t: np.ndarray,
+        pkt: np.ndarray,
+        dep: np.ndarray,
     ) -> None:
-        """Merge one swept batch (already (instance, time)-sorted)."""
-        keys = np.concatenate([self._keys, self.key_of(inst, t)])
-        all_inst = np.concatenate([self._inst, inst])
-        all_dep = np.concatenate([self._dep_cummax, dep])
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._inst = all_inst[order]
-        self._dep_cummax = segmented_maximum_accumulate(
-            all_dep[order], self._inst
+        """Merge one swept batch into the log in O(log + batch).
+
+        The batch is non-empty, in (instance, time) order, with its
+        :meth:`rank` ``pos``; ``dep`` is non-decreasing within each instance run, as
+        FCFS departures are.  Each entry's running max is its own and
+        that of the last entry of the other side at the same instance.
+        """
+        size, m = self.keys.size, t.size
+        if not size:
+            self.keys, self.inst, self.arr = self.key_of(inst, t), inst, t
+            self.pkt, self.dep_cummax = pkt, dep
+            return
+        new_at = pos + np.arange(m)
+        # Old entry i moves past every new visit ranked at or before it.
+        moved = np.cumsum(np.bincount(pos, minlength=size + 1)[:size])
+        old_at = np.arange(size) + moved
+
+        prev = np.maximum(pos - 1, 0)
+        after_old = (pos > 0) & (self.inst[prev] == inst)
+        new_max = np.where(
+            after_old, np.maximum(dep, self.dep_cummax[prev]), dep
         )
+        last = np.maximum(moved - 1, 0)
+        after_new = (moved > 0) & (inst[last] == self.inst)
+        old_max = np.where(
+            after_new,
+            np.maximum(self.dep_cummax, new_max[last]),
+            self.dep_cummax,
+        )
+
+        def merged(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+            out = np.empty(size + m, dtype=old.dtype)
+            out[old_at] = old
+            out[new_at] = new
+            return out
+
+        self.keys = merged(self.keys, self.key_of(inst, t))
+        self.inst = merged(self.inst, inst)
+        self.arr = merged(self.arr, t)
+        self.pkt = merged(self.pkt, pkt)
+        self.dep_cummax = merged(old_max, new_max)
 
 
 class _ShardMeasure(NamedTuple):
@@ -219,90 +343,82 @@ class _ShardMeasure(NamedTuple):
 
 
 class _ShardSim:
-    """One shard's private causal-sweep and measurement state."""
+    """One shard's private causal-sweep and measurement state.
+
+    The shard sorts and keys its visits on the instance's index among
+    the shard's members (:meth:`ScaleShardPlan.local_index`), a narrow
+    integer that orders them as the global id does.
+    """
 
     def __init__(
         self,
         mu_inst: np.ndarray,
+        plan: ScaleShardPlan,
+        shard: int,
         horizon: float,
         sweep_seq: np.random.SeedSequence,
         measure_seq: np.random.SeedSequence,
     ) -> None:
-        self._mu = mu_inst
+        self._members = plan.members(shard)
+        self._local = plan.local_index()
+        self._mu = mu_inst[self._members]
         self._horizon = horizon
         self._sweep_rng = np.random.default_rng(sweep_seq)
         self._measure_rng = np.random.default_rng(measure_seq)
-        self._history = _History(span=horizon * (1.0 + 1e-9) + 1.0)
-        self._m_inst: List[np.ndarray] = []
-        self._m_arr: List[np.ndarray] = []
-        self._m_pkt: List[np.ndarray] = []
+        self._history = _History(
+            span=horizon * (1.0 + 1e-9) + 1.0,
+            index_type=self._local.dtype,
+        )
 
     def sweep(
         self, pkt: np.ndarray, inst: np.ndarray, t: np.ndarray
     ) -> np.ndarray:
         """Sweep one level sub-batch; departures in input order."""
-        order = np.lexsort((t, inst))
-        b_inst = inst[order]
+        local = self._local[inst]
+        order = visit_order(local, t)
+        b_local = local[order]
         b_t = t[order]
         services = self._sweep_rng.standard_exponential(
             b_t.size
-        ) / self._mu[b_inst]
-        waits = self._history.waits(b_inst, b_t)
-        dep = segmented_lindley(b_t + waits, services, b_inst)
-        self._m_inst.append(b_inst)
-        self._m_arr.append(b_t)
-        self._m_pkt.append(pkt[order])
-        self._history.record(b_inst, b_t, dep)
+        ) / self._mu[b_local]
+        pos = self._history.rank(b_local, b_t)
+        waits = self._history.waits(pos, b_local, b_t)
+        dep = segmented_lindley(b_t + waits, services, b_local)
+        self._history.record(pos, b_local, b_t, pkt[order], dep)
         out = np.empty_like(dep)
         out[order] = dep
         return out
 
     def measure(self, num_instances: int, generated: int) -> _ShardMeasure:
         """Full-load measurement pass over this shard's visit log."""
-        if not self._m_inst:
-            return _ShardMeasure(
-                pkt_idx=np.empty(0, dtype=np.int64),
-                pkt_sums=np.empty(0, dtype=np.float64),
-                arrivals=np.zeros(num_instances, dtype=np.int64),
-                departures=np.zeros(num_instances, dtype=np.int64),
-                sojourn_done=np.zeros(num_instances, dtype=np.float64),
-                busy=np.zeros(num_instances, dtype=np.float64),
+        log = self._history
+        size = self._members.size
+
+        def per_instance(values, weights=None, dtype=np.float64):
+            out = np.zeros(num_instances, dtype=dtype)
+            out[self._members] = np.bincount(
+                values, weights=weights, minlength=size
             )
-        all_inst = np.concatenate(self._m_inst)
-        all_arr = np.concatenate(self._m_arr)
-        all_pkt = np.concatenate(self._m_pkt)
-        order = np.lexsort((all_arr, all_inst))
-        all_inst = all_inst[order]
-        all_arr = all_arr[order]
-        all_pkt = all_pkt[order]
+            return out
+
         services = self._measure_rng.standard_exponential(
-            all_arr.size
-        ) / self._mu[all_inst]
-        dep = segmented_lindley(all_arr, services, all_inst)
-        sojourns = dep - all_arr
-        pkt_full = np.bincount(
-            all_pkt, weights=sojourns, minlength=generated
-        )
+            log.arr.size
+        ) / self._mu[log.inst]
+        dep = segmented_lindley(log.arr, services, log.inst)
+        sojourns = dep - log.arr
+        pkt_full = np.bincount(log.pkt, weights=sojourns, minlength=generated)
         pkt_idx = np.flatnonzero(pkt_full)
-        arrivals = np.bincount(all_inst, minlength=num_instances)
         done = dep < self._horizon
-        departures = np.bincount(all_inst[done], minlength=num_instances)
-        sojourn_done = np.bincount(
-            all_inst[done], weights=sojourns[done], minlength=num_instances
-        )
         overlap = np.clip(
             np.minimum(dep, self._horizon) - (dep - services), 0.0, None
-        )
-        busy = np.bincount(
-            all_inst, weights=overlap, minlength=num_instances
         )
         return _ShardMeasure(
             pkt_idx=pkt_idx,
             pkt_sums=pkt_full[pkt_idx],
-            arrivals=arrivals,
-            departures=departures,
-            sojourn_done=sojourn_done,
-            busy=busy,
+            arrivals=per_instance(log.inst, dtype=np.int64),
+            departures=per_instance(log.inst[done], dtype=np.int64),
+            sojourn_done=per_instance(log.inst[done], sojourns[done]),
+            busy=per_instance(log.inst, overlap),
         )
 
 
@@ -379,7 +495,7 @@ class _SerialShardExecutor:
         self._num_instances = int(arrays.num_instances)
         self._generated = int(generated)
         self._sims = [
-            _ShardSim(mu, horizon, sweep_seqs[s], measure_seqs[s])
+            _ShardSim(mu, plan, s, horizon, sweep_seqs[s], measure_seqs[s])
             for s in range(plan.num_shards)
         ]
 
@@ -415,6 +531,7 @@ class _WorkerStartupError(RuntimeError):
 def _shard_worker(
     conn,
     handle,
+    plan: ScaleShardPlan,
     owned: List[Tuple[int, np.random.SeedSequence, np.random.SeedSequence]],
     scratch_name: str,
     capacity: int,
@@ -443,7 +560,7 @@ def _shard_worker(
         block = shared_memory.SharedMemory(name=scratch_name)
         lanes = _scratch_lanes(block, capacity)
         sims = {
-            sid: _ShardSim(mu, horizon, sweep_seq, measure_seq)
+            sid: _ShardSim(mu, plan, sid, horizon, sweep_seq, measure_seq)
             for sid, sweep_seq, measure_seq in owned
         }
         conn.send(("ready",))
@@ -546,6 +663,7 @@ class _ProcessShardExecutor:
                     args=(
                         child,
                         self._handle,
+                        plan,
                         owned,
                         self._scratch.name,
                         self._capacity,

@@ -68,6 +68,37 @@ class TestOverloadedDeployment:
             0.05, rel=1e-12
         )
 
+    def test_request_shed_at_one_vnf_is_not_counted(self):
+        # fw (mu=40) -> nat (mu=1000), rates (10, 10, 30): fw sheds the
+        # 30, nat keeps all three.  Only r0 and r1 were kept at every
+        # VNF, so only they are counted: W_fw = 1/20, W_nat = 1/950.
+        vnfs = [VNF("fw", 10.0, 1, 40.0), VNF("nat", 10.0, 1, 1000.0)]
+        chain = ServiceChain(["fw", "nat"])
+        requests = [
+            Request(f"r{i}", chain, rate)
+            for i, rate in enumerate((10.0, 10.0, 30.0))
+        ]
+        state = DeploymentState(
+            vnfs=vnfs,
+            requests=requests,
+            node_capacities={"n0": 20.0},
+            placement={"fw": "n0", "nat": "n0"},
+            schedule={
+                (f"r{i}", f): 0 for i in range(3) for f in ("fw", "nat")
+            },
+        )
+        report = evaluate_deployment(
+            state, link_latency=0.0, with_admission=True
+        )
+        assert report.num_rejected == 1
+        per_request = 1.0 / 20.0 + 1.0 / 950.0
+        assert report.total_latency == pytest.approx(
+            2 * per_request, rel=1e-12
+        )
+        assert report.average_total_latency == pytest.approx(
+            per_request, rel=1e-12
+        )
+
     def test_without_admission_inf(self):
         report = evaluate_deployment(
             _state(mu=40.0), link_latency=0.0, with_admission=False

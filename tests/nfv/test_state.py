@@ -155,6 +155,30 @@ class TestValidation:
         with pytest.raises(ValidationError):
             state.validate_schedule()
 
+    def test_value_edited_after_conversion_is_caught(self, state):
+        # A value edited in place after the schedule was converted (and
+        # cached) is still checked.
+        state.validate_schedule()
+        state.schedule[("r0", "fw")] = 7
+        with pytest.raises(ValidationError, match="out of range"):
+            state.validate_schedule()
+
+    def test_schedule_arrays_follow_in_place_edits(self, state):
+        def as_map(sched):
+            return {
+                (int(r), int(f)): int(k)
+                for r, f, k in zip(sched.req, sched.vnf, sched.k)
+            }
+
+        before = state.schedule_arrays()
+        assert state.schedule_arrays() is before
+        state.schedule[("r1", "fw")] = 0
+        assert as_map(state.schedule_arrays())[(1, 0)] == 0
+        # A removal plus an addition keeps the dict's size.
+        del state.schedule[("r0", "nat")]
+        state.schedule[("r0", "nat")] = 1
+        assert as_map(state.schedule_arrays())[(0, 1)] == 1
+
     def test_schedule_on_unused_vnf(self, vnfs, capacities):
         chain = ServiceChain(["fw"])
         requests = [Request("r0", chain, 1.0)]
