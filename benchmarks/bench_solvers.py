@@ -13,6 +13,11 @@ legacy paths produce byte-identical solutions, then times both:
 * ``rckk_serve_shape`` — the same on one VNF's share at a serving-engine
   rebalance: the first 300 rates into 20 ways, where partition +
   singleton inserts are nearly every combine,
+* ``rckk_schedule_serve`` — a whole serve-shaped RCKK schedule (12 VNFs
+  of 16-24 instances, the engine's rebalance input): the object route
+  (``schedule_all_vnfs`` + ``schedule_arrays``) vs
+  ``schedule_columns(arrays, RCKKScheduler())``, which must give the
+  same rows in the same order and the same instance-load bytes,
 * ``local_search_refine`` — relocate hill climb (neighbor-count delta
   kernel vs full hop recount per candidate),
 * ``swap_refine`` — move/swap makespan refinement (sorted-partner
@@ -56,15 +61,23 @@ from _reference_impl import (
     reference_refine_placement,
 )
 from bench_core import DEFAULT_SEED, _time, build_scenario
+from repro.core.arrays import ScenarioArrays
 from repro.core.local_search import refine_placement
 from repro.partition.rckk import rckk_partition
 from repro.placement.base import PlacementProblem
 from repro.placement.bfdsu import BFDSUPlacement
+from repro.scheduling.base import schedule_all_vnfs
+from repro.scheduling.kernels import schedule_columns
+from repro.scheduling.rckk import RCKKScheduler
 from repro.scheduling.swap_refine import refine_assignment
+from repro.workload.generator import WorkloadGenerator
 
 #: One VNF's users and instances at a serve_churn rebalance (251-450
 #: users, ``M_f`` 16-23 in perfbench/workloads.json's deployment).
 SERVE_VALUES, SERVE_WAYS = 300, 20
+#: The serve_churn deployment's shape: VNFs, instance range, and the
+#: active chains a rebalance schedules (``--quick``: fewer chains).
+SERVE_VNFS, SERVE_INSTANCES, SERVE_ACTIVE = 12, (16, 24), 2000
 
 
 def _compare(name, reference_fn, kernel_fn, repeats, results):
@@ -119,8 +132,10 @@ def main(argv=None):
 
     if args.quick:
         num_requests, num_nodes, num_vnfs, repeats = 300, 50, 20, 5
+        serve_active = SERVE_ACTIVE // 4
     else:
         num_requests, num_nodes, num_vnfs, repeats = 2000, 200, 40, 5
+        serve_active = SERVE_ACTIVE
 
     print(
         f"building scenario: {num_requests} requests, {num_nodes} nodes, "
@@ -170,6 +185,34 @@ def main(argv=None):
         "rckk serve-shape subsets + iterations",
         kernel_serve.subsets == legacy_serve.subsets
         and kernel_serve.iterations == legacy_serve.iterations,
+    )
+
+    serve = WorkloadGenerator(np.random.default_rng(args.seed)).workload(
+        num_vnfs=SERVE_VNFS,
+        num_nodes=2 * SERVE_VNFS,
+        num_requests=serve_active,
+        instance_range=SERVE_INSTANCES,
+    )
+    serve_arrays = ScenarioArrays.build(
+        serve.vnfs, serve.requests, serve.capacities
+    )
+
+    def _object_schedule():
+        joint = schedule_all_vnfs(serve.vnfs, serve.requests, RCKKScheduler())
+        return serve_arrays.schedule_arrays(joint)
+
+    def _column_schedule():
+        return schedule_columns(serve_arrays, RCKKScheduler())
+
+    object_rows, column_rows = _object_schedule(), _column_schedule()
+    _check(
+        "rckk schedule_columns rows (in order) + instance-load bytes",
+        all(
+            np.array_equal(getattr(object_rows, col), getattr(column_rows, col))
+            for col in ("req", "vnf", "k", "inst")
+        )
+        and serve_arrays.instance_rates(object_rows)[0].tobytes()
+        == serve_arrays.instance_rates(column_rows)[0].tobytes(),
     )
 
     baseline_placement = dict(state.placement)
@@ -230,6 +273,14 @@ def main(argv=None):
         results,
     )
 
+    _compare(
+        "rckk_schedule_serve",
+        _object_schedule,
+        _column_schedule,
+        repeats,
+        results,
+    )
+
     def _legacy_refine():
         _restore()
         return reference_refine_placement(state)
@@ -257,6 +308,11 @@ def main(argv=None):
             "num_vnfs": num_vnfs,
             "num_ways": num_ways,
             "serve_shape": {"num_values": len(serve_rates), "num_ways": serve_ways},
+            "serve_schedule": {
+                "num_vnfs": SERVE_VNFS,
+                "instance_range": list(SERVE_INSTANCES),
+                "num_requests": serve_active,
+            },
             "local_search_moves": kernel_report.moves_applied,
             "bfdsu_iterations": kernel_bfdsu.iterations,
             "seed": args.seed,

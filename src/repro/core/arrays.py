@@ -628,18 +628,20 @@ class ScenarioArrays:
         """Per-instance ``(Lambda_k^f, external rate, request count)``.
 
         ``Lambda_k^f = sum_r z_{r,k}^f lambda_r / P_r`` (Eq. 7); the
-        external rate is the same sum over the raw ``lambda_r``.
+        external rate is the same sum over the raw ``lambda_r``.  The
+        rates are float64 also for an empty schedule (a weighted
+        ``bincount`` of no entries returns int64 zeros).
         """
         equivalent = np.bincount(
             sched.inst,
             weights=self.eff_rate[sched.req],
             minlength=self.num_instances,
-        )
+        ).astype(np.float64, copy=False)
         external = np.bincount(
             sched.inst,
             weights=self.lambda_r[sched.req],
             minlength=self.num_instances,
-        )
+        ).astype(np.float64, copy=False)
         counts = np.bincount(sched.inst, minlength=self.num_instances)
         return equivalent, external, counts
 

@@ -74,6 +74,7 @@ from repro.nfv.vnf import VNF
 from repro.placement.base import PlacementProblem
 from repro.placement.bfdsu import BFDSUPlacement
 from repro.scheduling.base import SchedulingAlgorithm, schedule_all_vnfs
+from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.least_loaded import least_loaded_admit
 from repro.scheduling.rckk import RCKKScheduler
 from repro.seeding import DEFAULT_SEED, RngLike, resolve_rng
@@ -726,13 +727,16 @@ class DeploymentEngine:
         charged against the budget, and the whole rebalance is skipped
         (``committed=False``, state unchanged) when it does not fit.
         An infeasible solve (survivor demand exceeding the healthy
-        nodes) is likewise reported uncommitted rather than raised.
+        nodes, or a used VNF with every instance down) is likewise
+        reported uncommitted rather than raised.  Down instances get no
+        requests: each VNF is scheduled over its live instances.
         """
-        old_placement = dict(self._placement)
-        old_schedule = dict(self._schedule)
+        # _solve is pure, so the live dicts are the "before" state.
+        old_placement = self._placement
+        old_schedule = self._schedule
         try:
             solved = self._solve()
-        except InfeasiblePlacementError:
+        except (InfeasiblePlacementError, SchedulingError):
             return RebalanceReport(
                 placement_moves=0,
                 schedule_migrations=0,
@@ -745,10 +749,10 @@ class DeploymentEngine:
             for name, node in placement.items()
             if old_placement.get(name) != node
         ]
+        # A key the old schedule lacks reads as unmoved.
+        old_k = old_schedule.get
         migrated_keys = [
-            key
-            for key, k in schedule.items()
-            if key in old_schedule and old_schedule[key] != k
+            key for key, k in schedule.items() if old_k(key, k) != k
         ]
         committed = True
         if budget is not None:
@@ -781,14 +785,18 @@ class DeploymentEngine:
         Pure: computes the batch solution without touching engine
         state, so :meth:`rebalance` can price it against a migration
         budget before (or instead of) committing.  Failed nodes are
-        excluded from the placement candidates; with no failures the
-        solve is the exact pre-fault code path.
+        excluded from the placement candidates and down instances
+        from the schedule, which runs on the engine's own columns
+        (:func:`~repro.scheduling.kernels.schedule_columns`); with no
+        failures the solve is :func:`solve_joint`'s, byte for byte.
 
         Raises
         ------
         InfeasiblePlacementError
             When the surviving demand does not fit the healthy nodes
             (also raised for the degenerate all-nodes-failed case).
+        SchedulingError
+            When a used VNF has every instance down.
         """
         from repro.topology.network import NetworkModel
 
@@ -821,12 +829,16 @@ class DeploymentEngine:
         ).place(problem)
         placement = dict(placement_result.placement)
         placement_vec = self._arrays.placement_vector(placement)
-        schedule = schedule_all_vnfs(self._vnfs, survivors, self._scheduler)
-        if schedule:
-            sched = self._arrays.schedule_arrays(schedule)
-            inst_loads, _, _ = self._arrays.instance_rates(sched)
-        else:
-            inst_loads = np.zeros(self._arrays.num_instances)
+        arrays = self._arrays
+        sched = schedule_columns(arrays, self._scheduler, down=self._down_inst)
+        inst_loads, _, _ = arrays.instance_rates(sched)
+        # Row order is schedule_all_vnfs's dict insertion order.
+        ids, names = arrays.request_ids, arrays.vnf_names
+        keys = zip(
+            map(ids.__getitem__, sched.req.tolist()),
+            map(names.__getitem__, sched.vnf.tolist()),
+        )
+        schedule = dict(zip(keys, sched.k.tolist()))
         network = solve_network
         if solve_network is not None and self._failed_nodes:
             # The solve ran on the reduced node set, so its node

@@ -11,8 +11,14 @@ index order, same iteration count) for every input:
   small to repay numpy's per-call overhead.  Negation is exact in IEEE
   arithmetic, so every sum and floor subtraction gives the legacy value
   with its sign flipped, and every comparison the legacy one mirrored.
-* Singletons ``(v, 0, .., 0)`` stay implicit (a heap entry and the input
-  value) until their first combine.
+* Singletons ``(v, 0, .., 0)`` stay implicit (an index and the input
+  value) until their first combine, and never enter the heap.  Two
+  queues replace the legacy heap: the singletons in one stable sort of
+  the negated values, which is their legacy heap order ``(-v, index)``,
+  and a heap of the combined partitions only.  Each pop takes the
+  smaller head; on a tie the singleton wins, because its legacy counter
+  (its index, below ``n``) is below every combined partition's.  That is
+  exactly the legacy pop order, so the combine sequence is unchanged.
 * A combine takes one of two paths.  A reverse combine that pops a
   partition (or singleton) ``P`` first and a singleton ``s`` second is
   an *insertion*: ``P``'s last cell is exactly ``0.0``, so the legacy sum
@@ -27,14 +33,20 @@ index order, same iteration count) for every input:
   sum, stable sort, floor subtraction, ``O(m log m)``.  On serve-shaped
   inputs (251-450 values, 16-23 ways) 95% of the combines are
   insertions and 90% end with a zero floor.
+* Insertions come in runs: after absorbing ``s``, ``P`` is popped
+  straight back whenever its new head beats the next singleton outright
+  (``P``'s new counter would lose any tie) and that singleton wins its
+  tie with the heap head -- one chained comparison.  The run then
+  absorbs the next singleton without the heap push and pop; on
+  serve-shaped inputs a run is about ``m`` insertions long.
 * A provenance cell is the list of original indices its way holds, in
   legacy order, or ``None`` while empty.  Each list belongs to exactly
   one live cell, so a combine extends ``a``'s list by ``b``'s in place
   (``a_idx + b_idx`` without building a new tuple) and the final
   subsets are the final cells themselves.
-* The heap holds ``(-head, counter, slot)`` triples with the same
-  insertion-counter tie-breaking as the legacy implementation, so the
-  combine sequence is identical.
+* The heap holds ``(-head, counter, slot)`` triples with the legacy
+  insertion counters (a run advances the counter once per skipped
+  push), so its ties break as the legacy heap's do.
 
 ``tests/partition`` and ``tests/core/test_solver_kernel_parity.py`` pin
 kernel-vs-legacy equality, on tie-heavy inputs too;
@@ -44,6 +56,7 @@ kernel-vs-legacy equality, on tie-heavy inputs too;
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_right
 from typing import List, Optional, Sequence
 
@@ -87,18 +100,38 @@ def kk_multiway_kernel(
     pad_values = [0.0] * (m - 1)
     pad_prov: List[Optional[List[int]]] = [None] * (m - 1)
 
-    heap = [(neg[i], i, i) for i in range(n)]
-    heapq.heapify(heap)
+    # Two queues.  The singletons never enter the heap: they wait in
+    # one stable sort of the negated values, which is their legacy heap
+    # order (-value, index).  The heap holds the combined partitions
+    # only, keyed (-head, counter) with counter >= n, so a singleton
+    # ties a combined head and wins exactly when its index -- always
+    # below n -- would have won the legacy tuple comparison.
+    # ``heads`` ends in +inf and the heap in a +inf sentinel, so neither
+    # queue ever runs dry inside the loop and both tests are one compare.
+    singles = sorted(range(n), key=neg.__getitem__)
+    heads = [neg[i] for i in singles]
+    heads.append(math.inf)
+    heap: List = [(math.inf, -1, -1)]
     heappop, heappush = heapq.heappop, heapq.heappush
+    nxt = 0
     counter = n
-    for _ in range(n - 1):
-        _, _, a = heappop(heap)
-        _, _, b = heappop(heap)
+    left = n - 1
+    while left:
+        left -= 1
+        if heap[0][0] < heads[nxt]:
+            a = heappop(heap)[2]
+        else:
+            a = singles[nxt]
+            nxt += 1
+        if heap[0][0] < heads[nxt]:
+            b = heappop(heap)[2]
+        else:
+            b = singles[nxt]
+            nxt += 1
         row = rows[a]
         if reverse_combine and rows[b] is None:
             # Insertion: drop P's exact-zero last cell, insert s after
             # every entry >= s; s joins the dropped cell's indices.
-            s = neg[b]
             if row is None:
                 row = [neg[a]] + pad_values[1:]
                 prov = [[a]] + pad_prov[1:]
@@ -111,9 +144,32 @@ def kk_multiway_kernel(
                     cell = [b]
                 else:
                     cell.append(b)
-            at = bisect_right(row, s)
-            row.insert(at, s)
-            prov.insert(at, cell)
+            s = neg[b]
+            while True:
+                at = bisect_right(row, s)
+                row.insert(at, s)
+                prov.insert(at, cell)
+                floor = row[-1]
+                if floor:
+                    row = [x - floor for x in row]
+                # A run: P would be pushed and popped straight back as
+                # the first of the next pair, with the next singleton
+                # second, when P's head beats that singleton outright
+                # (P's new counter loses every tie) and the singleton
+                # wins its tie with the heap head.  Skip the round trip.
+                if not (left and row[0] < heads[nxt] <= heap[0][0]):
+                    break
+                left -= 1
+                counter += 1
+                b = singles[nxt]
+                s = heads[nxt]
+                nxt += 1
+                row.pop()
+                cell = prov.pop()
+                if cell is None:
+                    cell = [b]
+                else:
+                    cell.append(b)
         else:
             if row is None:
                 row, prov_a = [neg[a]] + pad_values, [[a]] + pad_prov
@@ -138,16 +194,16 @@ def kk_multiway_kernel(
             order = sorted(range(m), key=combined.__getitem__)
             row = [combined[k] for k in order]
             prov = [merged[k] for k in order]
-        floor = row[-1]
-        if floor:
-            row = [x - floor for x in row]
+            floor = row[-1]
+            if floor:
+                row = [x - floor for x in row]
         rows[a] = row
         provs[a] = prov
         heappush(heap, (row[0], counter, a))
         counter += 1
 
     final = heap[0][2]
-    cells = provs[final] if rows[final] is not None else [[final]] + pad_prov
+    cells = provs[final] if final >= 0 else [[0]] + pad_prov
     result = PartitionResult(
         subsets=[cell if cell is not None else [] for cell in cells],
         values=list(values),

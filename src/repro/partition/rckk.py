@@ -26,12 +26,14 @@ identical partition to the tuple-based
 :func:`~repro.partition.karmarkar_karp.karmarkar_karp_multiway`; the
 latter stays as the legacy reference pinned by the kernel-parity tests.
 Each partition is a list of ``m`` values plus ``m`` index lists, and
-singletons stay implicit until combined.  A reverse combine of a
+singletons stay implicit until combined: they wait in one sorted queue
+beside a heap of the combined partitions.  A reverse combine of a
 partition with a singleton -- nearly every combine when ``n`` is many
 times ``m``, as at a serving-engine rebalance -- is a ``bisect`` and a
 list insert, ``O(m)`` with no sort, and its floor is usually ``0.0``;
-other combines (and every forward-ablation combine) sum, sort and
-subtract the floor in ``O(m log m)``, as the legacy rule does.
+such combines run in batches without a heap round trip.  Other combines
+(and every forward-ablation combine) sum, sort and subtract the floor in
+``O(m log m)``, as the legacy rule does.
 """
 
 from __future__ import annotations

@@ -3,8 +3,12 @@
 A :class:`SchedulingProblem` is per-VNF: the set ``R_f`` of requests
 whose chains include VNF ``f`` must be split across its ``M_f`` service
 instances (Eq. 5) so the per-instance aggregate rates are as equal as
-possible (Eq. 15's insight).  All algorithms implement
-:class:`SchedulingAlgorithm` and return a :class:`ScheduleResult`.
+possible (Eq. 15's insight).  Every algorithm implements
+:class:`SchedulingAlgorithm` through one per-VNF rule,
+:meth:`~SchedulingAlgorithm.assign` on ``(rates, m)``, which both
+routes run: :meth:`~SchedulingAlgorithm.schedule` turns it into a
+:class:`ScheduleResult` and
+:func:`~repro.scheduling.kernels.schedule_columns` into index-form rows.
 
 :func:`schedule_all_vnfs` lifts a per-VNF scheduler over a whole problem
 instance, producing the ``(request_id, vnf_name) -> k`` map a
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,6 +190,30 @@ class ScheduleResult:
             )
 
 
+class Assignment(NamedTuple):
+    """One VNF's schedule: ``ways[j]`` is the instance of the ``j``-th
+    emitted user.  ``order`` lists the emitted users' positions in
+    ``rates`` (``None``: user order); it is both routes' row order, so
+    it fixes the order of the per-instance float sums."""
+
+    ways: Sequence[int]
+    order: Optional[Sequence[int]] = None
+    #: Algorithm-specific work units (combine steps / search nodes).
+    iterations: int = 0
+
+
+def subset_assignment(
+    subsets: Sequence[Sequence[int]], iterations: int
+) -> Assignment:
+    """A partition's subsets in way-major order: way 0's users first,
+    each subset in its own order."""
+    return Assignment(
+        ways=[way for way, subset in enumerate(subsets) for _ in subset],
+        order=[i for subset in subsets for i in subset],
+        iterations=iterations,
+    )
+
+
 class SchedulingAlgorithm(abc.ABC):
     """Strategy interface implemented by every scheduling algorithm."""
 
@@ -193,8 +221,23 @@ class SchedulingAlgorithm(abc.ABC):
     name: str = "scheduler"
 
     @abc.abstractmethod
+    def assign(self, rates: Sequence[float], m: int) -> Assignment:
+        """The per-VNF rule: split the users' effective ``rates`` (user
+        order) over ``m`` instances."""
+
     def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
-        """Solve ``problem``, returning a validated schedule."""
+        """Solve ``problem`` with :meth:`assign` (the rules emit every
+        user once; :func:`schedule_all_vnfs` validates the result)."""
+        rule = self.assign(problem.effective_rates(), problem.num_instances)
+        requests = problem.requests
+        if rule.order is not None:
+            requests = [requests[i] for i in rule.order]
+        return ScheduleResult(
+            assignment=dict(zip((r.request_id for r in requests), rule.ways)),
+            problem=problem,
+            iterations=rule.iterations,
+            algorithm=self.name,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

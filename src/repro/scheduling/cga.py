@@ -10,13 +10,13 @@ produces the better balance — the effect Figs. 11-14 measure.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.partition.cga import complete_greedy_partition
 from repro.scheduling.base import (
+    Assignment,
     SchedulingAlgorithm,
-    SchedulingProblem,
-    ScheduleResult,
+    subset_assignment,
 )
 
 
@@ -50,28 +50,13 @@ class CGAScheduler(SchedulingAlgorithm):
         self._max_nodes = max_nodes
         self._presort = presort
 
-    def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
+    def assign(self, rates: Sequence[float], m: int) -> Assignment:
         if self._max_nodes is None:
             # One greedy descent: root + one node per request + the leaf.
-            budget = problem.num_requests + 2
+            budget = len(rates) + 2
         else:
             budget = self._max_nodes
         partition = complete_greedy_partition(
-            problem.effective_rates(),
-            problem.num_instances,
-            max_nodes=budget,
-            presort=self._presort,
+            rates, m, max_nodes=budget, presort=self._presort
         )
-        assignment = {}
-        for instance_index, subset in enumerate(partition.subsets):
-            for request_index in subset:
-                request = problem.requests[request_index]
-                assignment[request.request_id] = instance_index
-        result = ScheduleResult(
-            assignment=assignment,
-            problem=problem,
-            iterations=partition.iterations,
-            algorithm=self.name,
-        )
-        result.validate()
-        return result
+        return subset_assignment(partition.subsets, partition.iterations)

@@ -10,14 +10,14 @@ test suite: no heuristic may beat CKK at m=2.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.exceptions import SchedulingError
 from repro.partition.karmarkar_karp import ckk_two_way
 from repro.scheduling.base import (
+    Assignment,
     SchedulingAlgorithm,
-    SchedulingProblem,
-    ScheduleResult,
+    subset_assignment,
 )
 
 
@@ -43,25 +43,10 @@ class CKKScheduler(SchedulingAlgorithm):
             max_nodes if max_nodes is not None else self.DEFAULT_BUDGET
         )
 
-    def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
-        if problem.num_instances != 2:
+    def assign(self, rates: Sequence[float], m: int) -> Assignment:
+        if m != 2:
             raise SchedulingError(
-                f"CKK schedules exactly 2 instances; VNF "
-                f"{problem.vnf.name!r} deploys {problem.num_instances}"
+                f"CKK schedules exactly 2 instances; this VNF deploys {m}"
             )
-        partition = ckk_two_way(
-            problem.effective_rates(), max_nodes=self._max_nodes
-        )
-        assignment = {}
-        for instance_index, subset in enumerate(partition.subsets):
-            for request_index in subset:
-                request = problem.requests[request_index]
-                assignment[request.request_id] = instance_index
-        result = ScheduleResult(
-            assignment=assignment,
-            problem=problem,
-            iterations=partition.iterations,
-            algorithm=self.name,
-        )
-        result.validate()
-        return result
+        partition = ckk_two_way(rates, max_nodes=self._max_nodes)
+        return subset_assignment(partition.subsets, partition.iterations)

@@ -1,125 +1,137 @@
 """Column-native scheduling: build :class:`ScheduleArrays` directly.
 
-``schedule_all_vnfs`` + ``ScenarioArrays.schedule_arrays`` produce the
-``z`` map through a Python dict with one entry per (request, VNF) pair —
-3.5M dict entries at 1M requests, costing more than every solver kernel
-combined.  :func:`schedule_columns` goes straight from the scenario's
-inverted ``U_r^f`` CSR (:meth:`ScenarioArrays.vnf_requests`) to the
-index-form schedule, row-for-row identical to the dict route
-(``tests/scheduling/test_schedule_columns.py`` pins the parity):
+``schedule_all_vnfs`` + ``ScenarioArrays.schedule_arrays`` go through a
+``SchedulingProblem`` per VNF and a dict entry per (request, VNF) pair
+-- 3.5M entries at 1M requests, and at a serving-engine rebalance more
+time than the RCKK kernel.  :func:`schedule_columns` goes straight from
+the inverted ``U_r^f`` CSR (:meth:`ScenarioArrays.vnf_requests`) to the
+index-form schedule, row for row the dict route's
+(``tests/scheduling/test_schedule_columns.py`` pins it per scheduler):
 
-* each VNF's user list in :meth:`vnf_requests` is ascending request
-  order, which equals the object path's in-request-order scan because
-  chains never revisit a VNF (``U_r^f`` is binary);
-* the dict route emits rows grouped by VNF (in VNF order) with each
-  group in user-list order — exactly the CSR traversal order here.
+* each VNF's CSR user list is ascending request order, the object
+  path's in-request-order scan (chains never revisit a VNF);
+* both routes run the scheduler's one per-VNF rule,
+  :meth:`~repro.scheduling.base.SchedulingAlgorithm.assign`, on the
+  same float rates and emit rows VNF by VNF in the rule's order (RCKK,
+  CGA, CKK: way by way in subset order; the rest: user order).  Row
+  order fixes the order of the per-instance float sums, so the loads
+  agree bit for bit.
 
-The per-policy assignment kernels mirror their object twins exactly:
-:func:`least_loaded_assign` replays ``LeastLoadedScheduler``'s heap
-(same float64 arithmetic, same ``(load, k)`` tie-break) and
-:func:`round_robin_assign` is the closed form ``i mod m``.  RCKK/CGA
-stay object-only — their partition search is not worth replicating at
-a scale where join-the-least-loaded is already within Eq. (15) noise.
+Every scheduler runs here: :class:`~repro.core.incremental
+.DeploymentEngine` re-solves with RCKK, and the batch pipeline uses
+least-loaded at 100k requests.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.arrays import ScenarioArrays, ScheduleArrays
 from repro.exceptions import SchedulingError, ValidationError
+from repro.scheduling.base import Assignment, SchedulingAlgorithm
+from repro.scheduling.least_loaded import LeastLoadedScheduler
+from repro.scheduling.round_robin import RoundRobinScheduler
 
-__all__ = [
-    "least_loaded_assign",
-    "round_robin_assign",
-    "schedule_columns",
-]
+__all__ = ["least_loaded_assign", "round_robin_assign", "schedule_columns"]
 
 AssignKernel = Callable[[Sequence[float], int], np.ndarray]
 
-
-def least_loaded_assign(rates: Sequence[float], m: int) -> np.ndarray:
-    """Join-the-least-loaded instance index per request, in order.
-
-    Bit-exact replay of ``LeastLoadedScheduler.schedule``: a heap of
-    ``(aggregate load, k)`` pairs, each request joining the minimum and
-    pushing back ``load + rate`` — Python-float arithmetic and the
-    ``(load, k)`` lexicographic tie-break included, so the object and
-    column paths agree even when accumulated loads collide exactly.
-    """
-    if m < 1:
-        raise SchedulingError(f"need at least one instance, got {m}")
-    heap = [(0.0, k) for k in range(m)]
-    heapq.heapify(heap)
-    out = np.empty(len(rates), dtype=np.int64)
-    for i, rate in enumerate(rates):
-        load, k = heapq.heappop(heap)
-        out[i] = k
-        heapq.heappush(heap, (load + rate, k))
-    return out
-
-
-def round_robin_assign(rates: Sequence[float], m: int) -> np.ndarray:
-    """Cyclic instance index per request: ``i mod m`` in request order."""
-    if m < 1:
-        raise SchedulingError(f"need at least one instance, got {m}")
-    return np.arange(len(rates), dtype=np.int64) % m
-
-
-_POLICIES: Dict[str, AssignKernel] = {
-    "least_loaded": least_loaded_assign,
-    "round_robin": round_robin_assign,
+_POLICIES = {
+    "least_loaded": LeastLoadedScheduler(),
+    "round_robin": RoundRobinScheduler(),
 }
 
 
-def schedule_columns(
-    arrays: ScenarioArrays,
-    policy: Union[str, AssignKernel] = "least_loaded",
-) -> ScheduleArrays:
-    """Schedule every VNF's users straight into index form.
+def least_loaded_assign(rates: Sequence[float], m: int) -> np.ndarray:
+    """``LeastLoadedScheduler``'s rule: instance per request, in order."""
+    return np.asarray(_POLICIES["least_loaded"].assign(rates, m).ways, np.int64)
 
-    ``policy`` names a built-in kernel (``"least_loaded"`` /
-    ``"round_robin"``) or is a callable ``(rates, m) -> k`` applied per
-    VNF to its users' effective rates (float64, user-list order).
-    VNFs used by no request idle, exactly as
-    :func:`~repro.scheduling.base.schedule_all_vnfs` skips them.
-    """
+
+def round_robin_assign(rates: Sequence[float], m: int) -> np.ndarray:
+    """``RoundRobinScheduler``'s rule: ``i mod m`` in request order."""
+    return np.asarray(_POLICIES["round_robin"].assign(rates, m).ways, np.int64)
+
+
+def _rule(
+    policy: Union[str, SchedulingAlgorithm, AssignKernel],
+) -> Callable[[Sequence[float], int], Assignment]:
+    if isinstance(policy, SchedulingAlgorithm):
+        return policy.assign
     if isinstance(policy, str):
-        kernel = _POLICIES.get(policy)
-        if kernel is None:
+        scheduler = _POLICIES.get(policy)
+        if scheduler is None:
             raise ValidationError(
                 f"unknown scheduling policy {policy!r}; "
                 f"expected one of {sorted(_POLICIES)}"
             )
-    else:
-        kernel = policy
+        return scheduler.assign
+    return lambda rates, m: Assignment(ways=policy(rates, m))
+
+
+def schedule_columns(
+    arrays: ScenarioArrays,
+    policy: Union[str, SchedulingAlgorithm, AssignKernel] = "least_loaded",
+    *,
+    down: Optional[np.ndarray] = None,
+) -> ScheduleArrays:
+    """Schedule every VNF's users straight into index form.
+
+    ``policy`` is a scheduler, the name of a built-in one
+    (``"least_loaded"`` / ``"round_robin"``) or a callable
+    ``(rates, m) -> k`` giving the instance of each user in user order.
+    The rule sees each VNF's users' effective rates (float64,
+    user-list order).  VNFs used by no request idle, exactly as
+    :func:`~repro.scheduling.base.schedule_all_vnfs` skips them.
+
+    ``down`` is a per-global-instance mask of failed instances: a VNF
+    with some down is scheduled over its live instances only, way ``j``
+    going to its ``j``-th live instance.
+
+    Raises
+    ------
+    SchedulingError
+        On chains naming unknown VNFs, on a rule returning the wrong
+        number of assignments, and when a used VNF has every instance
+        down.
+    """
+    rule = _rule(policy)
     if arrays.chain_has_unknown:
-        raise SchedulingError(
-            "cannot schedule chains referencing unknown VNFs"
-        )
+        raise SchedulingError("cannot schedule chains referencing unknown VNFs")
     ptr, req_csr = arrays.vnf_requests()
     eff64 = arrays.eff_rate.astype(np.float64, copy=False)
     idt = arrays.index_dtype
-    total = int(ptr[-1])
-    req = np.empty(total, dtype=idt)
-    vnf = np.empty(total, dtype=idt)
-    k = np.empty(total, dtype=idt)
-    for f in range(len(arrays.vnf_names)):
-        lo, hi = int(ptr[f]), int(ptr[f + 1])
+    req = np.empty(int(ptr[-1]), dtype=idt)
+    k = np.empty_like(req)
+    bounds = ptr.tolist()
+    offsets = arrays.instance_offset.tolist()
+    for f, m in enumerate(arrays.M_f.tolist()):
+        lo, hi = bounds[f], bounds[f + 1]
         if hi == lo:
             continue
+        live = None
+        if down is not None:
+            dead = down[offsets[f] : offsets[f] + m]
+            if dead.any():
+                live = np.flatnonzero(~dead)
+                m = len(live)
+                if not m:
+                    raise SchedulingError(
+                        f"VNF {arrays.vnf_names[f]!r} has {hi - lo} users "
+                        "but every instance is down"
+                    )
         users = req_csr[lo:hi]
-        assigned = kernel(eff64[users].tolist(), int(arrays.M_f[f]))
-        if len(assigned) != hi - lo:
+        assigned = rule(eff64[users].tolist(), m)
+        if len(assigned.ways) != hi - lo:
             raise SchedulingError(
-                f"policy returned {len(assigned)} assignments for "
+                f"policy returned {len(assigned.ways)} assignments for "
                 f"{hi - lo} users of VNF {arrays.vnf_names[f]!r}"
             )
-        req[lo:hi] = users.astype(idt, copy=False)
-        vnf[lo:hi] = f
-        k[lo:hi] = np.asarray(assigned).astype(idt, copy=False)
+        if assigned.order is not None:
+            users = users[assigned.order]
+        req[lo:hi] = users
+        k[lo:hi] = assigned.ways if live is None else live[assigned.ways]
+    vnf = np.repeat(np.arange(len(bounds) - 1, dtype=idt), np.diff(ptr))
     inst = arrays.instance_offset[vnf] + k
     return ScheduleArrays(req=req, vnf=vnf, k=k, inst=inst)

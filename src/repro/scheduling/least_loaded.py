@@ -10,15 +10,12 @@ solution quality and serves as an online-policy reference.
 from __future__ import annotations
 
 import heapq
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.scheduling.base import (
-    SchedulingAlgorithm,
-    SchedulingProblem,
-    ScheduleResult,
-)
+from repro.exceptions import SchedulingError
+from repro.scheduling.base import Assignment, SchedulingAlgorithm
 
 
 def least_loaded_admit(
@@ -56,19 +53,17 @@ class LeastLoadedScheduler(SchedulingAlgorithm):
 
     name = "LeastLoaded"
 
-    def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
-        heap = [(0.0, k) for k in range(problem.num_instances)]
-        heapq.heapify(heap)
-        assignment = {}
-        for request in problem.requests:
-            load, k = heapq.heappop(heap)
-            assignment[request.request_id] = k
-            heapq.heappush(heap, (load + request.effective_rate, k))
-        result = ScheduleResult(
-            assignment=assignment,
-            problem=problem,
-            iterations=problem.num_requests,
-            algorithm=self.name,
-        )
-        result.validate()
-        return result
+    def assign(self, rates: Sequence[float], m: int) -> Assignment:
+        """A heap of ``(aggregate load, k)`` pairs: each request joins
+        the minimum (lowest ``k`` on equal loads) and pushes back
+        ``load + rate``."""
+        if m < 1:
+            raise SchedulingError(f"need at least one instance, got {m}")
+        heap = [(0.0, k) for k in range(m)]
+        heapreplace = heapq.heapreplace
+        ways = []
+        for rate in rates:
+            load, k = heap[0]
+            ways.append(k)
+            heapreplace(heap, (load + rate, k))
+        return Assignment(ways=ways, iterations=len(ways))

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-
-from repro.scheduling.base import (
-    SchedulingAlgorithm,
-    SchedulingProblem,
-    ScheduleResult,
-)
+from repro.scheduling.base import Assignment, SchedulingAlgorithm
 from repro.seeding import RngLike, resolve_rng
 
 
@@ -22,17 +17,7 @@ class RandomScheduler(SchedulingAlgorithm):
         # ``None`` means the documented default seed, not OS entropy.
         self._rng = resolve_rng(rng)
 
-    def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
-        m = problem.num_instances
-        assignment = {
-            request.request_id: int(self._rng.integers(0, m))
-            for request in problem.requests
-        }
-        result = ScheduleResult(
-            assignment=assignment,
-            problem=problem,
-            iterations=problem.num_requests,
-            algorithm=self.name,
-        )
-        result.validate()
-        return result
+    def assign(self, rates: Sequence[float], m: int) -> Assignment:
+        # One draw per request, in request order.
+        ways = [int(self._rng.integers(0, m)) for _ in rates]
+        return Assignment(ways=ways, iterations=len(ways))

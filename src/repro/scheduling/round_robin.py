@@ -8,11 +8,10 @@ optimum.
 
 from __future__ import annotations
 
-from repro.scheduling.base import (
-    SchedulingAlgorithm,
-    SchedulingProblem,
-    ScheduleResult,
-)
+from typing import Sequence
+
+from repro.exceptions import SchedulingError
+from repro.scheduling.base import Assignment, SchedulingAlgorithm
 
 
 class RoundRobinScheduler(SchedulingAlgorithm):
@@ -20,17 +19,8 @@ class RoundRobinScheduler(SchedulingAlgorithm):
 
     name = "RoundRobin"
 
-    def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
-        m = problem.num_instances
-        assignment = {
-            request.request_id: i % m
-            for i, request in enumerate(problem.requests)
-        }
-        result = ScheduleResult(
-            assignment=assignment,
-            problem=problem,
-            iterations=problem.num_requests,
-            algorithm=self.name,
-        )
-        result.validate()
-        return result
+    def assign(self, rates: Sequence[float], m: int) -> Assignment:
+        if m < 1:
+            raise SchedulingError(f"need at least one instance, got {m}")
+        n = len(rates)
+        return Assignment(ways=[i % m for i in range(n)], iterations=n)

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, chain
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,11 +73,7 @@ from repro.core.arrays import ScenarioArrays, ScheduleArrays
 from repro.core.deltas import select_improving_record_breaker
 from repro.core.dtypes import ensure_index_capacity
 from repro.exceptions import ValidationError
-from repro.scheduling.base import (
-    SchedulingAlgorithm,
-    SchedulingProblem,
-    ScheduleResult,
-)
+from repro.scheduling.base import Assignment, SchedulingAlgorithm
 from repro.scheduling.rckk import RCKKScheduler
 
 #: Acceptance margin of the legacy scan: a candidate is taken only when
@@ -359,19 +355,14 @@ class SwapRefinedScheduler(SchedulingAlgorithm):
         self._max_rounds = max_rounds
         self.name = f"SwapRefined({self._base.name})"
 
-    def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
-        base_result = self._base.schedule(problem)
-        ids = [r.request_id for r in problem.requests]
-        rates = problem.effective_rates()
-        assignment = [base_result.assignment[rid] for rid in ids]
+    def assign(self, rates: Sequence[float], m: int) -> Assignment:
+        base = self._base.assign(rates, m)
+        start = list(base.ways)
+        if base.order is not None:
+            # Back to user order: refinement works per user.
+            for i, way in zip(base.order, base.ways):
+                start[i] = way
         refined, moves = refine_assignment(
-            rates, assignment, problem.num_instances, self._max_rounds
+            rates, start, m, self._max_rounds
         )
-        result = ScheduleResult(
-            assignment={rid: way for rid, way in zip(ids, refined)},
-            problem=problem,
-            iterations=base_result.iterations + moves,
-            algorithm=self.name,
-        )
-        result.validate()
-        return result
+        return Assignment(ways=refined, iterations=base.iterations + moves)

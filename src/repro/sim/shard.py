@@ -406,15 +406,26 @@ class _ShardSim:
         ) / self._mu[log.inst]
         dep = segmented_lindley(log.arr, services, log.inst)
         sojourns = dep - log.arr
-        pkt_full = np.bincount(log.pkt, weights=sojourns, minlength=generated)
-        pkt_idx = np.flatnonzero(pkt_full)
+        # Per-packet sums over the shard's own packets, in log order
+        # within each packet (bincount's order).  A boolean mark finds
+        # the packets and a dense rank numbers them, so the only
+        # ``generated``-long arrays are a bool mask and an index table
+        # that is written at the marked packets only.
+        seen = np.zeros(generated, dtype=bool)
+        seen[log.pkt] = True
+        pkt_idx = np.flatnonzero(seen)
+        rank = np.empty(generated, dtype=np.intp)
+        rank[pkt_idx] = np.arange(pkt_idx.size)
+        pkt_sums = np.bincount(
+            rank[log.pkt], weights=sojourns, minlength=pkt_idx.size
+        )
         done = dep < self._horizon
         overlap = np.clip(
             np.minimum(dep, self._horizon) - (dep - services), 0.0, None
         )
         return _ShardMeasure(
             pkt_idx=pkt_idx,
-            pkt_sums=pkt_full[pkt_idx],
+            pkt_sums=pkt_sums,
             arrivals=per_instance(log.inst, dtype=np.int64),
             departures=per_instance(log.inst[done], dtype=np.int64),
             sojourn_done=per_instance(log.inst[done], sojourns[done]),

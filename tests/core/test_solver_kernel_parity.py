@@ -147,6 +147,17 @@ class TestRCKKTieParity:
     def test_tie_heavy_inputs(self, values, num_ways, reverse_combine):
         _assert_kernel_matches_legacy(values, num_ways, reverse_combine)
 
+    def test_singleton_wins_a_tie_with_a_combined_head(self):
+        # 4 and 3 combine into (1, 0) with subsets [0] | [1].  Its head
+        # 1 ties both remaining singletons; each singleton's counter (its
+        # index) is below every combined counter, so the singletons pop
+        # first: 2 and 3 combine to (0, 0), and (1, 0) then takes it
+        # reversed.  Were the tie broken the other way, (1, 0) would
+        # absorb 2 and give [[3, 1, 2], [0]].
+        values = [4.0, 3.0, 1.0, 1.0]
+        assert kk_multiway_kernel(values, 2).subsets == [[0, 3], [1, 2]]
+        _assert_kernel_matches_legacy(values, 2, True)
+
     @pytest.mark.parametrize("reverse_combine", [True, False])
     def test_serve_shape(self, reverse_combine):
         # One VNF's users at a serving-engine rebalance: ~300 rates into

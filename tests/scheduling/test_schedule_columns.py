@@ -18,8 +18,13 @@ from repro.scheduling.kernels import (
     round_robin_assign,
     schedule_columns,
 )
+from repro.scheduling.cga import CGAScheduler
+from repro.scheduling.ckk import CKKScheduler
 from repro.scheduling.least_loaded import LeastLoadedScheduler
+from repro.scheduling.random_assign import RandomScheduler
+from repro.scheduling.rckk import RCKKScheduler
 from repro.scheduling.round_robin import RoundRobinScheduler
+from repro.scheduling.swap_refine import SwapRefinedScheduler
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -29,9 +34,25 @@ def workload():
     return gen.workload(num_vnfs=10, num_nodes=16, num_requests=80)
 
 
+@pytest.fixture
+def two_instance_workload():
+    """Every VNF deploys exactly two instances (CKK's domain)."""
+    gen = WorkloadGenerator(rng=np.random.default_rng(13))
+    return gen.workload(
+        num_vnfs=10, num_nodes=16, num_requests=80, instance_range=(2, 2)
+    )
+
+
+#: Factories, so each route gets its own scheduler (RandomScheduler's
+#: stream advances with every VNF it schedules).
 SCHEDULERS = {
-    "least_loaded": LeastLoadedScheduler(),
-    "round_robin": RoundRobinScheduler(),
+    "least_loaded": LeastLoadedScheduler,
+    "round_robin": RoundRobinScheduler,
+    "rckk": RCKKScheduler,
+    "cga": CGAScheduler,
+    "ckk": CKKScheduler,
+    "random": lambda: RandomScheduler(np.random.default_rng(7)),
+    "swap_refined": SwapRefinedScheduler,
 }
 
 
@@ -61,21 +82,39 @@ class TestAssignKernels:
 
 
 class TestScheduleColumnsParity:
-    @pytest.mark.parametrize("policy", ["least_loaded", "round_robin"])
-    def test_rows_identical_to_object_path(self, workload, policy):
+    @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
+    def test_rows_identical_to_object_path(
+        self, workload, two_instance_workload, policy
+    ):
+        # Rows in the same order, not just the same row set: the order
+        # is the order of the per-instance float sums.
+        if policy == "ckk":
+            workload = two_instance_workload
         arrays = ScenarioArrays.build(
             workload.vnfs, workload.requests, workload.capacities
         )
         joint = schedule_all_vnfs(
-            workload.vnfs, workload.requests, SCHEDULERS[policy]
+            workload.vnfs, workload.requests, SCHEDULERS[policy]()
         )
         ref = arrays.schedule_arrays(joint)
-        got = schedule_columns(arrays, policy=policy)
+        got = schedule_columns(arrays, SCHEDULERS[policy]())
         for name in ("req", "vnf", "k", "inst"):
             np.testing.assert_array_equal(
                 getattr(got, name), getattr(ref, name), err_msg=name
             )
             assert getattr(got, name).dtype == getattr(ref, name).dtype
+        got_loads = arrays.instance_rates(got)[0]
+        assert got_loads.tobytes() == arrays.instance_rates(ref)[0].tobytes()
+
+    @pytest.mark.parametrize("policy", ["least_loaded", "round_robin"])
+    def test_policy_names_run_their_schedulers(self, workload, policy):
+        arrays = ScenarioArrays.build(
+            workload.vnfs, workload.requests, workload.capacities
+        )
+        by_name = schedule_columns(arrays, policy=policy)
+        by_object = schedule_columns(arrays, SCHEDULERS[policy]())
+        np.testing.assert_array_equal(by_name.req, by_object.req)
+        np.testing.assert_array_equal(by_name.k, by_object.k)
 
     def test_lean_dtype_indices_exact(self, workload):
         lean = ScenarioArrays.build(
@@ -99,6 +138,41 @@ class TestScheduleColumnsParity:
             arrays, policy=lambda rates, m: np.zeros(len(rates), dtype=np.int64)
         )
         assert (got.k == 0).all()
+
+    def test_down_instances_get_no_rows(self, workload):
+        arrays = ScenarioArrays.build(
+            workload.vnfs, workload.requests, workload.capacities
+        )
+        ptr, users = arrays.vnf_requests()
+        f = int(np.argmax(np.diff(ptr) * (arrays.M_f > 2)))
+        m, off = int(arrays.M_f[f]), int(arrays.instance_offset[f])
+        assert m > 2 and ptr[f + 1] > ptr[f]
+        down = np.zeros(arrays.num_instances, dtype=bool)
+        down[off] = down[off + 2] = True
+        got = schedule_columns(arrays, RCKKScheduler(), down=down)
+        assert not down[got.inst].any()
+        # VNF f gets RCKK's (m - 2)-way split, way j on its j-th live
+        # instance; every other VNF is scheduled as without the mask.
+        users = users[ptr[f] : ptr[f + 1]]
+        split = RCKKScheduler().assign(arrays.eff_rate[users].tolist(), m - 2)
+        live = np.flatnonzero(~down[off : off + m])
+        mine = got.vnf == f
+        assert got.req[mine].tolist() == users[split.order].tolist()
+        assert got.k[mine].tolist() == live[split.ways].tolist()
+        ref = schedule_columns(arrays, RCKKScheduler())
+        np.testing.assert_array_equal(got.k[~mine], ref.k[ref.vnf != f])
+
+    def test_used_vnf_with_every_instance_down_raises(self, workload):
+        arrays = ScenarioArrays.build(
+            workload.vnfs, workload.requests, workload.capacities
+        )
+        ptr, _ = arrays.vnf_requests()
+        f = int(np.flatnonzero(np.diff(ptr))[0])
+        off = int(arrays.instance_offset[f])
+        down = np.zeros(arrays.num_instances, dtype=bool)
+        down[off : off + int(arrays.M_f[f])] = True
+        with pytest.raises(SchedulingError, match="every instance is down"):
+            schedule_columns(arrays, RCKKScheduler(), down=down)
 
     def test_unknown_policy_rejected(self, workload):
         arrays = ScenarioArrays.build(
