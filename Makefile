@@ -1,4 +1,4 @@
-.PHONY: install test golden bench bench-core bench-solvers bench-sim bench-topo bench-serve bench-scale bench-faults lint experiments examples ci clean
+.PHONY: install test golden bench-core bench-solvers bench-sim bench-topo bench-serve bench-scale bench-faults lint experiments examples ci clean
 
 PYTHON ?= python
 
@@ -14,9 +14,6 @@ test:
 # tests/sim/test_sim_digests.py compares against).
 golden:
 	PYTHONPATH=src $(PYTHON) tests/golden/regen.py
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-core:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_core.py --out benchmarks/bench_core.json
@@ -57,7 +54,7 @@ experiments-paper:
 ci: lint
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest perfbench -q
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.runall --only fig05 --jobs 2 --seed 7
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.runall --only fig05 ablations --jobs 2 --seed 7
 	PYTHONPATH=src $(MAKE) examples
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_core.py --quick --out benchmarks/bench_core.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_solvers.py --quick --out benchmarks/bench_solvers.json

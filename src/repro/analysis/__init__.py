@@ -1,6 +1,5 @@
 """Statistics helpers for experiment aggregation."""
 
-from repro.analysis.comparison import PairedComparison, paired_comparison
 from repro.analysis.convergence import ConvergenceTracker
 from repro.analysis.stats import (
     SummaryStats,
@@ -14,7 +13,5 @@ __all__ = [
     "summarize",
     "percentile",
     "confidence_interval",
-    "paired_comparison",
-    "PairedComparison",
     "ConvergenceTracker",
 ]

@@ -67,7 +67,29 @@ def _rule(
                 f"expected one of {sorted(_POLICIES)}"
             )
         return scheduler.assign
-    return lambda rates, m: Assignment(ways=policy(rates, m))
+    return _checked(policy)
+
+
+class _WayOutOfRange(SchedulingError):
+    """A custom rule chose an instance outside ``[0, m)``."""
+
+
+def _checked(policy: AssignKernel) -> Callable[[Sequence[float], int], Assignment]:
+    """Wrap a custom ``(rates, m) -> k`` callable as a rule whose every
+    way lies in ``[0, m)``; any other way would land a row on the next
+    VNF's instance or past the instance table.  The built-in schedulers'
+    rules are pinned by their own tests and skip this check."""
+
+    def rule(rates: Sequence[float], m: int) -> Assignment:
+        ways = np.asarray(policy(rates, m))
+        bad = ways[(ways < 0) | (ways >= m)]
+        if bad.size:
+            raise _WayOutOfRange(
+                f"policy returned instance {bad[0]} outside 0..{m - 1}"
+            )
+        return Assignment(ways=ways)
+
+    return rule
 
 
 def schedule_columns(
@@ -93,7 +115,8 @@ def schedule_columns(
     ------
     SchedulingError
         On chains naming unknown VNFs, on a rule returning the wrong
-        number of assignments, and when a used VNF has every instance
+        number of assignments, on a callable policy choosing an instance
+        outside ``0 <= k < m``, and when a used VNF has every instance
         down.
     """
     rule = _rule(policy)
@@ -122,7 +145,12 @@ def schedule_columns(
                         "but every instance is down"
                     )
         users = req_csr[lo:hi]
-        assigned = rule(eff64[users].tolist(), m)
+        try:
+            assigned = rule(eff64[users].tolist(), m)
+        except _WayOutOfRange as exc:
+            raise SchedulingError(
+                f"{exc} for VNF {arrays.vnf_names[f]!r}"
+            ) from None
         if len(assigned.ways) != hi - lo:
             raise SchedulingError(
                 f"policy returned {len(assigned.ways)} assignments for "

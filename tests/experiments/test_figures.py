@@ -56,8 +56,9 @@ class TestFig05:
         bfdsu = np.mean(_series(fig05_result, "BFDSU", "utilization"))
         ffd = np.mean(_series(fig05_result, "FFD", "utilization"))
         nah = np.mean(_series(fig05_result, "NAH", "utilization"))
-        assert bfdsu > ffd
-        assert bfdsu > nah
+        # Paper: BFDSU ~0.92 far above FFD ~0.69 and NAH ~0.67.
+        assert bfdsu > ffd + 0.15
+        assert bfdsu > nah + 0.15
         assert bfdsu > 0.8
 
     def test_flat_in_requests(self, fig05_result):
@@ -75,6 +76,11 @@ class TestFig06:
             }
             assert by_algo["BFDSU"] > by_algo["FFD"]
             assert by_algo["BFDSU"] > by_algo["NAH"]
+        # Paper: +31.61% vs FFD and +33.41% vs NAH on the sweep average.
+        bfdsu = np.mean(_series(result, "BFDSU", "utilization"))
+        for baseline in ("FFD", "NAH"):
+            mean = np.mean(_series(result, baseline, "utilization"))
+            assert (bfdsu - mean) / mean > 0.2
 
 
 class TestFig07:
@@ -102,10 +108,12 @@ class TestFig09:
         result = fig09.run(repetitions=PLACEMENT_REPS)
         bfdsu = _series(result, "BFDSU", "occupation")
         ffd = _series(result, "FFD", "occupation")
-        # BFDSU stays flat-ish (Monte-Carlo jitter allowed); FFD grows
-        # with the pool and ends far above BFDSU.
+        nah = _series(result, "NAH", "occupation")
+        # BFDSU stays flat-ish (Monte-Carlo jitter allowed); FFD and NAH
+        # grow with the pool and FFD ends far above BFDSU.
         assert max(bfdsu) < 1.6 * min(bfdsu) + 1e-9
         assert ffd[-1] > ffd[0]
+        assert nah[-1] > nah[0]
         assert ffd[-1] > 1.5 * bfdsu[-1]
 
 
@@ -153,6 +161,9 @@ class TestFig12:
         ]
         # Averaged over the sweep, loss increases RCKK's advantage.
         assert np.mean(enh12) <= np.mean(enh11) + 0.02
+        # Paper: the lossless enhancement declines 33.49% -> 1.17%.
+        assert enh12[0] > 0.15
+        assert enh12[-1] < 0.05
 
 
 class TestFig13Fig14:
@@ -164,6 +175,7 @@ class TestFig13Fig14:
             if r["algorithm"] == "RCKK"
         ]
         assert enh[-1] > enh[0]
+        assert enh[-1] > 0.1  # paper: 5.24% -> 25.05%
 
     def test_fig14_same_shape(self):
         result = fig14.run(repetitions=SCHED_REPS)
@@ -173,6 +185,7 @@ class TestFig13Fig14:
             if r["algorithm"] == "RCKK"
         ]
         assert enh[-1] > enh[0]
+        assert enh[-1] > 0.08  # paper: 3.16% -> 18.53%
 
 
 class TestFig15Fig16:
@@ -182,13 +195,15 @@ class TestFig15Fig16:
         cga = _series(result, "CGA", "rejection_rate")
         assert max(rckk) < 0.01
         assert np.mean(cga) > np.mean(rckk)
+        assert np.mean(cga) > 0.005
 
     def test_higher_loss_higher_rejection(self):
         low = fig15.run(repetitions=SCHED_REPS)
         high = fig16.run(repetitions=SCHED_REPS)
-        assert np.mean(_series(high, "CGA", "rejection_rate")) > np.mean(
-            _series(low, "CGA", "rejection_rate")
-        )
+        cga_high = np.mean(_series(high, "CGA", "rejection_rate"))
+        assert cga_high > np.mean(_series(low, "CGA", "rejection_rate"))
+        # Paper: CGA 28.28% vs RCKK 4.87% at P=0.984.
+        assert cga_high > np.mean(_series(high, "RCKK", "rejection_rate"))
 
 
 class TestTail:

@@ -3,17 +3,9 @@
 import json
 import math
 
-import pytest
-
 from repro.experiments import runall
 from repro.experiments.harness import ExperimentResult
 from tests.golden.regen import GOLDEN_PATH, QUICK, snapshot
-
-
-@pytest.fixture(scope="module")
-def quick_results():
-    """One tiny full sweep shared by the tests below (seconds, not minutes)."""
-    return runall.run_all(**QUICK)
 
 
 class TestRunAll:
@@ -24,6 +16,7 @@ class TestRunAll:
         assert "tail" in ids
         assert "joint_e2e" in ids
         assert "sensitivity" in ids
+        assert "ablations" in ids
 
     def test_all_results_have_rows(self, quick_results):
         for result in quick_results:

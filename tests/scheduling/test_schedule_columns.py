@@ -139,6 +139,51 @@ class TestScheduleColumnsParity:
         )
         assert (got.k == 0).all()
 
+    @pytest.mark.parametrize("way", ["m", -1])
+    def test_custom_policy_way_out_of_range_rejected(self, workload, way):
+        # k == m would be the next VNF's first instance (or past the
+        # instance table for the last VNF); k < 0 would index from the end.
+        arrays = ScenarioArrays.build(
+            workload.vnfs, workload.requests, workload.capacities
+        )
+
+        def policy(rates, m):
+            return np.full(len(rates), m if way == "m" else way)
+
+        with pytest.raises(SchedulingError, match="outside 0..") as info:
+            schedule_columns(arrays, policy)
+        assert f"instance {arrays.M_f[0] if way == 'm' else way} " in str(
+            info.value
+        )
+        assert f"for VNF {arrays.vnf_names[0]!r}" in str(info.value)
+
+    def test_custom_policy_checked_against_live_instances(self, workload):
+        # With an instance down, ``m`` is the live count: way m - 1 is
+        # the last live instance and way m is out of range.
+        arrays = ScenarioArrays.build(
+            workload.vnfs, workload.requests, workload.capacities
+        )
+        ptr, users = arrays.vnf_requests()
+        f = int(np.argmax(np.diff(ptr) * (arrays.M_f > 2)))
+        off, m_f = int(arrays.instance_offset[f]), int(arrays.M_f[f])
+        down = np.zeros(arrays.num_instances, dtype=bool)
+        down[off] = True
+        mine = arrays.eff_rate[users[ptr[f] : ptr[f + 1]]].tolist()
+
+        def last_way_plus(extra):
+            # Way m - 1 + extra on VNF f, way 0 everywhere else.
+            return lambda rates, m: np.full(
+                len(rates), m - 1 + extra if rates == mine else 0
+            )
+
+        with pytest.raises(SchedulingError) as info:
+            schedule_columns(arrays, last_way_plus(1), down=down)
+        assert f"outside 0..{m_f - 2} for VNF {arrays.vnf_names[f]!r}" in str(
+            info.value
+        )
+        got = schedule_columns(arrays, last_way_plus(0), down=down)
+        assert (got.inst[got.vnf == f] == off + m_f - 1).all()
+
     def test_down_instances_get_no_rows(self, workload):
         arrays = ScenarioArrays.build(
             workload.vnfs, workload.requests, workload.capacities
