@@ -54,7 +54,7 @@ experiments-paper:
 ci: lint
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest perfbench -q
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.runall --only fig05 ablations --jobs 2 --seed 7
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.runall --only fig05 ablations fig15 --jobs 2 --seed 7
 	PYTHONPATH=src $(MAKE) examples
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_core.py --quick --out benchmarks/bench_core.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_solvers.py --quick --out benchmarks/bench_solvers.json

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Tuple
 
-from repro.core.admission import apply_admission_control
 from repro.core.evaluation import EvaluationReport
 from repro.core.objectives import per_request_response_time
 from repro.core.topology_eval import _check_nodes, request_path_latency
@@ -141,34 +140,26 @@ def reference_total_inter_node_hops(state: DeploymentState) -> int:
 def reference_evaluate_deployment(
     state: DeploymentState,
     link_latency: float = DEFAULT_LINK_LATENCY,
-    with_admission: bool = True,
 ) -> EvaluationReport:
-    """The pre-refactor object-path ``evaluate_deployment``, verbatim."""
+    """The pre-refactor object-path ``evaluate_deployment`` of a stable
+    deployment, where admission control rejects nothing.
+
+    The parity scenarios are sized to stay stable; were one overloaded,
+    ``evaluate_deployment`` would report rejections this path does not,
+    and ``bench_core.check_parity`` fails on the differing counts.
+    """
     state.validate()
     instances = reference_instances(state)
     serving = [inst for inst in instances if inst.requests]
 
-    num_rejected = 0
-    rejection_rate = 0.0
-    latency_instances = serving
-    if with_admission:
-        outcome = apply_admission_control(serving)
-        num_rejected = outcome.num_rejected
-        rejection_rate = outcome.rejection_rate
-        latency_instances = [
-            inst for inst in outcome.instances if inst.requests
-        ]
-
-    if latency_instances and all(i.is_stable for i in latency_instances):
-        avg_w = sum(i.mean_response_time for i in latency_instances) / len(
-            latency_instances
-        )
+    if serving and all(i.is_stable for i in serving):
+        avg_w = sum(i.mean_response_time for i in serving) / len(serving)
     else:
         avg_w = math.inf
 
     max_util = max((i.utilization for i in serving), default=0.0)
 
-    if math.isfinite(avg_w) and not num_rejected:
+    if math.isfinite(avg_w):
         total = reference_total_latency(state, link_latency, instances)
         avg_total = total / len(state.requests) if state.requests else 0.0
     else:
@@ -185,8 +176,8 @@ def reference_evaluate_deployment(
         max_instance_utilization=max_util,
         total_latency=total,
         average_total_latency=avg_total,
-        num_rejected=num_rejected,
-        rejection_rate=rejection_rate,
+        num_rejected=0,
+        rejection_rate=0.0,
     )
 
 

@@ -22,7 +22,7 @@ True
 """
 
 from repro.core.joint import JointOptimizer, JointSolution
-from repro.core.admission import apply_admission_control
+from repro.core.admission import admission_mask
 from repro.core.evaluation import EvaluationReport, evaluate_deployment
 from repro.exceptions import (
     ConfigurationError,
@@ -59,7 +59,7 @@ __all__ = [
     "JointSolution",
     "evaluate_deployment",
     "EvaluationReport",
-    "apply_admission_control",
+    "admission_mask",
     # Domain model
     "VNF",
     "VNFCategory",

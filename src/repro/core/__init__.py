@@ -1,8 +1,8 @@
 """The paper's primary contribution: the two-phase joint optimizer.
 
-* :mod:`repro.core.admission` — admission control: overloaded service
-  instances shed requests until stable, producing the job-rejection-rate
-  metric.
+* :mod:`repro.core.admission` — admission control: a request is
+  admitted whole or rejected whole until every instance is stable,
+  producing the job-rejection-rate metric.
 * :mod:`repro.core.objectives` — evaluators for the paper's objective
   functions, Eqs. (13)-(16).
 * :mod:`repro.core.evaluation` — end-to-end evaluation of a joint
@@ -12,7 +12,7 @@
   algorithms.
 """
 
-from repro.core.admission import AdmissionOutcome, apply_admission_control
+from repro.core.admission import admission_mask
 from repro.core.evaluation import EvaluationReport, evaluate_deployment
 from repro.core.joint import JointOptimizer, JointSolution
 from repro.core.objectives import (
@@ -42,8 +42,7 @@ from repro.core.topology_eval import (
 __all__ = [
     "JointOptimizer",
     "JointSolution",
-    "apply_admission_control",
-    "AdmissionOutcome",
+    "admission_mask",
     "evaluate_deployment",
     "EvaluationReport",
     "average_node_utilization",

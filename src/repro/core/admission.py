@@ -1,4 +1,4 @@
-"""Admission control: shedding load from overloaded service instances.
+"""Admission control: which requests an overloaded deployment admits.
 
 The paper (Sections I and III-B): "When the arrival rate is larger than
 the service rate, the admission control mechanism will drop some requests
@@ -6,22 +6,24 @@ to ensure the normal operation of the services."  The *job rejection
 rate* — rejected requests over offered requests — is the metric of
 Figs. 15-16.
 
-Policy implemented here: per overloaded instance, requests are rejected
-in decreasing effective-rate order (shedding the heaviest flows first
-restores stability with the fewest rejections) until the instance's
-utilization drops below ``target_utilization``.
+:func:`admission_mask` is the one admission rule, over schedule columns:
+requests are visited lightest first (ascending effective rate, then
+request index), and each is admitted whole — at every instance of its
+chain — or rejected whole, against the capacity the requests before it
+left (``mu * target_utilization`` per instance).  Rejecting the heaviest
+flows restores stability with few rejections, and a rejected request
+loads no instance.  :func:`repro.core.evaluation.evaluate_columns` and
+:func:`repro.scheduling.metrics.schedule_report` score the admitted
+requests only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.nfv.instance import ServiceInstance
-from repro.nfv.request import Request
 
 #: Default post-admission utilization ceiling.  Strictly below 1 so the
 #: M/M/1 steady state exists after shedding.
@@ -72,72 +74,73 @@ def power_of_two_admit(
     return k
 
 
-@dataclass(frozen=True)
-class AdmissionOutcome:
-    """Result of applying admission control to a set of instances."""
-
-    #: The instances with rejected requests removed (new objects; the
-    #: inputs are not mutated).
-    instances: List[ServiceInstance]
-    #: All rejected requests, across instances.
-    rejected: List[Request]
-
-    @property
-    def num_rejected(self) -> int:
-        """Count of rejected requests."""
-        return len(self.rejected)
-
-    @property
-    def num_admitted(self) -> int:
-        """Count of requests still scheduled after shedding."""
-        return sum(len(inst.requests) for inst in self.instances)
-
-    @property
-    def rejection_rate(self) -> float:
-        """Rejected over offered (the Figs. 15-16 metric)."""
-        offered = self.num_admitted + self.num_rejected
-        if offered == 0:
-            return 0.0
-        return self.num_rejected / offered
-
-
-def apply_admission_control(
-    instances: Sequence[ServiceInstance],
+def admission_mask(
+    req: np.ndarray,
+    inst: np.ndarray,
+    eff_rate: np.ndarray,
+    mu: np.ndarray,
     target_utilization: float = DEFAULT_TARGET_UTILIZATION,
-) -> AdmissionOutcome:
-    """Shed requests from overloaded instances until all are stable.
+) -> np.ndarray:
+    """Per-request admitted mask: a request is admitted whole or not at all.
 
     Parameters
     ----------
-    instances:
-        Service instances with their scheduled requests.  Not mutated.
+    req, inst:
+        The schedule rows: request index and global instance index of
+        every (request, VNF) entry.
+    eff_rate:
+        Effective rate ``lambda_r / P_r`` per request.
+    mu:
+        Service rate per instance (indexed by ``inst``).
     target_utilization:
-        Post-shedding utilization ceiling in ``(0, 1)``.
+        Post-admission utilization ceiling in ``(0, 1)``.
 
-    Returns
-    -------
-    AdmissionOutcome
-        Stabilized instances plus the rejected requests.
+    Requests are visited in ascending ``(eff_rate, request index)``
+    order.  A request is admitted iff, at every instance of its chain,
+    the running admitted load plus its rate stays at or below
+    ``mu * target_utilization``; an admitted request then adds its rate
+    to each of those instances.  Requests without a schedule row load
+    nothing and are admitted.
+
+    Only requests touching an instance whose total load (summed in that
+    same ascending order) is over target go through the sequential loop.
+    Every other request is admitted directly, and this is exact: a float
+    sum of non-negative terms never decreases as terms are added, so
+    every running load of an instance under target stays under target.
     """
     if not 0.0 < target_utilization < 1.0:
         raise ValidationError(
             f"target utilization must be in (0, 1), got {target_utilization!r}"
         )
-    stabilized: List[ServiceInstance] = []
-    rejected: List[Request] = []
-    for instance in instances:
-        capacity = instance.vnf.service_rate * target_utilization
-        kept = ServiceInstance(vnf=instance.vnf, index=instance.index)
-        # Admit in increasing effective-rate order, so when shedding is
-        # necessary the heaviest flows are the ones rejected.
-        load = 0.0
-        overflow: List[Request] = []
-        for request in sorted(instance.requests, key=lambda r: r.effective_rate):
-            if load + request.effective_rate <= capacity:
-                kept.assign(request)
-                load += request.effective_rate
-            else:
-                overflow.append(request)
-        rejected.extend(overflow)
-        stabilized.append(kept)
-    return AdmissionOutcome(instances=stabilized, rejected=rejected)
+    rate = np.asarray(eff_rate, dtype=np.float64)
+    capacity = np.asarray(mu, dtype=np.float64) * target_utilization
+    admitted = np.ones(len(rate), dtype=bool)
+    # Rows in ascending (rate, request) order; a weighted bincount adds
+    # in array order, so each instance's load is the ascending sum.
+    rows = np.lexsort((req, rate[req]))
+    load = np.bincount(
+        inst[rows], weights=rate[req[rows]], minlength=len(capacity)
+    )
+    hot = rows[(load > capacity)[inst[rows]]]
+
+    # Rows of one request are adjacent in ``hot``; only its over-target
+    # instances are checked, the others always have room.
+    hot_req = req[hot].tolist()
+    hot_inst = inst[hot].tolist()
+    hot_rate = rate[req[hot]].tolist()
+    caps = capacity.tolist()
+    running = [0.0] * len(caps)
+    start = 0
+    while start < len(hot_req):
+        end = start + 1
+        while end < len(hot_req) and hot_req[end] == hot_req[start]:
+            end += 1
+        x = hot_rate[start]
+        chain = hot_inst[start:end]
+        if all(running[i] + x <= caps[i] for i in chain):
+            for i in chain:
+                running[i] += x
+        else:
+            admitted[hot_req[start]] = False
+        start = end
+    return admitted

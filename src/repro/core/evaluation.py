@@ -13,25 +13,23 @@ The state is validated once, at entry; the scoring itself is
 :func:`evaluate_columns` on the state's cached columnar view
 (:mod:`repro.core.arrays`): instance rates, utilizations and the Eq. (12)
 response times are segment sums over the schedule's index arrays, and
-the Eq. (16) communication term is one pass over the chain CSR.  Only
-when admission control actually has to shed load do the latency and
-rejection fields come from the per-object path, because the greedy
-per-instance rejection policy is sequential.
+the Eq. (16) communication term is one pass over the chain CSR.  When
+some instance is over the admission target,
+:func:`repro.core.admission.admission_mask` decides per request which
+requests are admitted, and the latency and rejection fields are computed
+over those requests only.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.core.admission import (
-    DEFAULT_TARGET_UTILIZATION,
-    apply_admission_control,
-)
+from repro.core.admission import DEFAULT_TARGET_UTILIZATION, admission_mask
+from repro.core.arrays import ScheduleArrays
 from repro.nfv.state import DeploymentState
 from repro.topology.graph import DEFAULT_LINK_LATENCY
 
@@ -50,9 +48,8 @@ class EvaluationReport:
     # Coordinated objective (Eq. 16)
     total_latency: float
     average_total_latency: float
-    # Admission (Figs. 15-16).  Both count (request, instance) slots: a
-    # request shed at two instances of its chain counts twice, and the
-    # rate is shed slots over scheduled slots.
+    # Admission (Figs. 15-16): rejected requests, and rejected over
+    # offered requests.  A request is admitted or rejected whole.
     num_rejected: int
     rejection_rate: float
 
@@ -76,10 +73,13 @@ def evaluate_deployment(
     link_latency:
         The per-hop constant ``L`` of Eq. (16).
     with_admission:
-        When True, rejection metrics come from running admission control
-        over the scheduled instances (the analytic state itself is left
-        untouched — latency metrics describe the *admitted* load only if
-        shedding was required).
+        When True and some instance is over the admission target,
+        :func:`~repro.core.admission.admission_mask` decides which
+        requests are admitted; the latency fields then describe the
+        admitted requests only and the rejection fields count the rest
+        (the state itself is left untouched).  When False, an unstable
+        instance (utilization at or above 1) makes the latency fields
+        infinite.
     topology:
         Optional :class:`~repro.topology.graph.DatacenterTopology` (or
         its arrays).  When given, Eq. (16)'s communication term charges
@@ -91,90 +91,21 @@ def evaluate_deployment(
     state.validate()
     arrays = state.arrays()
     sched = state.schedule_arrays()
+    placement_vec = arrays.placement_vector(state.placement)
     report = evaluate_columns(
-        arrays,
-        arrays.placement_vector(state.placement),
-        sched,
-        link_latency,
-        topology,
+        arrays, placement_vec, sched, link_latency, topology
     )
     if (
         with_admission
         and report.max_instance_utilization > DEFAULT_TARGET_UTILIZATION
     ):
-        return _evaluate_with_shedding(state, report, link_latency, topology)
+        admitted = admission_mask(
+            sched.req, sched.inst, arrays.eff_rate, arrays.mu_inst
+        )
+        report = evaluate_columns(
+            arrays, placement_vec, sched, link_latency, topology, admitted
+        )
     return report
-
-
-def _evaluate_with_shedding(
-    state: DeploymentState,
-    report: EvaluationReport,
-    link_latency: float,
-    topology=None,
-) -> EvaluationReport:
-    """``report`` with its latency and rejection fields recomputed over
-    the load that admission control keeps."""
-    serving = [inst for inst in state.instances() if inst.requests]
-    outcome = apply_admission_control(serving)
-    latency_instances = [inst for inst in outcome.instances if inst.requests]
-
-    total = avg_total = avg_w = math.inf
-    if latency_instances and all(i.is_stable for i in latency_instances):
-        avg_w = sum(i.mean_response_time for i in latency_instances) / len(
-            latency_instances
-        )
-        total, counted = _latency_after_admission(
-            state, latency_instances, link_latency, topology
-        )
-        if counted:
-            avg_total = total / counted
-        else:
-            total = math.inf
-
-    return dataclasses.replace(
-        report,
-        average_response_latency=avg_w,
-        total_latency=total,
-        average_total_latency=avg_total,
-        num_rejected=outcome.num_rejected,
-        rejection_rate=outcome.rejection_rate,
-    )
-
-
-def _latency_after_admission(
-    state, instances, link_latency, topology=None
-) -> Tuple[float, int]:
-    """Summed Eq. (16) latency over the requests admission kept at every
-    VNF of their chain, and how many requests that sum counts.
-
-    A request shed at any one instance of its chain is left out, even
-    where other instances kept it.
-    """
-    instance_w = {}
-    kept = set()
-    for inst in instances:
-        if inst.requests:
-            instance_w[inst.key] = inst.mean_response_time
-            kept.update((r.request_id, inst.key) for r in inst.requests)
-    arrays = state.arrays()
-    placement_vec = arrays.placement_vector(state.placement)
-    if topology is None:
-        comm = arrays.hops_per_request(placement_vec) * link_latency
-    else:
-        comm = arrays.topology_latency_per_request(placement_vec, topology)
-    total = 0.0
-    counted = 0
-    for i, request in enumerate(state.requests):
-        response = 0.0
-        for vnf_name in request.chain:
-            key = (vnf_name, state.schedule.get((request.request_id, vnf_name)))
-            if (request.request_id, key) not in kept:
-                break
-            response += instance_w[key]
-        else:
-            total += response + float(comm[i])
-            counted += 1
-    return total, counted
 
 
 def evaluate_columns(
@@ -183,6 +114,7 @@ def evaluate_columns(
     sched,
     link_latency: float = DEFAULT_LINK_LATENCY,
     topology=None,
+    admitted: Optional[np.ndarray] = None,
 ) -> EvaluationReport:
     """Score a ``(ScenarioArrays, placement-vector, ScheduleArrays)``
     triple on every paper metric.
@@ -191,11 +123,14 @@ def evaluate_columns(
     path: it never builds a :class:`~repro.nfv.state.DeploymentState`
     (whose dict-shaped ``placement``/``schedule`` would cost more than
     the evaluation itself at scale).  The columns are trusted as given —
-    validation belongs to the caller's boundary.  Admission control is
-    not modeled here: callers arrange stability up front (e.g.
-    :func:`repro.workload.stream.rescale_to_stability`), so the
-    rejection metrics are reported as zero exactly as the
-    ``with_admission=False`` route does.
+    validation belongs to the caller's boundary.
+
+    ``admitted`` is a per-request bool mask (e.g. from
+    :func:`~repro.core.admission.admission_mask`); ``None`` admits every
+    request.  The response times, the Eq. (16) latency and their means
+    are computed over the admitted requests only, and the rejection
+    fields count the others; ``max_instance_utilization`` stays that of
+    the offered load.
     """
     equivalent, external, counts = arrays.instance_rates(sched)
     serving = counts > 0
@@ -203,6 +138,23 @@ def evaluate_columns(
     max_util = (
         float(utilization[serving].max()) if serving.any() else 0.0
     )
+
+    num_requests = len(arrays.request_ids)
+    num_rejected = 0
+    if admitted is not None:
+        num_rejected = num_requests - int(np.count_nonzero(admitted))
+    if num_rejected:
+        keep = admitted[sched.req]
+        equivalent, external, counts = arrays.instance_rates(
+            ScheduleArrays(
+                req=sched.req[keep],
+                vnf=sched.vnf[keep],
+                k=sched.k[keep],
+                inst=sched.inst[keep],
+            )
+        )
+        serving = counts > 0
+        utilization = arrays.instance_utilizations(equivalent)
 
     if serving.any() and bool((utilization[serving] < 1.0).all()):
         instance_w = arrays.instance_response_times(equivalent, external)
@@ -212,7 +164,6 @@ def evaluate_columns(
         instance_w = None
         avg_w = math.inf
 
-    num_requests = len(arrays.request_ids)
     if math.isfinite(avg_w):
         response = arrays.response_per_request(sched, instance_w)
         if topology is None:
@@ -221,8 +172,11 @@ def evaluate_columns(
             comm = arrays.topology_latency_per_request(
                 placement_vec, topology
             )
-        total = float(np.sum(response + comm))
-        avg_total = total / num_requests if num_requests else 0.0
+        latency = response + comm
+        if num_rejected:
+            latency = latency[admitted]
+        total = float(np.sum(latency))
+        avg_total = total / len(latency) if len(latency) else 0.0
     else:
         total = math.inf
         avg_total = math.inf
@@ -237,6 +191,8 @@ def evaluate_columns(
         max_instance_utilization=max_util,
         total_latency=total,
         average_total_latency=avg_total,
-        num_rejected=0,
-        rejection_rate=0.0,
+        num_rejected=num_rejected,
+        rejection_rate=(
+            num_rejected / num_requests if num_requests else 0.0
+        ),
     )

@@ -54,7 +54,9 @@ def run(
             "Average response time vs #requests "
             f"(P={delivery_probability}, 5 instances)"
         ),
-        columns=["requests", "algorithm", "mean_w", "enhancement"],
+        columns=[
+            "requests", "algorithm", "mean_w", "enhancement", "rejection_rate"
+        ],
     )
     for row in rows:
         result.add_row(
@@ -66,6 +68,7 @@ def run(
                 if row["algorithm"] == "RCKK"
                 else 0.0
             ),
+            rejection_rate=row["rejection_rate"],
         )
     result.notes.append(
         "paper (P=0.98): enhancement declines 41.89% -> 2.10% as "

@@ -54,7 +54,9 @@ def run(
             "Average response time vs #instances "
             f"(P={delivery_probability}, 50 requests)"
         ),
-        columns=["instances", "algorithm", "mean_w", "enhancement"],
+        columns=[
+            "instances", "algorithm", "mean_w", "enhancement", "rejection_rate"
+        ],
     )
     for row in rows:
         result.add_row(
@@ -66,6 +68,7 @@ def run(
                 if row["algorithm"] == "RCKK"
                 else 0.0
             ),
+            rejection_rate=row["rejection_rate"],
         )
     result.notes.append(
         "paper (P=0.98): enhancement widens 5.24% -> 25.05% as instances "

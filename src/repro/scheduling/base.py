@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 import numpy as np
 
-from repro.exceptions import SchedulingError, ValidationError
-from repro.nfv.instance import ServiceInstance
+from repro.exceptions import ValidationError
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
 
@@ -131,21 +130,6 @@ class ScheduleResult:
         if bool(((k < 0) | (k >= self.problem.num_instances)).any()):
             self.validate()
         return k
-
-    def instances(self) -> List[ServiceInstance]:
-        """Materialize the VNF's instances with their scheduled requests."""
-        table = [
-            ServiceInstance(vnf=self.problem.vnf, index=k)
-            for k in range(self.problem.num_instances)
-        ]
-        for request in self.problem.requests:
-            k = self.assignment.get(request.request_id)
-            if k is None:
-                raise SchedulingError(
-                    f"request {request.request_id!r} left unassigned (Eq. 5)"
-                )
-            table[k].assign(request)
-        return table
 
     def instance_rates(self) -> List[float]:
         """Per-instance equivalent arrival rates ``Lambda_k^f`` (Eq. 7),

@@ -2,8 +2,8 @@
 
 :func:`schedule_report` reduces a :class:`ScheduleResult` to the paper's
 latency metrics; when asked it first applies admission control
-(:mod:`repro.core.admission`) so the job-rejection experiments
-(Figs. 15-16) can overload instances safely.
+(:func:`repro.core.admission.admission_mask`) so the job-rejection
+experiments (Figs. 15-16) can overload instances safely.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.admission import admission_mask
 from repro.queueing.mm1 import mm1_mean_response_times
 from repro.scheduling.base import ScheduleResult
 
@@ -56,73 +57,52 @@ def schedule_report(
     result:
         The schedule to evaluate.
     apply_admission:
-        When True, overloaded instances shed requests via
-        :func:`repro.core.admission.apply_admission_control` before
-        latency is computed, and the shed count feeds
+        When True, :func:`repro.core.admission.admission_mask` decides
+        which requests are admitted; latency is computed over the
+        admitted requests and the rejected ones feed
         ``rejection_rate``.  When False, an unstable instance makes the
         latency fields infinite (no steady state exists).
     """
     problem = result.problem
-    k = result.instance_vector()  # the Eq. (5) check, for both branches
-    if not apply_admission:
-        m = problem.num_instances
-        arrays = problem.arrays()
-        equivalent = np.bincount(k, weights=arrays.eff_rate, minlength=m)
-        external = np.bincount(k, weights=arrays.lambda_r, minlength=m)
-        serving = np.bincount(k, minlength=m) > 0
-        mu = problem.vnf.service_rate
-        utilizations = equivalent / mu
-        if serving.any() and bool((utilizations[serving] < 1.0).all()):
-            response_times = mm1_mean_response_times(
-                equivalent[serving], mu, external[serving]
-            )
-            average_w = float(response_times.sum() / len(response_times))
-            max_w = float(response_times.max())
-        else:
-            average_w = math.inf
-            max_w = math.inf
-        rates = tuple(float(rate) for rate in equivalent)
-        return ScheduleReport(
-            algorithm=result.algorithm,
-            instance_rates=rates,
-            utilizations=tuple(float(u) for u in utilizations),
-            average_response_time=average_w,
-            max_response_time=max_w,
-            makespan=max(rates) if rates else 0.0,
-            spread=(max(rates) - min(rates)) if rates else 0.0,
-            num_requests=problem.num_requests,
-            num_rejected=0,
-            iterations=result.iterations,
+    k = result.instance_vector()  # the Eq. (5) check
+    m = problem.num_instances
+    mu = problem.vnf.service_rate
+    arrays = problem.arrays()
+    # Each instance's rates are summed lightest request first, the order
+    # in which admission adds them, and the mean W in instance order: the
+    # goldens of fig11-fig16 pin these sums to the bit.
+    rows = np.argsort(arrays.eff_rate, kind="stable")
+    num_rejected = 0
+    if apply_admission:
+        admitted = admission_mask(
+            np.arange(len(k)), k, arrays.eff_rate, np.full(m, mu)
         )
-
-    # Shedding is sequential per instance: run it on the object view.
-    from repro.core.admission import apply_admission_control
-
-    outcome = apply_admission_control(result.instances())
-    instances = outcome.instances
-
-    serving = [inst for inst in instances if inst.requests]
-    rates = tuple(inst.equivalent_arrival_rate for inst in instances)
-    utils = tuple(inst.utilization for inst in instances)
-
-    if serving and all(inst.is_stable for inst in serving):
-        response_times = [inst.mean_response_time for inst in serving]
-        average_w = sum(response_times) / len(response_times)
-        max_w = max(response_times)
+        rows = rows[admitted[rows]]
+        num_rejected = len(k) - len(rows)
+    equivalent = np.bincount(k[rows], weights=arrays.eff_rate[rows], minlength=m)
+    external = np.bincount(k[rows], weights=arrays.lambda_r[rows], minlength=m)
+    serving = np.bincount(k[rows], minlength=m) > 0
+    utilizations = equivalent / mu
+    if serving.any() and bool((utilizations[serving] < 1.0).all()):
+        response_times = mm1_mean_response_times(
+            equivalent[serving], mu, external[serving]
+        )
+        average_w = sum(response_times.tolist()) / len(response_times)
+        max_w = float(response_times.max())
     else:
         average_w = math.inf
         max_w = math.inf
-
+    rates = tuple(float(rate) for rate in equivalent)
     return ScheduleReport(
         algorithm=result.algorithm,
         instance_rates=rates,
-        utilizations=utils,
+        utilizations=tuple(float(u) for u in utilizations),
         average_response_time=average_w,
         max_response_time=max_w,
         makespan=max(rates) if rates else 0.0,
         spread=(max(rates) - min(rates)) if rates else 0.0,
         num_requests=problem.num_requests,
-        num_rejected=outcome.num_rejected,
+        num_rejected=num_rejected,
         iterations=result.iterations,
     )
 

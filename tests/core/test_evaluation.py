@@ -69,9 +69,9 @@ class TestOverloadedDeployment:
         )
 
     def test_request_shed_at_one_vnf_is_not_counted(self):
-        # fw (mu=40) -> nat (mu=1000), rates (10, 10, 30): fw sheds the
-        # 30, nat keeps all three.  Only r0 and r1 were kept at every
-        # VNF, so only they are counted: W_fw = 1/20, W_nat = 1/950.
+        # fw (mu=40) -> nat (mu=1000), rates (10, 10, 30): the 30 does
+        # not fit at fw, so r2 is rejected whole and loads nat neither.
+        # r0 and r1 are counted: W_fw = 1/20, W_nat = 1/980.
         vnfs = [VNF("fw", 10.0, 1, 40.0), VNF("nat", 10.0, 1, 1000.0)]
         chain = ServiceChain(["fw", "nat"])
         requests = [
@@ -91,7 +91,11 @@ class TestOverloadedDeployment:
             state, link_latency=0.0, with_admission=True
         )
         assert report.num_rejected == 1
-        per_request = 1.0 / 20.0 + 1.0 / 950.0
+        assert report.rejection_rate == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert report.average_response_latency == pytest.approx(
+            (1.0 / 20.0 + 1.0 / 980.0) / 2, rel=1e-12
+        )
+        per_request = 1.0 / 20.0 + 1.0 / 980.0
         assert report.total_latency == pytest.approx(
             2 * per_request, rel=1e-12
         )

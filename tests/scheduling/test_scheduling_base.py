@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import SchedulingError, ValidationError
+from repro.exceptions import ValidationError
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
@@ -63,19 +63,6 @@ class TestProblem:
 
 
 class TestResult:
-    def test_instances_materialized(self, vnf, chain):
-        problem = SchedulingProblem(
-            vnf=vnf, requests=_requests(chain, [5.0, 3.0, 2.0])
-        )
-        result = ScheduleResult(
-            assignment={"r0": 0, "r1": 1, "r2": 0},
-            problem=problem,
-        )
-        instances = result.instances()
-        assert len(instances) == 2
-        assert instances[0].external_arrival_rate == pytest.approx(7.0)
-        assert instances[1].external_arrival_rate == pytest.approx(3.0)
-
     def test_instance_rates(self, vnf, chain):
         problem = SchedulingProblem(
             vnf=vnf, requests=_requests(chain, [5.0, 3.0])
@@ -107,12 +94,6 @@ class TestResult:
         )
         with pytest.raises(ValidationError):
             result.validate()
-
-    def test_unassigned_instances_raises(self, vnf, chain):
-        problem = SchedulingProblem(vnf=vnf, requests=_requests(chain, [1.0]))
-        result = ScheduleResult(assignment={}, problem=problem)
-        with pytest.raises(SchedulingError):
-            result.instances()
 
 
 class TestScheduleAllVnfs:

@@ -64,11 +64,19 @@ class TestOverloadBehaviour:
     def test_admission_would_have_prevented_it(self):
         """The admission layer rejects exactly the overload the
         simulator exhibits."""
-        from repro.core.admission import apply_admission_control
-        from repro.nfv.instance import ServiceInstance
+        from repro.core.admission import admission_mask
+        from repro.nfv.state import DeploymentState
 
-        vnf = VNF("fw", 1.0, 1, 100.0)
-        inst = ServiceInstance(vnf=vnf, index=0)
-        inst.assign(Request("r0", ServiceChain(["fw"]), 150.0))
-        outcome = apply_admission_control([inst])
-        assert outcome.num_rejected == 1
+        state = DeploymentState(
+            vnfs=[VNF("fw", 1.0, 1, 100.0)],
+            requests=[Request("r0", ServiceChain(["fw"]), 150.0)],
+            node_capacities={"n0": 1.0},
+            placement={"fw": "n0"},
+            schedule={("r0", "fw"): 0},
+        )
+        arrays = state.arrays()
+        sched = state.schedule_arrays()
+        admitted = admission_mask(
+            sched.req, sched.inst, arrays.eff_rate, arrays.mu_inst
+        )
+        assert admitted.tolist() == [False]
