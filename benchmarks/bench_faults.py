@@ -10,6 +10,11 @@ fault path added in PR 9:
 * ``recover`` — one :class:`~repro.faults.recovery.LeastLoadedReadmit`
   episode per crash (relocate stranded VNFs + warm-start re-admit);
   the headline is the p99 wall-clock latency per episode.
+* ``readmit_parity`` — a gate on one crash-and-repair: re-admitting
+  the evicted set with a loop of single ``admit`` calls and with one
+  ``admit_many`` call, both behind a budget that pays for half of it,
+  must leave byte-identical engines (exit 1 otherwise); both
+  wall-clock timings are reported.
 
 Each cycle fails the next node in a round-robin over the nodes that
 host at least one VNF, recovers, then repairs the node — so every
@@ -27,6 +32,7 @@ recorded in ``BENCH_TRAJECTORY.json``).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 import time
@@ -40,7 +46,7 @@ except ImportError:  # pragma: no cover
 import numpy as np
 
 from bench_core import DEFAULT_SEED
-from repro.core.incremental import DeploymentEngine
+from repro.core.incremental import AdmitReport, DeploymentEngine
 from repro.faults.recovery import LeastLoadedReadmit, MigrationBudget
 from repro.workload.generator import WorkloadGenerator
 
@@ -87,6 +93,75 @@ def _crash_cycles(engine, cycles: int):
     return evict_times, evict_counts, recover_times, readmitted, pending
 
 
+def _engine_bytes(engine) -> bytes:
+    """Every piece of engine state a readmit writes, as bytes."""
+    arrays = engine.arrays
+    parts = [
+        engine.instance_loads().tobytes(),
+        b"" if engine._link_loads is None else engine._link_loads.tobytes(),
+        repr(sorted(engine._schedule.items())).encode(),
+        repr(sorted(engine.placement.items(), key=str)).encode(),
+        repr(engine.active_requests).encode(),
+        repr(list(arrays.request_ids)).encode(),
+        repr(list(arrays.chain_names)).encode(),
+    ]
+    for column in (
+        "lambda_r", "P_r", "eff_rate", "chain_ptr", "chain_req", "chain_vnf",
+    ):
+        parts.append(getattr(arrays, column).tobytes())
+    return b"\0".join(parts)
+
+
+def _readmit_parity(engine):
+    """Crash and repair the first hosting node on two copies of
+    ``engine``, then re-admit the evicted chains one ``admit`` at a
+    time on one and with one ``admit_many`` on the other."""
+    victim = sorted(set(engine.placement.values()), key=str)[0]
+    loop, batch = copy.deepcopy(engine), copy.deepcopy(engine)
+    results = {}
+    for name, twin in (("loop", loop), ("batch", batch)):
+        evicted = twin.fail_node(victim)
+        twin.recover_node(victim)
+        budget = MigrationBudget(max_migrations=len(evicted) // 2)
+        start = time.perf_counter()
+        if name == "batch":
+            reports = twin.admit_many(evicted, budget=budget)
+        else:
+            # The recovery policies' budget rule, one request at a time.
+            reports = []
+            for request in evicted:
+                eff = float(request.effective_rate)
+                if not budget.can_charge(1, eff):
+                    reports.append(
+                        AdmitReport(request.request_id, False, reason="budget")
+                    )
+                    continue
+                report = twin.admit(request)
+                if report.admitted:
+                    budget.try_charge(1, eff)
+                reports.append(report)
+        seconds = time.perf_counter() - start
+        results[name] = (
+            seconds,
+            reports,
+            (budget.spent_migrations, budget.spent_load),
+            _engine_bytes(twin),
+        )
+    (loop_s, *loop_state), (batch_s, *batch_state) = (
+        results["loop"],
+        results["batch"],
+    )
+    reports = batch_state[0]
+    return {
+        "victim": str(victim),
+        "evicted": len(reports),
+        "admitted": sum(report.admitted for report in reports),
+        "identical": loop_state == batch_state,
+        "loop_ms": 1e3 * loop_s,
+        "batch_ms": 1e3 * batch_s,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -116,6 +191,7 @@ def main(argv=None):
         file=sys.stderr,
     )
     engine, w = _build(num_active, num_nodes, num_vnfs, args.seed)
+    parity = _readmit_parity(engine)
 
     evict_times, evict_counts, recover_times, readmitted, pending = (
         _crash_cycles(engine, cycles)
@@ -143,10 +219,18 @@ def main(argv=None):
             "p99_ms": recovery_p99_ms,
             "speedup": None,
         },
+        "readmit_parity": parity,
     }
     print(
         f"{'fail_node':<12} {total_evicted} evictions over {cycles} "
         f"crashes  ({evictions_per_sec:,.0f} evictions/s)",
+        file=sys.stderr,
+    )
+    print(
+        f"{'readmit':<12} {parity['evicted']} evicted, {parity['admitted']} "
+        f"admitted: loop {parity['loop_ms']:.3f} ms, admit_many "
+        f"{parity['batch_ms']:.3f} ms, "
+        f"{'identical' if parity['identical'] else 'MISMATCH'}",
         file=sys.stderr,
     )
     print(
@@ -177,6 +261,13 @@ def main(argv=None):
         args.out.write_text(payload + "\n")
         print(f"wrote {args.out}", file=sys.stderr)
 
+    if not parity["identical"]:
+        print(
+            "admit_many and a loop of single admits left different "
+            "engines after the same crash",
+            file=sys.stderr,
+        )
+        return 1
     if args.max_p99_ms and recovery_p99_ms > args.max_p99_ms:
         print(
             f"recovery p99 {recovery_p99_ms:.3f} ms exceeds "

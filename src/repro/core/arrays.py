@@ -18,7 +18,7 @@ are never replaced in-repo).  Owners therefore build a
 :class:`ScenarioArrays` lazily on first use and cache it forever.
 
 One exception: the *request rows* (and their chain CSR) support
-in-place mutation through :meth:`ScenarioArrays.append_request` /
+in-place mutation through :meth:`ScenarioArrays.append_requests` /
 :meth:`ScenarioArrays.remove_request` /
 :meth:`ScenarioArrays.remove_requests` — the substrate of the
 incremental :class:`~repro.core.incremental.DeploymentEngine`, where
@@ -116,11 +116,12 @@ class RowIndex(Mapping):
         """The plain ``id -> row`` dict (one C-level pass)."""
         return dict(zip(self._seq, range(len(self._seq))))
 
-    def append(self, request_id) -> None:
-        """Register ``request_id`` as the new last row."""
-        self._seq[request_id] = self._next
-        self._order.append(self._next)
-        self._next += 1
+    def extend(self, request_ids: Sequence[str]) -> None:
+        """Register ``request_ids`` as the new last rows, in order."""
+        start = self._next
+        self._next += len(request_ids)
+        self._seq.update(zip(request_ids, range(start, self._next)))
+        self._order.extend(range(start, self._next))
 
     def remove(self, request_ids: Sequence[str], rows: Sequence[int]) -> None:
         """Drop ``request_ids``, which sit at the descending ``rows``."""
@@ -839,7 +840,7 @@ class ScenarioArrays:
     def _ensure_mutable(self) -> None:
         """Switch the request/chain columns onto growable backing buffers.
 
-        Idempotent; called by the first :meth:`append_request` /
+        Idempotent; called by the first :meth:`append_requests` /
         :meth:`remove_requests`.  ``request_ids``/``chain_names`` become
         lists, ``request_index`` a :class:`RowIndex` (a streamed
         scenario's lazy id view is replaced only here, on the first
@@ -894,52 +895,89 @@ class ScenarioArrays:
         self._vnf_nbr_csr = None
 
     def append_request(self, request) -> int:
-        """Append one request row (+ its chain entries); returns its index.
+        """Append one request row; returns its index.
 
-        Amortized O(|chain|) via the doubling buffers.  The appended
-        columns are exactly what :meth:`build` would compute for the
-        extended request sequence (same IEEE ``lambda / P`` division),
-        and the request-derived CSR caches are invalidated.
+        The one-row case of :meth:`append_requests`.
 
         Raises
         ------
         ValidationError
             If ``request.request_id`` is already present.
         """
-        rid = request.request_id
-        if rid in self.request_index:
-            raise ValidationError(
-                f"duplicate request id {rid!r} appended to ScenarioArrays"
-            )
+        return self.append_requests((request,))
+
+    def append_requests(self, requests: Iterable) -> int:
+        """Append request rows (+ their chain entries) in the given
+        order; returns the index of the first.
+
+        Amortized O(rows + chain entries) via the doubling buffers: one
+        slice write per column for the whole batch.  The appended
+        columns are exactly what :meth:`build` would compute for the
+        extended request sequence (same IEEE ``lambda / P`` division),
+        and the request-derived CSR caches are invalidated.  All or
+        nothing: nothing changes when some id is rejected.
+
+        Raises
+        ------
+        ValidationError
+            If some request id is already present or repeats within
+            ``requests``.
+        """
+        requests = list(requests)
+        ids = [request.request_id for request in requests]
+        index = self.request_index
+        seen = set()
+        for rid in ids:
+            if rid in index or rid in seen:
+                raise ValidationError(
+                    f"duplicate request id {rid!r} appended to ScenarioArrays"
+                )
+            seen.add(rid)
         self._ensure_mutable()
         n = len(self.request_ids)
         c = int(self.chain_ptr[n])
-        names = list(request.chain)
+        chains = [request.chain.vnf_names for request in requests]
+        names = [name for chain in chains for name in chain]
+        k = len(ids)
         m = len(names)
-        self._lambda_buf = self._grown(self._lambda_buf, n + 1)
-        self._P_buf = self._grown(self._P_buf, n + 1)
-        self._eff_buf = self._grown(self._eff_buf, n + 1)
-        self._chain_ptr_buf = self._grown(self._chain_ptr_buf, n + 2)
+        idt = self._chain_req_buf.dtype
+        ensure_index_capacity(c + m, idt, "chain CSR table")
+        ensure_index_capacity(n + k, idt, "request table")
+        self._lambda_buf = self._grown(self._lambda_buf, n + k)
+        self._P_buf = self._grown(self._P_buf, n + k)
+        self._eff_buf = self._grown(self._eff_buf, n + k)
+        self._chain_ptr_buf = self._grown(self._chain_ptr_buf, n + k + 1)
         self._chain_req_buf = self._grown(self._chain_req_buf, c + m)
         self._chain_vnf_buf = self._grown(self._chain_vnf_buf, c + m)
-        ensure_index_capacity(c + m, self.index_dtype, "chain CSR table")
-        ensure_index_capacity(n + 1, self.index_dtype, "request table")
-        fdt = self.float_dtype.type
-        lam = fdt(request.arrival_rate)
-        p = fdt(request.delivery_probability)
-        self._lambda_buf[n] = lam
-        self._P_buf[n] = p
-        self._eff_buf[n] = lam / p
-        idxs = [self.vnf_index.get(name, -1) for name in names]
-        self._chain_req_buf[c : c + m] = n
+        vnf_index = self.vnf_index
+        idxs = [vnf_index.get(name, -1) for name in names]
         self._chain_vnf_buf[c : c + m] = idxs
-        self._chain_ptr_buf[n + 1] = c + m
-        self.request_ids.append(rid)
+        if k == 1:
+            # Scalar writes: the same IEEE division, without the
+            # per-call cost of building one-element arrays.
+            (request,) = requests
+            self._lambda_buf[n] = request.arrival_rate
+            self._P_buf[n] = request.delivery_probability
+            self._eff_buf[n] = self._lambda_buf[n] / self._P_buf[n]
+            self._chain_req_buf[c : c + m] = n
+            self._chain_ptr_buf[n + 1] = c + m
+        else:
+            lam = self._lambda_buf[n : n + k]
+            p = self._P_buf[n : n + k]
+            lam[:] = [request.arrival_rate for request in requests]
+            p[:] = [request.delivery_probability for request in requests]
+            np.divide(lam, p, out=self._eff_buf[n : n + k])
+            lens = [len(chain) for chain in chains]
+            self._chain_req_buf[c : c + m] = np.repeat(
+                np.arange(n, n + k), lens
+            )
+            self._chain_ptr_buf[n + 1 : n + k + 1] = np.cumsum(lens) + c
+        self.request_ids.extend(ids)
         self.chain_names.extend(names)
-        self.request_index.append(rid)
-        if any(i < 0 for i in idxs):
+        self.request_index.extend(ids)
+        if -1 in idxs:
             self.chain_has_unknown = True
-        self._reslice(n + 1, c + m)
+        self._reslice(n + k, c + m)
         self._invalidate_request_caches()
         return n
 

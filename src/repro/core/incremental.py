@@ -12,6 +12,9 @@ turns the batch machinery into a long-running service:
   a fabric attached, by the per-link bandwidth residuals
   (:meth:`~repro.topology.network.NetworkModel.chain_fits`).  A
   rejected admit leaves every residual untouched.
+  **admit_many(requests, budget=None)** applies the same rule to a
+  batch in order (optionally charging a migration budget) and is what
+  ``admit`` and crash recovery call.
 * **depart(request_id)** — exact inverse: instance loads and routed
   chain flows are retracted, the request row leaves the columnar
   scenario (:meth:`~repro.core.arrays.ScenarioArrays.remove_requests`).
@@ -36,10 +39,15 @@ The solvers underneath run the exact kernels of the batch path
 contract (what is O(chain), what triggers a rebuild).
 
 Every write costs O(chain) Python work per touched request plus
-C-level array moves: a chain's route link ids are kept per (chain,
-placement) and dropped whenever the placement or the fabric model
-changes, and retractions of several requests are one ``subtract.at``
-per residual vector plus one row compaction.
+C-level array moves.  One admission plan per chain — its instance
+offsets, each hop's instance range, cap and down mask, whether it is
+blocked by a failed node or an all-down VNF, and its route on the
+fabric — is kept until the placement or the failed/down state of one
+of its VNFs changes (every plan goes when the fabric model or the
+whole placement does).  :meth:`DeploymentEngine.admit_many`
+decides a batch request by request on those plans and appends every
+admitted row in one call, and retractions of several requests are one
+``subtract.at`` per residual vector plus one row compaction.
 
 Failure support
 ---------------
@@ -165,8 +173,41 @@ class AdmitReport:
     assignment: Dict[str, int] = field(default_factory=dict)
     #: ``None`` when admitted; ``"capacity"`` / ``"bandwidth"`` /
     #: ``"unavailable"`` (a chain VNF sits on a failed node or has all
-    #: instances down) else.
+    #: instances down) / ``"budget"`` (the migration budget of
+    #: :meth:`DeploymentEngine.admit_many` could not pay for it) else.
     reason: Optional[str] = None
+
+
+class _ChainPlan:
+    """What admitting, retracting or re-routing one chain needs under
+    the engine's current placement, failures and fabric.
+
+    ``vnfs`` holds the chain's VNF indices and ``offsets`` each one's
+    first global instance;
+    ``hops`` the ``(offset, count, cap, down)`` of every hop an admit
+    tries, in chain order — all of them, or those before the first VNF
+    whose instances are all down (``dead``), where ``down`` is ``None``
+    or the VNF's down mask when some instance is down.  ``blocked``
+    marks a chain with a VNF on a failed node; ``route`` is the
+    chain's ``(ids, touched, inverse, limit)`` under the current
+    placement (see :meth:`DeploymentEngine._route_fits`; ``None``
+    without a fabric).
+    """
+
+    __slots__ = (
+        "names", "vnfs", "offsets", "hops", "dead", "blocked", "route"
+    )
+
+    def __init__(
+        self, names, vnfs, offsets, hops, dead, blocked, route
+    ) -> None:
+        self.names = names
+        self.vnfs = vnfs
+        self.offsets = offsets
+        self.hops = hops
+        self.dead = dead
+        self.blocked = blocked
+        self.route = route
 
 
 @dataclass(frozen=True)
@@ -270,13 +311,11 @@ class DeploymentEngine:
         self._inst_loads = np.zeros(self._arrays.num_instances)
         self._network = None
         self._link_loads: Optional[np.ndarray] = None
-        #: VNF-name tuple -> VNF-index vector of a chain (static).
-        self._chain_idx: Dict[Tuple[str, ...], np.ndarray] = {}
-        #: VNF-name tuple -> ``(link ids, touched links, inverse,
-        #: touched limits)`` of the chain's route under the current
-        #: placement; emptied whenever the placement or ``_network``
-        #: changes (:meth:`move_vnf`, :meth:`_commit`).
-        self._routes: Dict[Tuple[str, ...], tuple] = {}
+        #: VNF-name tuple -> :class:`_ChainPlan` under the current
+        #: state; a chain's plan is dropped whenever the placement or
+        #: the failed/down state of one of its VNFs changes, every plan
+        #: when ``_network`` does (:meth:`_drop_plans`).
+        self._plans: Dict[Tuple[str, ...], _ChainPlan] = {}
         #: Per VNF: first global instance, instance count and the
         #: admission cap ``mu_f * target_utilization`` (``None``: off).
         self._inst_offset = self._arrays.instance_offset.tolist()
@@ -383,10 +422,11 @@ class DeploymentEngine:
     def admit(self, request: Request) -> AdmitReport:
         """Warm-start join of one arriving request (O(chain) kernels).
 
-        Each chain VNF joins its least-loaded instance if that keeps
-        the instance within ``mu_f * target_utilization``; with a
-        fabric, the chain's routed flow must also fit every link's
-        residual bandwidth.  On rejection nothing changes.
+        The one-request case of :meth:`admit_many`: each chain VNF
+        joins its least-loaded instance if that keeps the instance
+        within ``mu_f * target_utilization``; with a fabric, the chain's
+        routed flow must also fit every link's residual bandwidth.  On
+        rejection nothing changes.
 
         Raises
         ------
@@ -395,69 +435,98 @@ class DeploymentEngine:
             unknown to the engine (caller errors, not admission
             outcomes).
         """
-        rid = request.request_id
-        if rid in self._requests:
-            raise SchedulingError(f"request {rid!r} is already active")
-        arrays = self._arrays
-        chain_names = request.chain.vnf_names
-        chain_idx = self._chain_index(chain_names, rid)
-        eff = float(request.effective_rate)
+        return self.admit_many((request,))[0]
 
-        if self._failed_nodes:
-            for name in chain_names:
-                if self._placement.get(name) in self._failed_nodes:
-                    return AdmitReport(
-                        request_id=rid, admitted=False, reason="unavailable"
+    def admit_many(self, requests, budget=None) -> List[AdmitReport]:
+        """Admit ``requests`` one after another; one report each.
+
+        Each request is decided by the :meth:`admit` rule against the
+        loads its predecessors in the batch left, so the engine ends
+        exactly as a loop of single admits would leave it; the admitted
+        rows join the columnar scenario in one
+        :meth:`~repro.core.arrays.ScenarioArrays.append_requests` call.
+
+        ``budget`` is an optional migration-cost budget (see
+        :meth:`rebalance`): a request whose ``(1, effective rate)``
+        cost it cannot pay is reported ``reason="budget"`` and left
+        untried, and each admitted request is charged that cost.
+
+        Raises
+        ------
+        SchedulingError
+            As :meth:`admit`, for the first offending request; the
+            requests before it stay admitted.
+        """
+        reports: List[AdmitReport] = []
+        admitted: List[Request] = []
+        active = self._requests
+        schedule = self._schedule
+        plans = self._plans
+        inst_loads = self._inst_loads
+        link_loads = self._link_loads
+        rng = self._admission_rng
+        try:
+            for request in requests:
+                rid = request.request_id
+                eff = float(request.effective_rate)
+                if budget is not None and not budget.can_charge(1, eff):
+                    reports.append(AdmitReport(rid, False, reason="budget"))
+                    continue
+                if rid in active:
+                    raise SchedulingError(f"request {rid!r} is already active")
+                names = request.chain.vnf_names
+                plan = plans.get(names)
+                if plan is None:
+                    plan = self._plan(names, rid)
+                if plan.blocked:
+                    reports.append(
+                        AdmitReport(rid, False, reason="unavailable")
                     )
+                    continue
+                ks: List[int] = []
+                for off, m, cap, down in plan.hops:
+                    loads = inst_loads[off : off + m]
+                    if down is not None:
+                        # Masked copy: down instances can never win the
+                        # argmin / probe, the live loads are untouched.
+                        loads = np.where(down, np.inf, loads)
+                    if rng is not None:
+                        k = power_of_two_admit(loads, eff, rng, capacity=cap)
+                    else:
+                        k = least_loaded_admit(loads, eff, capacity=cap)
+                    if k < 0 or not math.isfinite(loads[k]):
+                        reason = "capacity"
+                        break
+                    ks.append(k)
+                else:
+                    reason = None
+                    route = plan.route
+                    if plan.dead:
+                        reason = "unavailable"
+                    elif route is not None and not self._route_fits(
+                        route, eff
+                    ):
+                        reason = "bandwidth"
+                if reason is not None:
+                    reports.append(AdmitReport(rid, False, reason=reason))
+                    continue
 
-        joins: List[Tuple[int, int]] = []  # (vnf index, instance k)
-        for fi in chain_idx.tolist():
-            off = self._inst_offset[fi]
-            m = self._inst_count[fi]
-            cap = self._inst_cap[fi]
-            loads = self._inst_loads[off : off + m]
-            if self._down_inst is not None:
-                down = self._down_inst[off : off + m]
-                if down.all():
-                    return AdmitReport(
-                        request_id=rid, admitted=False, reason="unavailable"
-                    )
-                if down.any():
-                    # Masked copy: down instances can never win the
-                    # argmin / probe, the live loads are untouched.
-                    loads = np.where(down, np.inf, loads)
-            if self._admission == "power-of-two":
-                k = power_of_two_admit(
-                    loads, eff, self._admission_rng, capacity=cap
+                active[rid] = request
+                for name, off, k in zip(names, plan.offsets, ks):
+                    schedule[(rid, name)] = k
+                    inst_loads[off + k] += eff
+                if route is not None and len(route[0]):
+                    np.add.at(link_loads, route[0], eff)
+                admitted.append(request)
+                if budget is not None:
+                    budget.try_charge(1, eff)
+                reports.append(
+                    AdmitReport(rid, True, assignment=dict(zip(names, ks)))
                 )
-            else:
-                k = least_loaded_admit(loads, eff, capacity=cap)
-            if k < 0 or not math.isfinite(loads[k]):
-                return AdmitReport(
-                    request_id=rid, admitted=False, reason="capacity"
-                )
-            joins.append((fi, k))
-        route = None
-        if self._network is not None:
-            route = self._route(chain_names, chain_idx)
-            if not self._route_fits(route, eff):
-                return AdmitReport(
-                    request_id=rid, admitted=False, reason="bandwidth"
-                )
-
-        # Commit.
-        arrays.append_request(request)
-        self._requests[rid] = request
-        assignment: Dict[str, int] = {}
-        for (fi, k), name in zip(joins, chain_names):
-            self._schedule[(rid, name)] = k
-            self._inst_loads[self._inst_offset[fi] + k] += eff
-            assignment[name] = k
-        if route is not None:
-            np.add.at(self._link_loads, route[0], eff)
-        return AdmitReport(
-            request_id=rid, admitted=True, assignment=assignment
-        )
+        finally:
+            if admitted:
+                self._arrays.append_requests(admitted)
+        return reports
 
     def depart(self, request_id: str) -> None:
         """Retract one active request — the exact inverse of its admit.
@@ -518,7 +587,6 @@ class DeploymentEngine:
         time.  The rows leave the scenario in one compaction.
         """
         schedule = self._schedule
-        offset = self._inst_offset
         inst: List[int] = []
         rates: List[float] = []
         chains = []
@@ -527,11 +595,11 @@ class DeploymentEngine:
             del self._requests[rid]
             eff = float(request.effective_rate)
             names = request.chain.vnf_names
-            chain_idx = self._chain_index(names, rid)
-            for name, fi in zip(names, chain_idx.tolist()):
-                inst.append(offset[fi] + schedule.pop((rid, name)))
+            plan = self._plan(names, rid)
+            for name, off in zip(names, plan.offsets):
+                inst.append(off + schedule.pop((rid, name)))
                 rates.append(eff)
-            chains.append((names, chain_idx, eff))
+            chains.append((plan, eff))
         np.subtract.at(self._inst_loads, inst, rates)
         if self._network is not None:
             self._shift_flows(chains, -1.0)
@@ -558,7 +626,11 @@ class DeploymentEngine:
         if not down.any():
             return []
         hit = down[arrays.chain_vnf]
-        return self._evict_rows(np.unique(arrays.chain_req[hit]).tolist())
+        victims = self._evict_rows(np.unique(arrays.chain_req[hit]).tolist())
+        # The crash blocks the chains through the node; the retraction
+        # above ran on routes it leaves valid.
+        self._drop_plans(np.flatnonzero(down).tolist())
+        return victims
 
     def recover_node(self, node) -> None:
         """Mark a failed node schedulable again (state is otherwise
@@ -566,7 +638,10 @@ class DeploymentEngine:
         the next rebalance's job)."""
         if node not in self._capacities:
             raise SchedulingError(f"unknown node {node!r}")
-        self._failed_nodes.discard(node)
+        if node in self._failed_nodes:
+            self._failed_nodes.discard(node)
+            hosted = self._placement_vec == self._arrays.node_index[node]
+            self._drop_plans(np.flatnonzero(hosted).tolist())
 
     def fail_instance(self, vnf_name: str, k: int) -> List[Request]:
         """Crash one service instance: evict its requests and mask it.
@@ -594,13 +669,15 @@ class DeploymentEngine:
         arrays = self._arrays
         ids = arrays.request_ids
         users = arrays.chain_req[arrays.chain_vnf == fi].tolist()
-        return self._evict_rows(
+        victims = self._evict_rows(
             [
                 row
                 for row in users
                 if self._schedule[(ids[row], vnf_name)] == k
             ]
         )
+        self._drop_plans((fi,))
+        return victims
 
     def recover_instance(self, vnf_name: str, k: int) -> None:
         """Clear the down mask of one instance."""
@@ -613,6 +690,7 @@ class DeploymentEngine:
             )
         if self._down_inst is not None:
             self._down_inst[int(self._arrays.instance_offset[fi]) + k] = False
+            self._drop_plans((fi,))
 
     def move_vnf(self, vnf_name: str, node) -> bool:
         """Relocate one VNF (all its instances) to another node.
@@ -647,28 +725,31 @@ class DeploymentEngine:
         if network is None:
             self._placement_vec[fi] = ni
             self._placement[vnf_name] = node
+            self._drop_plans((fi,))
             return True
         ids = arrays.request_ids
         users = arrays.chain_req[arrays.chain_vnf == fi].tolist()
         affected = []
         for row in users:
             request = self._requests[ids[row]]
-            names = request.chain.vnf_names
             affected.append(
-                (names, self._chain_index(names), float(request.effective_rate))
+                (
+                    self._plan(request.chain.vnf_names),
+                    float(request.effective_rate),
+                )
             )
         # A revert restores this copy: retracting and re-adding the
         # flows would round the float link loads.
         saved_link_loads = self._link_loads.copy()
         self._shift_flows(affected, -1.0)
         self._placement_vec[fi] = ni
-        self._routes.clear()
-        for names, chain_idx, eff in affected:
-            route = self._route(names, chain_idx)
+        self._drop_plans((fi,))
+        for old, eff in affected:
+            route = self._plan(old.names).route
             if not self._route_fits(route, eff):
                 self._link_loads[:] = saved_link_loads
                 self._placement_vec[fi] = source
-                self._routes.clear()
+                self._drop_plans((fi,))
                 return False
             np.add.at(self._link_loads, route[0], eff)
         self._placement[vnf_name] = node
@@ -879,55 +960,91 @@ class DeploymentEngine:
         self._inst_loads = inst_loads
         self._network = network
         self._link_loads = link_loads
-        self._routes.clear()
+        self._drop_plans()
 
-    def _chain_index(self, names: Tuple[str, ...], rid=None) -> np.ndarray:
-        """VNF-index vector of the chain ``names`` (cached per chain).
+    def _drop_plans(self, vnfs=None) -> None:
+        """Drop the cached plans of the chains through any VNF index in
+        ``vnfs``, or every plan (``None``)."""
+        plans = self._plans
+        if vnfs is None:
+            plans.clear()
+            return
+        hit = set(vnfs)
+        stale = [
+            names
+            for names, plan in plans.items()
+            if not hit.isdisjoint(plan.vnfs)
+        ]
+        for names in stale:
+            del plans[names]
+
+    def _plan(self, names: Tuple[str, ...], rid=None) -> _ChainPlan:
+        """The :class:`_ChainPlan` of the chain ``names`` (cached).
 
         Raises
         ------
         SchedulingError
             If the chain names a VNF unknown to the engine.
         """
-        chain_idx = self._chain_idx.get(names)
-        if chain_idx is None:
-            vnf_index = self._arrays.vnf_index
-            for name in names:
-                if name not in vnf_index:
-                    raise SchedulingError(
-                        f"request {rid!r} uses unknown VNF {name!r}"
-                    )
-            chain_idx = np.asarray(
-                [vnf_index[name] for name in names], dtype=np.int64
+        plan = self._plans.get(names)
+        if plan is not None:
+            return plan
+        vnf_index = self._arrays.vnf_index
+        for name in names:
+            if name not in vnf_index:
+                raise SchedulingError(
+                    f"request {rid!r} uses unknown VNF {name!r}"
+                )
+        vnfs = [vnf_index[name] for name in names]
+        offsets = [self._inst_offset[fi] for fi in vnfs]
+        hops = []
+        dead = False
+        for fi, off in zip(vnfs, offsets):
+            m = self._inst_count[fi]
+            down = None
+            if self._down_inst is not None:
+                down = self._down_inst[off : off + m]
+                if down.all():
+                    dead = True
+                    break
+                down = down.copy() if down.any() else None
+            hops.append((off, m, self._inst_cap[fi], down))
+        blocked = False
+        if self._failed_nodes:
+            keys = self._arrays.node_keys
+            blocked = any(
+                ni >= 0 and keys[ni] in self._failed_nodes
+                for ni in self._placement_vec[vnfs].tolist()
             )
-            self._chain_idx[names] = chain_idx
-        return chain_idx
-
-    def _route(self, names: Tuple[str, ...], chain_idx: np.ndarray) -> tuple:
-        """The chain's route under the current placement (cached).
-
-        ``(ids, touched, inverse, limit)``: the link id of every routed
-        hop (:meth:`NetworkModel.chain_link_flows` order), the distinct
-        links, each hop's position among them, and each distinct
-        link's bandwidth plus :data:`BANDWIDTH_EPS`.
-        """
-        route = self._routes.get(names)
-        if route is None:
+        route = None
+        if self._network is not None:
             ids, _ = self._network.chain_link_flows(
-                chain_idx, self._placement_vec, 0.0
+                np.asarray(vnfs, dtype=np.int64), self._placement_vec, 0.0
             )
             touched, inverse = np.unique(ids, return_inverse=True)
             limit = self._network.bandwidth[touched] + BANDWIDTH_EPS
             route = (ids, touched, inverse, limit)
-            self._routes[names] = route
-        return route
+        plan = _ChainPlan(
+            names, vnfs, offsets, tuple(hops), dead, blocked, route
+        )
+        self._plans[names] = plan
+        return plan
 
     def _route_fits(self, route: tuple, eff: float) -> bool:
-        """:meth:`NetworkModel.chain_fits` on a cached route: the same
-        per-link sums, so the same verdict bit for bit."""
+        """:meth:`NetworkModel.chain_fits` on a plan's route: the same
+        per-link sums, so the same verdict bit for bit.
+
+        ``route`` is ``(ids, touched, inverse, limit)``: the link id of
+        every routed hop (:meth:`NetworkModel.chain_link_flows` order),
+        the distinct links, each hop's position among them, and each
+        distinct link's bandwidth plus :data:`BANDWIDTH_EPS`.
+        """
         ids, touched, inverse, limit = route
         if not len(ids):
             return True
+        if len(touched) == len(ids):
+            # No link twice: each one's sum is ``eff`` itself.
+            return bool((self._link_loads[touched] + eff <= limit).all())
         add = np.bincount(
             inverse, weights=np.full(len(ids), eff), minlength=len(touched)
         )
@@ -935,13 +1052,13 @@ class DeploymentEngine:
 
     def _shift_flows(self, chains, sign: float) -> None:
         """Add (``sign=1``) or retract (``sign=-1``) the routed flows of
-        ``(names, chain_idx, eff)`` chains in order, in one ``add.at``
-        (the float sequence of one call per chain)."""
+        ``(plan, eff)`` chains in order, in one ``add.at`` (the float
+        sequence of one call per chain)."""
         if not chains:
             return
-        ids = [self._route(names, idx)[0] for names, idx, _ in chains]
+        ids = [plan.route[0] for plan, _ in chains]
         flows = np.repeat(
-            [sign * eff for _, _, eff in chains], [len(x) for x in ids]
+            [sign * eff for _, eff in chains], [len(x) for x in ids]
         )
         np.add.at(self._link_loads, np.concatenate(ids), flows)
 

@@ -207,7 +207,7 @@ def repair_probe(seed: int = 20170605, actives: int = 120) -> Dict[str, object]:
         ):
             moved_survivors += 1
     readmitted_full = sum(
-        1 for request in evicted_full if eng_full.admit(request).admitted
+        report.admitted for report in eng_full.admit_many(evicted_full)
     )
     moved_full = moved_survivors + readmitted_full
     return {

@@ -10,7 +10,9 @@ re-solving from scratch:
 
 * :class:`LeastLoadedReadmit` re-homes each stranded VNF on the
   healthy node with the most residual capacity, then re-admits the
-  evicted chains through the engine's O(chain) admit.
+  evicted chains in one engine call
+  (:meth:`~repro.core.incremental.DeploymentEngine.admit_many`, the
+  O(chain) admit rule per chain).
 * :class:`WarmStartRelocate` picks relocation targets with the batch
   solvers' own :func:`~repro.core.deltas.relocate_scores` kernel
   (hop-count-aware, capacity-gated) masked to healthy nodes.
@@ -168,18 +170,13 @@ class RecoveryPolicy:
         budget: Optional[MigrationBudget],
         outcome: RecoveryOutcome,
     ) -> None:
-        """Re-admit evicted chains in order, charging the budget."""
-        for request in evicted:
-            eff = float(request.effective_rate)
-            if budget is not None and not budget.can_charge(1, eff):
-                outcome.pending.append(request.request_id)
-                continue
-            report = engine.admit(request)
+        """Re-admit evicted chains in order, charging the budget, in
+        one :meth:`DeploymentEngine.admit_many` call."""
+        reports = engine.admit_many(evicted, budget=budget)
+        for request, report in zip(evicted, reports):
             if report.admitted:
-                if budget is not None:
-                    budget.try_charge(1, eff)
                 outcome.readmitted.append(request.request_id)
-                outcome.moved_load += eff
+                outcome.moved_load += float(request.effective_rate)
             else:
                 outcome.pending.append(request.request_id)
 
@@ -233,7 +230,7 @@ class LeastLoadedReadmit(RecoveryPolicy):
     The target is the healthy node with the largest residual capacity
     that still fits the VNF's ``M_f D_f`` (first index on ties); the
     evicted chains then go back through the engine's warm-start admit
-    in arrival order.
+    in arrival order, as one batch.
     """
 
     name = "least-loaded"

@@ -30,7 +30,7 @@ def least_loaded_admit(
     .DeploymentEngine` admits, on any instance-load vector:
 
     * the least-loaded instance wins, first index on ties
-      (``np.argmin``), matching the heap tie-break above and the
+      (``argmin``), matching the heap tie-break above and the
       legacy scalar ``min(..., key=(load, index))``;
     * with ``capacity`` given, the join is admitted only if the winner
       stays within ``capacity + fit_eps`` (the Eq. (6) slack
@@ -42,7 +42,7 @@ def least_loaded_admit(
     """
     if not len(loads):
         return -1
-    k = int(np.argmin(loads))
+    k = int(loads.argmin())
     if capacity is not None and loads[k] + rate > capacity + fit_eps:
         return -1
     return k

@@ -276,8 +276,10 @@ class ServingLayer:
         report.migrations += rb.total_migrations
         # A committed re-solve is the deferred recovery opportunity:
         # retry every pending chain through the fresh embedding.
-        for rid, request in list(self._pending.items()):
-            if self._engine.admit(request).admitted:
+        pending = list(self._pending.values())
+        for outcome in self._engine.admit_many(pending):
+            if outcome.admitted:
+                rid = outcome.request_id
                 del self._pending[rid]
                 report.readmissions += 1
                 if tracker is not None:

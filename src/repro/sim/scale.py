@@ -248,30 +248,27 @@ def simulate_columns(
             max_len = int(lens.max())
             finished_pkt: List[np.ndarray] = []
             finished_t: List[np.ndarray] = []
+            # Every packet still in ``pkt`` at ``level`` has a hop there:
+            # chains are non-empty, and a packet leaves once its last
+            # hop is swept.
             for level in range(max_len):
-                active = lens > level
-                if not active.any():
+                if not pkt.size:
                     break
-                a_pkt = pkt[active]
-                a_t = t[active]
-                a_req = req[active]
-                inst = slot_inst[chain_ptr[a_req] + level]
+                inst = slot_inst[chain_ptr[req] + level]
                 part, bounds = partition_by_shard(
                     shard_of_inst[inst], num_shards
                 )
                 dep_part = executor.sweep(
-                    a_pkt[part], inst[part], a_t[part], bounds
+                    pkt[part], inst[part], t[part], bounds
                 )
-                dep_active = np.empty_like(dep_part)
-                dep_active[part] = dep_part
-                # Scatter departures back to the round's packet state;
-                # completions at or past the horizon go no further.
-                dep_unsorted = np.empty_like(t)
-                dep_unsorted[np.flatnonzero(active)] = dep_active
-                t = np.where(active, dep_unsorted, t)
-                done_here = active & (lens == level + 1)
-                alive = ~done_here & (~active | (t < horizon))
-                ends = done_here & (t < horizon)
+                # Departures back in packet order; completions at or
+                # past the horizon go no further.
+                t = np.empty_like(dep_part)
+                t[part] = dep_part
+                done_here = lens == level + 1
+                in_time = t < horizon
+                alive = ~done_here & in_time
+                ends = done_here & in_time
                 if ends.any():
                     finished_pkt.append(pkt[ends])
                     finished_t.append(t[ends])

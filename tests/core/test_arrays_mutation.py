@@ -1,5 +1,5 @@
 """Mutation parity for ``ScenarioArrays.append_request`` /
-``remove_request`` / ``remove_requests``.
+``append_requests`` / ``remove_request`` / ``remove_requests``.
 
 The contract (docs/ARRAYS_CORE.md + docs/SERVING.md): after any
 sequence of appends and removes, every request-derived column, both
@@ -272,6 +272,38 @@ class RowMutationMachine(RuleBasedStateMachine):
         self.gone.remove(request)
         assert self.arrays.append_request(request) == len(self.live)
         self.live.append(request)
+
+    @rule(
+        specs=st.lists(st.tuples(_CHAINS, _RATES, _PROBS), max_size=4),
+        data=st.data(),
+    )
+    def append_many(self, specs, data):
+        returning = (
+            data.draw(st.lists(st.sampled_from(self.gone), unique=True))
+            if self.gone
+            else []
+        )
+        batch = data.draw(
+            st.permutations([self._new(*spec) for spec in specs] + returning)
+        )
+        assert self.arrays.append_requests(batch) == len(self.live)
+        self.live.extend(batch)
+        for request in returning:
+            self.gone.remove(request)
+
+    @precondition(lambda self: self.live)
+    @rule(
+        specs=st.lists(st.tuples(_CHAINS, _RATES, _PROBS), max_size=3),
+        data=st.data(),
+    )
+    def append_many_rejects_a_duplicate(self, specs, data):
+        """A batch repeating a live id, or one of its own, changes
+        nothing (the invariant checks the columns after)."""
+        batch = [self._new(*spec) for spec in specs]
+        twin = data.draw(st.sampled_from(self.live + batch))
+        batch.insert(data.draw(st.integers(0, len(batch))), twin)
+        with pytest.raises(ValidationError):
+            self.arrays.append_requests(batch)
 
     @precondition(lambda self: self.live)
     @rule(data=st.data())
