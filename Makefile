@@ -1,4 +1,4 @@
-.PHONY: install test golden bench-core bench-solvers bench-sim bench-topo bench-serve bench-scale bench-faults lint experiments examples ci clean
+.PHONY: install test golden bench-core bench-solvers bench-sim bench-topo bench-serve bench-scale bench-faults lint experiments experiments-paper examples ci clean
 
 PYTHON ?= python
 
@@ -40,7 +40,7 @@ bench-faults:
 # image ships without it, so the gate degrades to a skip, not a failure.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks; \
+		ruff check src tests benchmarks examples; \
 	else \
 		echo "ruff not installed; skipping lint (pip install ruff)"; \
 	fi

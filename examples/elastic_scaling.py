@@ -24,7 +24,7 @@ def main() -> None:
     # One firewall, mu = 100 pps per instance; 60 requests at ~40 pps
     # each offer ~2400 pps -> needs ~27 instances at 90% utilization.
     # (mu must exceed the largest single request's rate: requests are
-    # unsplittable, see repro.core.scaling.unservable_requests.)
+    # unsplittable, so admission control rejects one that reaches mu.)
     firewall = VNF("firewall", demand_per_instance=25.0, num_instances=1,
                    service_rate=100.0)
     chain = ServiceChain(["firewall"])

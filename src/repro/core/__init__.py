@@ -25,7 +25,6 @@ from repro.core.scaling import (
     ScaleOutPlan,
     required_instances,
     scale_out,
-    size_instances,
 )
 from repro.core.local_search import RefinementReport, refine_placement
 from repro.core.incremental import (
@@ -34,10 +33,7 @@ from repro.core.incremental import (
     RebalanceReport,
     solve_joint,
 )
-from repro.core.topology_eval import (
-    average_total_latency_on_topology,
-    total_latency_on_topology,
-)
+from repro.core.topology_eval import total_latency_on_topology
 
 __all__ = [
     "JointOptimizer",
@@ -50,11 +46,9 @@ __all__ = [
     "average_response_latency",
     "total_latency",
     "required_instances",
-    "size_instances",
     "scale_out",
     "ScaleOutPlan",
     "total_latency_on_topology",
-    "average_total_latency_on_topology",
     "refine_placement",
     "RefinementReport",
     "DeploymentEngine",

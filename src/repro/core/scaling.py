@@ -12,8 +12,6 @@ This module implements both steps:
 
 * :func:`required_instances` — the minimum ``M_f`` that keeps a
   perfectly balanced schedule stable at a target utilization.
-* :func:`size_instances` — rewrite a VNF set so each VNF deploys enough
-  instances for its offered load, bounded by Eq. (3).
 * :func:`scale_out` — when the required instances exceed a per-VNF
   ceiling (e.g. what one node can host), split the VNF into replicas
   ``f``, ``f#1``, ``f#2``, ... and deal the requests across them, each
@@ -40,24 +38,6 @@ def offered_load(vnf_name: str, requests: Sequence[Request]) -> float:
     return sum(r.effective_rate for r in requests if r.uses(vnf_name))
 
 
-def unservable_requests(
-    vnf: VNF, requests: Sequence[Request]
-) -> List[Request]:
-    """Requests no amount of scaling can serve on this VNF.
-
-    Requests are unsplittable (Eq. 5 maps each to exactly one instance),
-    so a request whose effective rate reaches one instance's ``mu_f``
-    can never be stable regardless of ``M_f`` — admission control will
-    shed it.  Callers should either raise the VNF's per-instance rate or
-    expect the rejection.
-    """
-    return [
-        r
-        for r in requests
-        if r.uses(vnf.name) and r.effective_rate >= vnf.service_rate
-    ]
-
-
 def required_instances(
     vnf: VNF,
     requests: Sequence[Request],
@@ -80,23 +60,6 @@ def required_instances(
     load = sum(r.effective_rate for r in users)
     needed = math.ceil(load / (vnf.service_rate * target_utilization))
     return max(1, min(needed, len(users)))
-
-
-def size_instances(
-    vnfs: Sequence[VNF],
-    requests: Sequence[Request],
-    target_utilization: float = DEFAULT_TARGET_UTILIZATION,
-) -> List[VNF]:
-    """Resize every VNF's ``M_f`` to its offered load (Eq. 3 bounded).
-
-    Returns new VNF objects; inputs are unchanged.
-    """
-    return [
-        vnf.with_instances(
-            required_instances(vnf, requests, target_utilization)
-        )
-        for vnf in vnfs
-    ]
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,11 @@ per-request Router walk it replaced is kept as the parity reference
 from __future__ import annotations
 
 import math
-from typing import Dict
 
 import numpy as np
 
 from repro.core.objectives import _instance_response_times
-from repro.exceptions import SchedulingError, ValidationError
+from repro.exceptions import ValidationError
 from repro.nfv.state import DeploymentState
 from repro.topology.graph import DatacenterTopology
 from repro.topology.routing import Router
@@ -82,27 +81,3 @@ def total_latency_on_topology(
         return math.inf
     comm = arrays.topology_latency_per_request(placement_vec, topology)
     return float(np.sum(response + comm))
-
-
-def average_total_latency_on_topology(
-    state: DeploymentState,
-    topology: DatacenterTopology,
-) -> float:
-    """Per-request mean of :func:`total_latency_on_topology`."""
-    if not state.requests:
-        raise SchedulingError("deployment has no requests")
-    return total_latency_on_topology(state, topology) / len(state.requests)
-
-
-def communication_breakdown(
-    state: DeploymentState,
-    topology: DatacenterTopology,
-) -> Dict[str, float]:
-    """Per-request link-latency totals over the fabric (diagnostics)."""
-    router = Router(topology)
-    return {
-        request.request_id: request_path_latency(
-            state, router, request.request_id
-        )
-        for request in state.requests
-    }

@@ -11,8 +11,9 @@ This experiment runs three full pipelines on identical workloads:
 * FFD + CGA (the baseline composition),
 * NAH + CGA (the chain-aware baseline composition),
 
-and reports average node utilization, nodes in service, and Eq. (16)
-average total latency for each.
+and reports average node utilization, nodes in service, Eq. (16)
+average total latency over the admitted requests, and the share of
+requests admission control rejected for each.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ def _trial(task: Tuple[int, int]) -> dict:
             report.average_node_utilization,
             report.nodes_in_service,
             report.average_total_latency,
+            report.rejection_rate,
         )
     return metrics
 
@@ -99,22 +101,26 @@ def run(
 ) -> ExperimentResult:
     """Run the three pipelines over shared Monte-Carlo workloads."""
     accumulators = {
-        name: {"util": [], "nodes": [], "latency": []}
+        name: {"util": [], "nodes": [], "latency": [], "rejection": []}
         for name, _ in _pipelines(seed)
     }
     trials = run_trials(
         _trial, [(seed, rep) for rep in range(repetitions)], jobs=jobs
     )
     for metrics in trials:
-        for name, (util, nodes, latency) in metrics.items():
+        for name, (util, nodes, latency, rejection) in metrics.items():
             accumulators[name]["util"].append(util)
             accumulators[name]["nodes"].append(nodes)
             accumulators[name]["latency"].append(latency)
+            accumulators[name]["rejection"].append(rejection)
 
     result = ExperimentResult(
         experiment_id="joint_e2e",
         title="Joint pipelines on shared workloads (Eq. 16 total latency)",
-        columns=["pipeline", "utilization", "nodes", "avg_total_latency"],
+        columns=[
+            "pipeline", "utilization", "nodes", "avg_total_latency",
+            "rejection_rate",
+        ],
     )
     for name, acc in accumulators.items():
         result.add_row(
@@ -122,6 +128,7 @@ def run(
             utilization=float(np.mean(acc["util"])),
             nodes=float(np.mean(acc["nodes"])),
             avg_total_latency=float(np.mean(acc["latency"])),
+            rejection_rate=float(np.mean(acc["rejection"])),
         )
     result.notes.append(
         "paper abstract: the joint system improves utilization by 33.4% "

@@ -5,9 +5,9 @@ package adds the failure dimension of ROADMAP item 5 — and the
 robustness leftovers of item 1 — on top of the incremental
 :class:`~repro.core.incremental.DeploymentEngine`:
 
-* :mod:`repro.faults.events` — seeded failure-event streams: node and
-  single-instance crash/repair windows from exponential MTBF/MTTR
-  draws, optional correlated rack failures, and
+* :mod:`repro.faults.events` — seeded failure-event streams: node
+  crash/repair windows from exponential MTBF/MTTR draws, optional
+  correlated rack failures, and
   :func:`~repro.faults.events.merge_timeline` to fold them into a
   churn trace under one total order.
 * :mod:`repro.faults.recovery` — pluggable crash-recovery policies
@@ -29,7 +29,6 @@ See ``docs/RESILIENCE.md``.
 from repro.faults.events import (
     FaultEvent,
     failure_events,
-    instance_failures,
     merge_timeline,
 )
 from repro.faults.recovery import (
@@ -46,7 +45,6 @@ __all__ = [
     "DeferredRecovery",
     "FaultEvent",
     "failure_events",
-    "instance_failures",
     "LeastLoadedReadmit",
     "merge_timeline",
     "MigrationBudget",

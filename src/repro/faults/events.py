@@ -2,10 +2,11 @@
 
 The serving layer's churn traces (:mod:`repro.serve.events`) model a
 healthy fleet; this module adds the component-failure dimension of
-ROADMAP item 5: node crash/recover and single-instance crash windows
-drawn from exponential MTBF/MTTR processes, plus optional *correlated*
-rack failures (a whole node group crashing together — the top-of-rack
-switch abstraction).  Everything routes through the central
+ROADMAP item 5: node crash/recover windows drawn from exponential
+MTBF/MTTR processes, plus optional *correlated* rack failures (a whole
+node group crashing together — the top-of-rack switch abstraction).
+Single-instance crash/repair events are :class:`FaultEvent` rows a
+caller builds directly.  Everything routes through the central
 :mod:`repro.seeding` policy, so a stream is a pure function of its
 seed: same seed, same timeline, at any parallelism.
 
@@ -28,7 +29,6 @@ from repro.seeding import RngLike, resolve_rng
 __all__ = [
     "FaultEvent",
     "failure_events",
-    "instance_failures",
     "merge_timeline",
 ]
 
@@ -166,51 +166,6 @@ def failure_events(
             events.append(FaultEvent(time=start, kind="node_down", node=node))
             if end < duration:
                 events.append(FaultEvent(time=end, kind="node_up", node=node))
-    return merge_timeline(events)
-
-
-def instance_failures(
-    vnfs: Sequence,
-    *,
-    duration: float,
-    mtbf: float,
-    mttr: float,
-    rng: RngLike = None,
-) -> List[FaultEvent]:
-    """Single-instance crash/repair events over ``duration`` seconds.
-
-    One independent renewal process per instance ``(f, k)``, drawn in
-    VNF order then instance order.  ``vnfs`` are
-    :class:`~repro.nfv.vnf.VNF` objects (or anything with ``name`` and
-    ``num_instances``).
-    """
-    _validate_process(duration, mtbf, mttr)
-    if not len(vnfs):
-        raise ValidationError("instance_failures needs at least one VNF")
-    generator = resolve_rng(rng)
-    events: List[FaultEvent] = []
-    for vnf in vnfs:
-        for k in range(int(vnf.num_instances)):
-            for start, end in _down_windows(
-                generator, duration, mtbf, mttr
-            ):
-                events.append(
-                    FaultEvent(
-                        time=start,
-                        kind="instance_down",
-                        vnf=vnf.name,
-                        instance=k,
-                    )
-                )
-                if end < duration:
-                    events.append(
-                        FaultEvent(
-                            time=end,
-                            kind="instance_up",
-                            vnf=vnf.name,
-                            instance=k,
-                        )
-                    )
     return merge_timeline(events)
 
 

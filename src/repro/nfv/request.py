@@ -60,8 +60,8 @@ class Request:
     def effective_rate(self) -> float:
         """Effective per-VNF rate with loss feedback, ``lambda_r / P_r``.
 
-        The value of
-        :func:`repro.queueing.feedback.effective_arrival_rate`, whose
+        The scalar form of
+        :func:`repro.queueing.feedback.effective_arrival_rates`, whose
         checks the constructor has already made.
         """
         return self.arrival_rate / self.delivery_probability

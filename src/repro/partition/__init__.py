@@ -24,7 +24,7 @@ This package provides:
   small instances, used to measure heuristic gaps in tests.
 """
 
-from repro.partition.base import PartitionResult, balance_metrics
+from repro.partition.base import PartitionResult
 from repro.partition.cga import complete_greedy_partition
 from repro.partition.exact import exact_partition
 from repro.partition.greedy import greedy_partition
@@ -38,7 +38,6 @@ from repro.partition.rckk import rckk_partition
 
 __all__ = [
     "PartitionResult",
-    "balance_metrics",
     "greedy_partition",
     "complete_greedy_partition",
     "karmarkar_karp_two_way",

@@ -103,40 +103,6 @@ class PartitionResult:
                 )
 
 
-@dataclass(frozen=True)
-class BalanceMetrics:
-    """Summary statistics of how balanced a partition's way sums are."""
-
-    makespan: float
-    min_sum: float
-    spread: float
-    mean_sum: float
-    variance: float
-
-    @property
-    def imbalance_ratio(self) -> float:
-        """``makespan / mean`` — 1.0 for a perfectly balanced partition."""
-        if self.mean_sum == 0.0:
-            return 1.0
-        return self.makespan / self.mean_sum
-
-
-def balance_metrics(result: PartitionResult) -> BalanceMetrics:
-    """Compute :class:`BalanceMetrics` for a partition result."""
-    sums = result.sums
-    if not sums:
-        return BalanceMetrics(0.0, 0.0, 0.0, 0.0, 0.0)
-    mean = sum(sums) / len(sums)
-    variance = sum((s - mean) ** 2 for s in sums) / len(sums)
-    return BalanceMetrics(
-        makespan=max(sums),
-        min_sum=min(sums),
-        spread=max(sums) - min(sums),
-        mean_sum=mean,
-        variance=variance,
-    )
-
-
 @dataclass
 class TuplePartition:
     """A normalized KK tuple with provenance sets (internal helper).

@@ -13,7 +13,6 @@
   (a statistical floor).
 * :mod:`repro.placement.exact` — branch-and-bound minimum-nodes placement
   for small instances.
-* :mod:`repro.placement.metrics` — the evaluation metrics of Figs. 5-10.
 """
 
 from repro.placement.base import (
@@ -27,7 +26,6 @@ from repro.placement.bfdsu import BFDSUPlacement
 from repro.placement.chain_affinity import ChainAffinityBFDSU
 from repro.placement.exact import ExactPlacement
 from repro.placement.ffd import FFDPlacement
-from repro.placement.metrics import placement_report
 from repro.placement.nah import NAHPlacement
 from repro.placement.random_fit import RandomFitPlacement
 
@@ -43,5 +41,4 @@ __all__ = [
     "BFDPlacement",
     "RandomFitPlacement",
     "ExactPlacement",
-    "placement_report",
 ]

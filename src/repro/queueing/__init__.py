@@ -20,14 +20,12 @@ This package supplies the closed-form analytics the paper builds on
   other modules.
 """
 
-from repro.queueing.feedback import effective_arrival_rate, merged_effective_rate
 from repro.queueing.jackson import (
     ChainFeedbackModel,
     JacksonNodeMetrics,
     JacksonSolution,
     OpenJacksonNetwork,
 )
-from repro.queueing.kleinrock import merge_flows, split_flow
 from repro.queueing.littles_law import (
     mean_number_in_system,
     mean_response_time,
@@ -55,10 +53,6 @@ __all__ = [
     "JacksonSolution",
     "JacksonNodeMetrics",
     "ChainFeedbackModel",
-    "effective_arrival_rate",
-    "merged_effective_rate",
-    "merge_flows",
-    "split_flow",
     "utilization",
     "mean_number_in_system",
     "mean_response_time",

@@ -16,7 +16,7 @@ rate at each service instance:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -31,74 +31,15 @@ def validate_delivery_probability(p: float) -> None:
         )
 
 
-def effective_arrival_rate(external_rate: float, delivery_probability: float) -> float:
-    """Effective per-request rate ``lambda = lambda_0 / P`` with loss feedback.
-
-    Parameters
-    ----------
-    external_rate:
-        The external (fresh-packet) Poisson arrival rate ``lambda_0``.
-    delivery_probability:
-        Probability ``P`` a packet is received correctly end to end;
-        ``1 - P`` of packets are retransmitted.
-    """
-    if external_rate < 0.0:
-        raise ValidationError(
-            f"external arrival rate must be non-negative, got {external_rate!r}"
-        )
-    validate_delivery_probability(delivery_probability)
-    return external_rate / delivery_probability
-
-
-def retransmission_rate(external_rate: float, delivery_probability: float) -> float:
-    """Rate of retransmitted packets, ``lambda - lambda_0 = lambda_0 (1-P)/P``."""
-    return (
-        effective_arrival_rate(external_rate, delivery_probability) - external_rate
-    )
-
-
-def merged_effective_rate(
-    flows: Iterable[Tuple[float, float]],
-) -> float:
-    """Equivalent total arrival rate at one service instance (Eq. 7).
-
-    Parameters
-    ----------
-    flows:
-        Iterable of ``(lambda_r, P_r)`` pairs — one per request scheduled
-        onto the instance.
-
-    Returns
-    -------
-    float
-        ``Lambda = sum_r lambda_r / P_r``.
-    """
-    total = 0.0
-    for rate, p in flows:
-        total += effective_arrival_rate(rate, p)
-    return total
-
-
-def expected_transmissions(delivery_probability: float) -> float:
-    """Expected number of end-to-end transmissions per packet, ``1 / P``.
-
-    The number of attempts until first success is geometric with success
-    probability ``P``.
-    """
-    validate_delivery_probability(delivery_probability)
-    return 1.0 / delivery_probability
-
-
 def effective_arrival_rates(
     external_rates: Sequence[float],
     delivery_probabilities: Sequence[float],
 ) -> np.ndarray:
-    """Vectorized :func:`effective_arrival_rate` — one entry per request.
+    """Effective per-request rates ``lambda_r / P_r`` with loss feedback.
 
-    The columnar form of Eq. (7)'s ingredients, ``lambda_r / P_r``;
-    the trace-driven simulation backend and its benchmarks use it to
-    size scenarios and cross-check measured utilizations against the
-    closed form.
+    The columnar form of Eq. (7)'s ingredients; the trace-driven
+    simulation backend and its benchmarks use it to size scenarios and
+    cross-check measured utilizations against the closed form.
     """
     lam = np.asarray(external_rates, dtype=np.float64)
     p = np.asarray(delivery_probabilities, dtype=np.float64)
@@ -112,11 +53,3 @@ def effective_arrival_rates(
     if np.any((p <= 0.0) | (p > 1.0)):
         raise ValidationError("delivery probabilities must be in (0, 1]")
     return lam / p
-
-
-def aggregate_external_rate(rates: Sequence[float]) -> float:
-    """Sum of external rates (additivity of independent Poisson streams)."""
-    for rate in rates:
-        if rate < 0.0:
-            raise ValidationError(f"arrival rate must be non-negative, got {rate!r}")
-    return float(sum(rates))

@@ -1,4 +1,4 @@
-"""Kleinrock's independence approximation: merging and splitting flows.
+"""Kleinrock's independence approximation: the open-network traffic equations.
 
 Section III-B: "Based on Kleinrock's Approximation, we define lambda_i as
 the equivalent total arrival rate at a service instance i":
@@ -10,9 +10,7 @@ where ``lambda_i^0`` is the external flow into instance ``i`` and
 merged stream is then *treated as if Poissonian*, so each instance remains
 an M/M/1 queue.
 
-This module gives the two primitive operations — merging several flows
-into one equivalent stream, and probabilistically splitting one stream
-into several — plus the fixed-point traffic-equation solver used by
+This module gives the fixed-point traffic-equation solver used by
 :class:`repro.queueing.jackson.OpenJacksonNetwork`.
 """
 
@@ -23,42 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
-
-
-def merge_flows(rates: Sequence[float]) -> float:
-    """Merge independent (approximately) Poisson flows into one stream.
-
-    The merged rate is the sum of the component rates; by Kleinrock's
-    independence approximation the merged stream is treated as Poisson.
-    """
-    total = 0.0
-    for rate in rates:
-        if rate < 0.0:
-            raise ValidationError(f"flow rate must be non-negative, got {rate!r}")
-        total += rate
-    return total
-
-
-def split_flow(rate: float, probabilities: Sequence[float]) -> list:
-    """Split a Poisson stream into branches with the given probabilities.
-
-    A Poisson stream of rate ``lambda`` thinned with probability ``p_i``
-    yields independent Poisson streams of rate ``lambda p_i``.  The
-    probabilities must be non-negative and sum to at most 1 (any remainder
-    is the "leave the network" branch).
-    """
-    if rate < 0.0:
-        raise ValidationError(f"flow rate must be non-negative, got {rate!r}")
-    total_p = 0.0
-    for p in probabilities:
-        if p < 0.0:
-            raise ValidationError(f"branch probability must be >= 0, got {p!r}")
-        total_p += p
-    if total_p > 1.0 + 1e-12:
-        raise ValidationError(
-            f"branch probabilities sum to {total_p!r} > 1"
-        )
-    return [rate * p for p in probabilities]
 
 
 def solve_traffic_equations(

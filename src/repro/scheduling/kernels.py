@@ -34,7 +34,7 @@ from repro.scheduling.base import Assignment, SchedulingAlgorithm
 from repro.scheduling.least_loaded import LeastLoadedScheduler
 from repro.scheduling.round_robin import RoundRobinScheduler
 
-__all__ = ["least_loaded_assign", "round_robin_assign", "schedule_columns"]
+__all__ = ["schedule_columns"]
 
 AssignKernel = Callable[[Sequence[float], int], np.ndarray]
 
@@ -42,16 +42,6 @@ _POLICIES = {
     "least_loaded": LeastLoadedScheduler(),
     "round_robin": RoundRobinScheduler(),
 }
-
-
-def least_loaded_assign(rates: Sequence[float], m: int) -> np.ndarray:
-    """``LeastLoadedScheduler``'s rule: instance per request, in order."""
-    return np.asarray(_POLICIES["least_loaded"].assign(rates, m).ways, np.int64)
-
-
-def round_robin_assign(rates: Sequence[float], m: int) -> np.ndarray:
-    """``RoundRobinScheduler``'s rule: ``i mod m`` in request order."""
-    return np.asarray(_POLICIES["round_robin"].assign(rates, m).ways, np.int64)
 
 
 def _rule(

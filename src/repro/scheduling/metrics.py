@@ -105,12 +105,3 @@ def schedule_report(
         num_rejected=num_rejected,
         iterations=result.iterations,
     )
-
-
-def enhancement_ratio(baseline_w: float, improved_w: float) -> float:
-    """The paper's ``(W_CGA - W_RCKK) / W_CGA`` improvement metric."""
-    if baseline_w == 0.0:
-        return 0.0
-    if math.isinf(baseline_w) and math.isinf(improved_w):
-        return 0.0
-    return (baseline_w - improved_w) / baseline_w

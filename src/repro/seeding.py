@@ -72,19 +72,6 @@ def derive_seed(master: int, label: str) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint32)[0])
 
 
-def spawn_seed_sequences(
-    seed: int, count: int
-) -> "list[np.random.SeedSequence]":
-    """``count`` independent child sequences of one master seed.
-
-    The standard NumPy parallel-streams recipe: children are
-    statistically independent and deterministic in ``(seed, index)``,
-    so trial ``i`` sees the same stream whether it runs first, last,
-    serially or in a worker process.
-    """
-    return np.random.SeedSequence(seed).spawn(count)
-
-
 def trial_rng(seed: int, *indices: int) -> np.random.Generator:
     """A generator deterministic in ``(seed, *indices)``.
 

@@ -130,44 +130,6 @@ class SimServer:
         return min(1.0, self.busy_time / elapsed)
 
 
-class TraceSource:
-    """Replays a precomputed arrival-time trace into a sink callback.
-
-    Lets the simulator consume arbitrary arrival processes — MMPP bursts,
-    log-normal inter-arrivals, or recorded traces — through the same
-    interface as :class:`PoissonSource`.
-    """
-
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        request_id: str,
-        arrival_times,
-        emit: Callable[[SimPacket], None],
-    ) -> None:
-        self._engine = engine
-        self._request_id = request_id
-        times = [float(t) for t in arrival_times]
-        if any(t < 0.0 for t in times):
-            raise SimulationError("trace arrival times must be non-negative")
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise SimulationError("trace arrival times must be sorted")
-        self._times = times
-        self._emit = emit
-        self.generated = 0
-
-    def start(self) -> None:
-        """Schedule every trace arrival."""
-        for t in self._times:
-            self._engine.schedule(t, lambda t=t: self._fire(t))
-
-    def _fire(self, _t: float) -> None:
-        self.generated += 1
-        self._emit(
-            SimPacket(request_id=self._request_id, created_at=self._engine.now)
-        )
-
-
 class PoissonSource:
     """Generates a request's Poisson packet stream into a sink callback."""
 

@@ -16,20 +16,18 @@ transmission) per inter-node hop (Eq. 16).  This package provides:
   the solvers, oversubscription diagnostics.
 * :mod:`repro.topology.fattree` — k-ary fat-tree generator.
 * :mod:`repro.topology.leafspine` — leaf-spine generator.
-* :mod:`repro.topology.bcube` — BCube generator.
 * :mod:`repro.topology.random_topology` — SNDlib-style random connected
   graphs (the paper's 4-50 node topologies, substituted per DESIGN.md).
 * :mod:`repro.topology.routing` — scalar shortest-path queries over the
   precomputed arrays (bounded path cache).
-* :mod:`repro.topology.io` — GraphML round-trip plus the vendored
+* :mod:`repro.topology.io` — GraphML loading plus the vendored
   Abilene (Internet2) reference WAN.
 """
 
 from repro.topology.arrays import TopologyArrays
-from repro.topology.bcube import bcube
 from repro.topology.fattree import fat_tree
 from repro.topology.graph import ComputeNode, DatacenterTopology, Switch
-from repro.topology.io import abilene, load_graphml, save_graphml
+from repro.topology.io import abilene, load_graphml
 from repro.topology.leafspine import leaf_spine
 from repro.topology.network import NetworkModel
 from repro.topology.random_topology import random_datacenter
@@ -43,10 +41,8 @@ __all__ = [
     "NetworkModel",
     "fat_tree",
     "leaf_spine",
-    "bcube",
     "random_datacenter",
     "Router",
     "abilene",
     "load_graphml",
-    "save_graphml",
 ]

@@ -1,16 +1,16 @@
-"""GraphML ingestion and export for datacenter topologies.
+"""GraphML ingestion for datacenter topologies.
 
 Real fabrics (SNDlib / Topology Zoo / B-JointSP's ``parameters/``
-networks) ship as GraphML; this module round-trips
-:class:`~repro.topology.graph.DatacenterTopology` through that format so
-generated and real topologies flow through one pipeline:
+networks) ship as GraphML; this module reads that format into a
+:class:`~repro.topology.graph.DatacenterTopology` so real topologies
+flow through the same pipeline as generated ones:
 
-* :func:`save_graphml` writes a topology with its ``kind``/``capacity``
-  node attributes and ``latency``/``bandwidth`` edge attributes;
-* :func:`load_graphml` reads one back — files from other tools are
-  accepted too: a node is a compute node when it carries a positive
-  ``capacity`` (or its ``kind`` says so), a switch otherwise, and
-  missing link attributes fall back to the model defaults;
+* :func:`load_graphml` reads a file whose nodes may carry
+  ``kind``/``capacity`` attributes and whose edges may carry
+  ``latency``/``bandwidth`` — files from other tools are accepted too:
+  a node is a compute node when it carries a positive ``capacity`` (or
+  its ``kind`` says so), a switch otherwise, and missing link
+  attributes fall back to the model defaults;
 * :func:`abilene` loads the vendored Abilene (Internet2) backbone — the
   11-PoP / 14-link reference WAN every NFV placement paper evaluates on
   — with link latencies set to geographic propagation delays.
@@ -34,27 +34,6 @@ from repro.topology.graph import (
 
 #: Directory of vendored topology fixtures.
 DATA_DIR = Path(__file__).resolve().parent / "data"
-
-
-def save_graphml(
-    topology: DatacenterTopology, path: Union[str, Path]
-) -> None:
-    """Write ``topology`` to ``path`` as GraphML.
-
-    Node attributes: ``kind`` (``compute``/``switch``) and ``capacity``
-    (compute nodes only).  Edge attributes: ``latency``, ``bandwidth``.
-    """
-    topology.validate()
-    graph = nx.Graph(name=topology.name)
-    for node in topology.compute_nodes():
-        graph.add_node(node.key, kind="compute", capacity=float(node.capacity))
-    for switch in topology.switches():
-        graph.add_node(switch.key, kind="switch")
-    for a, b, latency, bandwidth in topology.links():
-        graph.add_edge(
-            a, b, latency=float(latency), bandwidth=float(bandwidth)
-        )
-    nx.write_graphml(graph, str(path))
 
 
 def load_graphml(
@@ -82,8 +61,7 @@ def load_graphml(
     -----
     Classification: a node with ``kind == "switch"`` is a switch; a node
     with ``kind == "compute"``, a positive ``capacity``, or no ``kind``
-    at all is a compute node.  Files written by :func:`save_graphml`
-    round-trip exactly.
+    at all is a compute node.
     """
     path = Path(path)
     if not path.exists():

@@ -19,36 +19,27 @@ from repro.workload.catalog import (
     COMMON_SIX,
     VNF_CATALOG,
     VNFSpec,
-    catalog_by_category,
     spec_by_name,
 )
 from repro.workload.generator import GeneratedWorkload, WorkloadGenerator
-from repro.workload.mmpp import MMPP2, poisson_equivalent
+from repro.workload.mmpp import MMPP2
 from repro.workload.stream import (
     StreamedScenario,
     materialize_requests,
     rescale_to_stability,
     stream_scenario,
 )
-from repro.workload.traces import (
-    empirical_rate_from_trace,
-    lognormal_interarrival_trace,
-    poisson_arrival_times,
-)
+from repro.workload.traces import poisson_arrival_times
 
 __all__ = [
     "VNFSpec",
     "VNF_CATALOG",
     "COMMON_SIX",
-    "catalog_by_category",
     "spec_by_name",
     "WorkloadGenerator",
     "GeneratedWorkload",
     "poisson_arrival_times",
-    "lognormal_interarrival_trace",
-    "empirical_rate_from_trace",
     "MMPP2",
-    "poisson_equivalent",
     "StreamedScenario",
     "stream_scenario",
     "materialize_requests",

@@ -14,7 +14,7 @@ forwarding fast).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.exceptions import ValidationError
 from repro.nfv.vnf import VNF, VNFCategory
@@ -122,8 +122,3 @@ def spec_by_name(name: str) -> VNFSpec:
         return _BY_NAME[name]
     except KeyError:
         raise ValidationError(f"unknown catalog VNF {name!r}") from None
-
-
-def catalog_by_category(category: VNFCategory) -> List[VNFSpec]:
-    """All catalog specs of one category."""
-    return [spec for spec in VNF_CATALOG if spec.category == category]

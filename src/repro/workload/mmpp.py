@@ -94,8 +94,3 @@ class MMPP2:
             t = state_end
             high = not high
         return np.array(times)
-
-
-def poisson_equivalent(mmpp: MMPP2) -> float:
-    """The plain-Poisson rate with the same long-run mean (for baselines)."""
-    return mmpp.mean_rate

@@ -17,7 +17,7 @@ Monte-Carlo averages are reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -184,14 +184,3 @@ class SchedulingScenario:
             category=VNFCategory.OTHER,
         )
         return SchedulingProblem(vnf=vnf, requests=requests)
-
-
-def monte_carlo_problems(
-    scenario, repetitions: int
-) -> List:
-    """Materialize ``repetitions`` independent instances of a scenario."""
-    if repetitions < 1:
-        raise ConfigurationError(
-            f"repetitions must be >= 1, got {repetitions!r}"
-        )
-    return [scenario.build(rep) for rep in range(repetitions)]

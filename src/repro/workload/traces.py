@@ -7,11 +7,6 @@ generate the closest synthetic equivalents:
 
 * :func:`poisson_arrival_times` — the Poisson streams the paper's model
   *assumes* (the open-Jackson prerequisite).
-* :func:`lognormal_interarrival_trace` — heavier-tailed inter-arrivals
-  with a matched mean rate, for stress-testing the Poisson assumption in
-  the simulator-vs-analytics ablation.
-* :func:`empirical_rate_from_trace` — rate estimation from a trace, the
-  bridge back into the analytic model.
 """
 
 from __future__ import annotations
@@ -56,53 +51,3 @@ def poisson_arrival_times(
             if t >= horizon:
                 return np.array(times)
             times.append(t)
-
-
-def lognormal_interarrival_trace(
-    mean_rate: float,
-    horizon: float,
-    sigma: float = 1.0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Arrival timestamps with log-normal inter-arrivals.
-
-    Datacenter flow inter-arrivals are heavier-tailed than exponential;
-    a log-normal with matched mean is the standard synthetic stand-in.
-    The log-normal parameters are chosen so the mean inter-arrival time
-    is ``1 / mean_rate``: ``mu = -ln(rate) - sigma^2 / 2``.
-    """
-    if mean_rate <= 0.0:
-        raise ValidationError(f"mean rate must be positive, got {mean_rate!r}")
-    if horizon <= 0.0:
-        raise ValidationError(f"horizon must be positive, got {horizon!r}")
-    if sigma <= 0.0:
-        raise ValidationError(f"sigma must be positive, got {sigma!r}")
-    rng = resolve_rng(rng)
-    mu = -np.log(mean_rate) - sigma * sigma / 2.0
-    times = []
-    t = 0.0
-    block = max(16, int(mean_rate * horizon * 1.2))
-    while True:
-        gaps = rng.lognormal(mean=mu, sigma=sigma, size=block)
-        for gap in gaps:
-            t += gap
-            if t >= horizon:
-                return np.array(times)
-            times.append(t)
-
-
-def empirical_rate_from_trace(arrival_times: np.ndarray) -> float:
-    """Estimate the mean arrival rate of a timestamp trace.
-
-    ``(n - 1) / (t_last - t_first)`` — the maximum-likelihood rate for a
-    Poisson process observed between its first and last arrivals.
-    """
-    times = np.asarray(arrival_times, dtype=float)
-    if times.size < 2:
-        raise ValidationError(
-            f"need >= 2 arrivals to estimate a rate, got {times.size}"
-        )
-    span = float(times[-1] - times[0])
-    if span <= 0.0:
-        raise ValidationError("arrival times must be strictly increasing")
-    return (times.size - 1) / span

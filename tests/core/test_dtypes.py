@@ -24,7 +24,6 @@ from repro.core.dtypes import (
 from repro.core.evaluation import evaluate_deployment
 from repro.core.joint import JointOptimizer
 from repro.exceptions import ValidationError
-from repro.nfv.state import DeploymentState
 from repro.placement.bfdsu import BFDSUPlacement
 from repro.sim.kernels import fcfs_sojourn_times, lindley_departure_times
 from repro.workload.generator import WorkloadGenerator

@@ -6,8 +6,6 @@ from repro.core.scaling import (
     offered_load,
     required_instances,
     scale_out,
-    size_instances,
-    unservable_requests,
 )
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.nfv.chain import ServiceChain
@@ -31,24 +29,6 @@ class TestOfferedLoad:
 
     def test_other_vnf_zero(self):
         assert offered_load("nat", _requests([10.0])) == 0.0
-
-
-class TestUnservableRequests:
-    def test_oversized_request_flagged(self):
-        vnf = VNF("fw", 1.0, 1, 50.0)
-        reqs = _requests([60.0, 10.0])
-        flagged = unservable_requests(vnf, reqs)
-        assert [r.request_id for r in flagged] == ["r0"]
-
-    def test_loss_can_make_request_unservable(self):
-        vnf = VNF("fw", 1.0, 1, 50.0)
-        # 45 raw at P=0.8 is 56.25 effective > 50.
-        flagged = unservable_requests(vnf, _requests([45.0], p=0.8))
-        assert len(flagged) == 1
-
-    def test_all_servable(self):
-        vnf = VNF("fw", 1.0, 1, 1000.0)
-        assert unservable_requests(vnf, _requests([10.0, 20.0])) == []
 
 
 class TestRequiredInstances:
@@ -81,22 +61,6 @@ class TestRequiredInstances:
         vnf = VNF("fw", 1.0, 1, 30.0)
         with pytest.raises(ValidationError):
             required_instances(vnf, _requests([1.0]), target_utilization=1.0)
-
-
-class TestSizeInstances:
-    def test_resizes_all(self):
-        vnfs = [VNF("fw", 1.0, 1, 30.0), VNF("nat", 1.0, 9, 1e6)]
-        chain = ServiceChain(["fw", "nat"])
-        reqs = [Request(f"r{i}", chain, 25.0) for i in range(4)]
-        sized = size_instances(vnfs, reqs)
-        by_name = {f.name: f for f in sized}
-        assert by_name["fw"].num_instances == 4
-        assert by_name["nat"].num_instances == 1  # overprovisioned shrinks
-
-    def test_originals_untouched(self):
-        vnfs = [VNF("fw", 1.0, 1, 30.0)]
-        size_instances(vnfs, _requests([25.0] * 4))
-        assert vnfs[0].num_instances == 1
 
 
 class TestScaleOut:

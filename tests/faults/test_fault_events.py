@@ -10,10 +10,8 @@ from repro.faults.events import (
     FaultEvent,
     _KIND_PRIORITY,
     failure_events,
-    instance_failures,
     merge_timeline,
 )
-from repro.nfv.vnf import VNF
 from repro.serve.events import ChurnEvent
 
 NODES = ("n0", "n1", "n2", "n3")
@@ -91,36 +89,6 @@ class TestFailureEvents:
     def test_no_nodes_rejected(self):
         with pytest.raises(ValidationError, match="at least one node"):
             failure_events((), duration=10.0, mtbf=1.0, mttr=1.0)
-
-
-class TestInstanceFailures:
-    def test_events_name_vnf_and_instance(self):
-        vnfs = [VNF("fw", 1.0, 2, 10.0), VNF("lb", 1.0, 1, 10.0)]
-        events = instance_failures(
-            vnfs,
-            duration=500.0,
-            mtbf=60.0,
-            mttr=20.0,
-            rng=np.random.default_rng(5),
-        )
-        assert events
-        assert {e.kind for e in events} <= {
-            "instance_down", "instance_up",
-        }
-        for event in events:
-            assert event.vnf in ("fw", "lb")
-            assert 0 <= event.instance < (2 if event.vnf == "fw" else 1)
-
-    def test_deterministic(self):
-        vnfs = [VNF("fw", 1.0, 3, 10.0)]
-        kwargs = dict(duration=500.0, mtbf=60.0, mttr=20.0)
-        a = instance_failures(
-            vnfs, rng=np.random.default_rng(2), **kwargs
-        )
-        b = instance_failures(
-            vnfs, rng=np.random.default_rng(2), **kwargs
-        )
-        assert a == b
 
 
 class TestMergeTimeline:

@@ -4,10 +4,8 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.partition.base import (
-    BalanceMetrics,
     PartitionResult,
     TuplePartition,
-    balance_metrics,
     validate_instance,
 )
 from repro.partition.karmarkar_karp import karmarkar_karp_multiway
@@ -85,26 +83,6 @@ class TestPartitionResult:
         r = PartitionResult(subsets=[], values=[])
         assert r.makespan == 0.0
         assert r.spread == 0.0
-
-
-class TestBalanceMetrics:
-    def test_perfectly_balanced(self):
-        r = PartitionResult(subsets=[[0], [1]], values=[5.0, 5.0])
-        m = balance_metrics(r)
-        assert m.spread == 0.0
-        assert m.variance == 0.0
-        assert m.imbalance_ratio == pytest.approx(1.0)
-
-    def test_imbalanced(self):
-        r = PartitionResult(subsets=[[0, 1], []], values=[4.0, 6.0])
-        m = balance_metrics(r)
-        assert m.makespan == pytest.approx(10.0)
-        assert m.min_sum == 0.0
-        assert m.imbalance_ratio == pytest.approx(2.0)
-
-    def test_empty(self):
-        m = balance_metrics(PartitionResult(subsets=[], values=[]))
-        assert m == BalanceMetrics(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestTuplePartition:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import MaxRestartsExceededError
 from repro.nfv.vnf import VNF
 from repro.placement.base import PlacementProblem
 from repro.placement.bfdsu import BFDSUPlacement, placement_weights

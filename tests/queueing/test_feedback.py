@@ -4,95 +4,50 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.nfv.chain import ServiceChain
+from repro.nfv.request import Request
 from repro.queueing import feedback
+
+
+def _effective(rate, p):
+    return float(feedback.effective_arrival_rates([rate], [p])[0])
 
 
 class TestEffectiveRate:
     def test_no_loss_identity(self):
-        assert feedback.effective_arrival_rate(10.0, 1.0) == pytest.approx(10.0)
+        assert _effective(10.0, 1.0) == pytest.approx(10.0)
 
     def test_two_percent_loss(self):
         # lambda / P with P = 0.98.
-        assert feedback.effective_arrival_rate(9.8, 0.98) == pytest.approx(10.0)
+        assert _effective(9.8, 0.98) == pytest.approx(10.0)
 
     def test_rate_grows_as_p_drops(self):
-        rates = [
-            feedback.effective_arrival_rate(10.0, p) for p in (1.0, 0.9, 0.5)
-        ]
+        rates = [_effective(10.0, p) for p in (1.0, 0.9, 0.5)]
         assert rates[0] < rates[1] < rates[2]
 
     def test_zero_rate(self):
-        assert feedback.effective_arrival_rate(0.0, 0.5) == 0.0
+        assert _effective(0.0, 0.5) == 0.0
 
     def test_invalid_probability(self):
         for p in (0.0, -0.5, 1.5):
             with pytest.raises(ValidationError):
-                feedback.effective_arrival_rate(1.0, p)
+                _effective(1.0, p)
 
     def test_negative_rate(self):
         with pytest.raises(ValidationError):
-            feedback.effective_arrival_rate(-1.0, 0.9)
-
-
-class TestRetransmissionRate:
-    def test_no_loss_no_retransmissions(self):
-        assert feedback.retransmission_rate(10.0, 1.0) == pytest.approx(0.0)
-
-    def test_matches_geometric_overhead(self):
-        # Retransmission rate = lambda (1 - P) / P.
-        assert feedback.retransmission_rate(10.0, 0.8) == pytest.approx(2.5)
-
-
-class TestMergedRate:
-    def test_single_flow(self):
-        assert feedback.merged_effective_rate([(10.0, 0.5)]) == pytest.approx(20.0)
-
-    def test_multiple_flows(self):
-        flows = [(10.0, 1.0), (9.0, 0.9), (8.0, 0.8)]
-        assert feedback.merged_effective_rate(flows) == pytest.approx(
-            10.0 + 10.0 + 10.0
-        )
-
-    def test_empty_is_zero(self):
-        assert feedback.merged_effective_rate([]) == 0.0
-
-    def test_propagates_validation(self):
-        with pytest.raises(ValidationError):
-            feedback.merged_effective_rate([(1.0, 0.0)])
-
-
-class TestExpectedTransmissions:
-    def test_geometric_mean(self):
-        assert feedback.expected_transmissions(0.5) == pytest.approx(2.0)
-        assert feedback.expected_transmissions(1.0) == pytest.approx(1.0)
-
-    def test_invalid(self):
-        with pytest.raises(ValidationError):
-            feedback.expected_transmissions(0.0)
-
-
-class TestAggregateExternal:
-    def test_sums(self):
-        assert feedback.aggregate_external_rate([1.0, 2.0, 3.5]) == pytest.approx(6.5)
-
-    def test_empty(self):
-        assert feedback.aggregate_external_rate([]) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            feedback.aggregate_external_rate([1.0, -2.0])
+            _effective(-1.0, 0.9)
 
 
 class TestEffectiveRatesVectorized:
     def test_matches_scalar_helper_elementwise(self):
-        rates = [10.0, 9.0, 0.0, 8.0]
+        rates = [10.0, 9.0, 7.0, 8.0]
         probs = [1.0, 0.9, 0.5, 0.8]
         out = feedback.effective_arrival_rates(rates, probs)
         assert out.shape == (4,)
+        chain = ServiceChain(["f"])
         for got, rate, p in zip(out, rates, probs):
-            assert got == pytest.approx(
-                feedback.effective_arrival_rate(rate, p)
-            )
+            request = Request("r", chain, rate, delivery_probability=p)
+            assert got == request.effective_rate
 
     def test_empty_columns(self):
         assert feedback.effective_arrival_rates([], []).size == 0

@@ -1,44 +1,10 @@
-"""Unit tests for Kleinrock flow merging/splitting and traffic equations."""
+"""Unit tests for the Kleinrock open-network traffic equations."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
 from repro.queueing import kleinrock
-
-
-class TestMergeFlows:
-    def test_sum(self):
-        assert kleinrock.merge_flows([1.0, 2.0, 3.0]) == pytest.approx(6.0)
-
-    def test_empty(self):
-        assert kleinrock.merge_flows([]) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            kleinrock.merge_flows([1.0, -0.1])
-
-
-class TestSplitFlow:
-    def test_thinning(self):
-        branches = kleinrock.split_flow(10.0, [0.5, 0.3])
-        assert branches == [pytest.approx(5.0), pytest.approx(3.0)]
-
-    def test_full_split(self):
-        branches = kleinrock.split_flow(10.0, [0.5, 0.5])
-        assert sum(branches) == pytest.approx(10.0)
-
-    def test_probabilities_over_one_rejected(self):
-        with pytest.raises(ValidationError):
-            kleinrock.split_flow(10.0, [0.7, 0.5])
-
-    def test_negative_probability_rejected(self):
-        with pytest.raises(ValidationError):
-            kleinrock.split_flow(10.0, [-0.1])
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValidationError):
-            kleinrock.split_flow(-1.0, [0.5])
 
 
 class TestTrafficEquations:

@@ -1,4 +1,4 @@
-"""Unit tests for scheduling metrics (W(f,k), rejection, enhancement)."""
+"""Unit tests for scheduling metrics (W(f,k) and rejection)."""
 
 import math
 
@@ -8,7 +8,7 @@ from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
 from repro.scheduling.base import SchedulingProblem, ScheduleResult
-from repro.scheduling.metrics import enhancement_ratio, schedule_report
+from repro.scheduling.metrics import schedule_report
 
 CHAIN = ServiceChain(["fw"])
 
@@ -70,13 +70,3 @@ class TestScheduleReport:
         )
         assert lossy.average_response_time > clean.average_response_time
 
-
-class TestEnhancementRatio:
-    def test_positive_improvement(self):
-        assert enhancement_ratio(10.0, 8.0) == pytest.approx(0.2)
-
-    def test_zero_baseline(self):
-        assert enhancement_ratio(0.0, 1.0) == 0.0
-
-    def test_both_infinite(self):
-        assert enhancement_ratio(math.inf, math.inf) == 0.0

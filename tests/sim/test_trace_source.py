@@ -1,43 +1,12 @@
-"""Unit + stress tests for the trace-replay source (MMPP burstiness)."""
+"""Stress tests: a trace of MMPP or Poisson arrivals replayed into a SimServer."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import SimulationError
 from repro.queueing.mm1 import MM1Queue
 from repro.sim.engine import SimulationEngine
-from repro.sim.entities import SimServer, TraceSource
+from repro.sim.entities import SimPacket, SimServer
 from repro.workload.mmpp import MMPP2
-
-
-class TestTraceSource:
-    def test_replays_exact_times(self):
-        engine = SimulationEngine()
-        arrivals = []
-        source = TraceSource(
-            engine, "r0", [0.5, 1.0, 2.5], lambda p: arrivals.append(engine.now)
-        )
-        source.start()
-        engine.run()
-        assert arrivals == [0.5, 1.0, 2.5]
-        assert source.generated == 3
-
-    def test_unsorted_rejected(self):
-        engine = SimulationEngine()
-        with pytest.raises(SimulationError):
-            TraceSource(engine, "r0", [2.0, 1.0], lambda p: None)
-
-    def test_negative_rejected(self):
-        engine = SimulationEngine()
-        with pytest.raises(SimulationError):
-            TraceSource(engine, "r0", [-1.0], lambda p: None)
-
-    def test_empty_trace(self):
-        engine = SimulationEngine()
-        source = TraceSource(engine, "r0", [], lambda p: None)
-        source.start()
-        engine.run()
-        assert source.generated == 0
 
 
 class TestBurstinessStress:
@@ -56,7 +25,10 @@ class TestBurstinessStress:
             rng=np.random.default_rng(seed),
             on_departure=lambda p, s: None,
         )
-        TraceSource(engine, "r0", arrival_times, server.enqueue).start()
+        for t in arrival_times:
+            engine.schedule(
+                float(t), lambda: server.enqueue(SimPacket("r0", engine.now))
+            )
         engine.run(until=horizon)
         return server.mean_sojourn()
 

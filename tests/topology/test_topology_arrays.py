@@ -7,7 +7,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.topology import (
     TopologyArrays,
-    bcube,
+    abilene,
     fat_tree,
     leaf_spine,
     random_datacenter,
@@ -17,7 +17,7 @@ from repro.topology.graph import DatacenterTopology
 FABRICS = {
     "fattree4": lambda: fat_tree(4),
     "leafspine": lambda: leaf_spine(3, 2, 4),
-    "bcube": lambda: bcube(2, 1),
+    "abilene": abilene,
     "random12": lambda: random_datacenter(
         12, rng=np.random.default_rng(20170605)
     ),

@@ -7,7 +7,6 @@ from repro.nfv.vnf import VNFCategory
 from repro.workload.catalog import (
     COMMON_SIX,
     VNF_CATALOG,
-    catalog_by_category,
     spec_by_name,
 )
 
@@ -57,11 +56,6 @@ class TestLookup:
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             spec_by_name("warp_drive")
-
-    def test_by_category(self):
-        security = catalog_by_category(VNFCategory.SECURITY)
-        assert all(s.category is VNFCategory.SECURITY for s in security)
-        assert any(s.name == "firewall" for s in security)
 
 
 class TestInstantiation:

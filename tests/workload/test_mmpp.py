@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.workload.mmpp import MMPP2, poisson_equivalent
+from repro.workload.mmpp import MMPP2
 
 
 @pytest.fixture
@@ -27,9 +27,6 @@ class TestParameters:
 
     def test_burstiness_index(self, bursty):
         assert bursty.burstiness_index() == pytest.approx(100.0 / 40.0)
-
-    def test_poisson_equivalent(self, bursty):
-        assert poisson_equivalent(bursty) == bursty.mean_rate
 
     def test_degenerate_is_poisson(self):
         flat = MMPP2(50.0, 50.0, 1.0, 1.0)

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.workload.scenarios import (
-    PlacementScenario,
-    SchedulingScenario,
-    monte_carlo_problems,
-)
+from repro.workload.scenarios import PlacementScenario, SchedulingScenario
 
 
 class TestPlacementScenario:
@@ -100,14 +96,3 @@ class TestSchedulingScenario:
         with pytest.raises(ConfigurationError):
             SchedulingScenario(num_requests=10, num_instances=2, rho=0.0)
 
-
-class TestMonteCarloProblems:
-    def test_materializes_all(self):
-        s = SchedulingScenario(num_requests=10, num_instances=2)
-        problems = monte_carlo_problems(s, 5)
-        assert len(problems) == 5
-
-    def test_invalid_repetitions(self):
-        s = SchedulingScenario(num_requests=10, num_instances=2)
-        with pytest.raises(ConfigurationError):
-            monte_carlo_problems(s, 0)
