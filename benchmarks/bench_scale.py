@@ -308,6 +308,24 @@ def main(argv=None):
             file=sys.stderr,
         )
 
+    # Packets and visits (packet hops, retries included) per second of
+    # each simulate stage: a simulator change reads per visit.
+    sim_visits = int(metrics.instance_arrivals.sum())
+    sim_rates = {}
+    for name in ("simulate", "simulate1"):
+        if name in stages:
+            seconds = max(stages[name], 1e-9)
+            sim_rates[name] = {
+                "packets_per_s": metrics.generated / seconds,
+                "visits_per_s": sim_visits / seconds,
+            }
+            print(
+                f"{name:<10} {sim_rates[name]['packets_per_s']:,.0f} "
+                f"packets/s   {sim_rates[name]['visits_per_s']:,.0f} "
+                f"visits/s",
+                file=sys.stderr,
+            )
+
     # The jobs=1 parity re-run is a gate, not pipeline work: exclude it
     # from the throughput denominator.
     total_s = sum(v for k, v in stages.items() if k != "simulate1")
@@ -343,6 +361,8 @@ def main(argv=None):
             "max_instance_utilization": report_eval.max_instance_utilization,
             "avg_node_utilization": report_eval.average_node_utilization,
             "sim_generated": int(metrics.generated),
+            "sim_visits": sim_visits,
+            "sim_rates": sim_rates,
             "sim_delivered": int(metrics.total_delivered),
             "sim_mean_latency_s": float(metrics.mean_latency),
         },

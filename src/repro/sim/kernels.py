@@ -170,46 +170,29 @@ def segmented_maximum_accumulate(
     at every segment boundary).
 
     ``segments`` must be grouped (all equal ids contiguous — e.g. the
-    instance column of a ``(instance, time)``-lexsorted batch).  Uses a
-    Hillis–Steele doubling scan, which is *exact* for ``max``
-    (idempotent — no reassociation error), with no Python-level loop
-    over segments.  The scan stops at the *longest segment* rather than
-    ``n`` — shifts past it compare only across boundaries and are
-    no-ops — so the cost is ``O(n log max_run)``: with many rows spread
-    over thousands of per-instance queues this roughly halves the pass
-    count.  It is the running max inside :func:`segmented_lindley`.
-    Scratch buffers are allocated once and sliced per shift instead of
-    re-allocated per iteration.
+    instance column of a ``(instance, time)``-lexsorted batch).  It runs
+    one ``np.maximum.accumulate`` per segment longer than one entry, so
+    the result is exactly the per-segment accumulate.  The Python loop
+    costs about a microsecond per segment: on a shard's measurement
+    sweep (hundreds of segments of hundreds of entries) that is under
+    half the cost of a doubling scan over the whole array, on a level
+    sweep's shorter segments somewhat more.  It is the running max
+    inside :func:`segmented_lindley`.
     """
-    out = _as_float(values).copy()
+    values = _as_float(values)
+    out = values.copy()
     seg = np.asarray(segments)
-    n = out.size
     if seg.shape != out.shape:
         raise SimulationError(
             f"segments must align with values, got shapes "
             f"{seg.shape} and {out.shape}"
         )
-    if n == 0:
-        return out
-    starts = np.concatenate(
-        ([0], np.flatnonzero(seg[1:] != seg[:-1]) + 1)
-    )
-    max_run = int(np.diff(np.append(starts, n)).max())
-    lowest = out.dtype.type(-np.inf)
-    mask = np.empty(n, dtype=bool)
-    cand = np.empty(n, dtype=out.dtype)
-    d = 1
-    while d < max_run:
-        m = mask[: n - d]
-        np.equal(seg[d:], seg[:-d], out=m)
-        # Candidate lane: the shifted value inside a segment, -inf
-        # across a boundary — staged in scratch so the maximum never
-        # aliases its own shifted input.
-        c = cand[: n - d]
-        c.fill(lowest)
-        np.copyto(c, out[:-d], where=m)
-        np.maximum(out[d:], c, out=out[d:])
-        d <<= 1
+    bounds = np.flatnonzero(seg[1:] != seg[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.append(bounds, out.size)
+    long = ends - starts > 1
+    for lo, hi in zip(starts[long].tolist(), ends[long].tolist()):
+        np.maximum.accumulate(values[lo:hi], out=out[lo:hi])
     return out
 
 

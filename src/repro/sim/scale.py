@@ -16,12 +16,14 @@ packet columns:
 * each hop level is partitioned by shard, and each shard sorts its
   sub-batch by ``(instance, time)`` once and runs one segmented Lindley
   pass (:func:`~repro.sim.kernels.segmented_lindley`) over it;
-* cross-pass backlog (the trace backend's departure frontier) is one
-  ``searchsorted`` per shard into its visit log, which every swept
-  batch is merged into in (instance, time) order;
-* the measurement sweep is one segmented Lindley pass per shard over
-  that log — every recorded (packet, hop, round) visit, already in
-  order — merged back per packet in shard order.
+* every swept batch is appended to the shard's visit log as one
+  sorted run; cross-pass backlog (the trace backend's departure
+  frontier) is one ``searchsorted`` into each earlier run, by the
+  visits whose instance that run holds;
+* the measurement sweep merges each shard's runs once into (instance,
+  time) order — every recorded (packet, hop, round) visit — and runs
+  one segmented Lindley pass over them, merged back per packet in
+  shard order.
 
 Sharded execution (``jobs=N``)
 ------------------------------
@@ -182,7 +184,10 @@ def simulate_columns(
             "simulate_columns needs a complete schedule"
         )
     chain_ptr = arrays.chain_ptr.astype(np.int64, copy=False)
-    chain_len = np.diff(chain_ptr)
+    # Chains are non-empty, so each request's last hop is the slot
+    # before the next request's first.
+    last_hop = np.zeros(slot_inst.size, dtype=bool)
+    last_hop[chain_ptr[1:] - 1] = True
     P_r = arrays.P_r.astype(np.float64, copy=False)
     lam = arrays.lambda_r.astype(np.float64, copy=False)
 
@@ -243,18 +248,14 @@ def simulate_columns(
                     f"feedback did not drain after {MAX_FEEDBACK_ROUNDS} "
                     "rounds; check delivery probabilities and load"
                 )
-            req = pkt_req[pkt]
-            lens = chain_len[req]
-            max_len = int(lens.max())
+            # ``hop`` is each packet's chain slot.  Every packet still in
+            # ``pkt`` has a hop at this level, and it leaves once its
+            # last hop is swept.
+            hop = chain_ptr[pkt_req[pkt]]
             finished_pkt: List[np.ndarray] = []
             finished_t: List[np.ndarray] = []
-            # Every packet still in ``pkt`` at ``level`` has a hop there:
-            # chains are non-empty, and a packet leaves once its last
-            # hop is swept.
-            for level in range(max_len):
-                if not pkt.size:
-                    break
-                inst = slot_inst[chain_ptr[req] + level]
+            while pkt.size:
+                inst = slot_inst[hop]
                 part, bounds = partition_by_shard(
                     shard_of_inst[inst], num_shards
                 )
@@ -265,16 +266,14 @@ def simulate_columns(
                 # past the horizon go no further.
                 t = np.empty_like(dep_part)
                 t[part] = dep_part
-                done_here = lens == level + 1
+                done_here = last_hop[hop]
                 in_time = t < horizon
                 alive = ~done_here & in_time
                 ends = done_here & in_time
                 if ends.any():
                     finished_pkt.append(pkt[ends])
                     finished_t.append(t[ends])
-                pkt, t, req, lens = (
-                    pkt[alive], t[alive], req[alive], lens[alive]
-                )
+                pkt, t, hop = pkt[alive], t[alive], hop[alive] + 1
 
             # ----------------------------------------------------------
             # Delivery coins for every chain that completed this round.

@@ -12,10 +12,14 @@ partition of the instances.  This module owns that decomposition:
   worker count** (the same plan drives ``jobs=1`` and ``jobs=N``);
 * :class:`_ShardSim` — one shard's private sweep state: its visit log
   (:class:`_History`, which is also its departure frontier) and its
-  causal/measurement RNG streams;
-* the sort kernels — :func:`visit_order` (a level sub-batch by
-  (instance, time)) and :func:`partition_by_shard` (a level batch by
-  shard), both exact stable sorts on narrow :func:`index_dtype` keys;
+  causal/measurement RNG streams.  The log is a list of runs, one
+  sorted batch per sweep, each written once; a level queries only the
+  runs that hold its visits' instances, and the measurement sweep
+  merges the runs once;
+* the sort kernels — :func:`visit_order` (visits by (instance, time),
+  one sort on a float key) and :func:`partition_by_shard` (a level
+  batch by shard, a radix sort on narrow :func:`index_dtype` keys),
+  both exact stable sorts;
 * the executors — a serial loop and a process pool whose workers
   attach the scenario via :func:`repro.experiments.shm.publish_arrays`
   / ``attach_arrays`` snapshots and exchange per-level batches through
@@ -188,70 +192,59 @@ def partition_by_shard(
     return order, bounds
 
 
-def stable_argsort(values: np.ndarray) -> np.ndarray:
-    """``np.argsort(values, kind="stable")`` through numpy's default
-    (vectorized, unstable) sort.
+def visit_order(
+    keys: np.ndarray,
+    inst: np.ndarray,
+    t: np.ndarray,
+    kind: Optional[str] = None,
+) -> np.ndarray:
+    """Permutation sorting visits by (instance, time), ties in index
+    order: exactly ``np.lexsort((t, inst))``.
 
-    Runs of equal values are put back in index order afterwards; they
-    are rare in float times, so that pass is nearly free.
+    ``keys`` is :meth:`_History.key_of` ``(inst, t)``, which never
+    decreases along (instance, time), so an ``argsort`` of it (of any
+    ``kind``) is right up to runs of equal keys.  Those are rare and
+    re-sorted on (instance, time, index): the key can round two
+    distinct times at one instance to one value.  numpy's default sort
+    is vectorized; ``"stable"`` (timsort, which merges sorted runs) is
+    the faster one on a concatenation of sorted runs.
     """
-    order = np.argsort(values)
-    ranked = values[order]
+    order = np.argsort(keys, kind=kind)
+    ranked = keys[order]
     tied = np.zeros(order.size, dtype=bool)
     np.equal(ranked[1:], ranked[:-1], out=tied[1:])
     tied[:-1] |= tied[1:]
     runs = np.flatnonzero(tied)
     idx = order[runs]
-    order[runs] = idx[np.lexsort((idx, ranked[runs]))]
+    order[runs] = idx[np.lexsort((idx, t[idx], inst[idx], ranked[runs]))]
     return order
 
 
-def visit_order(local: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Permutation sorting visits by (instance, time): exactly
-    ``np.lexsort((t, local))``.
+class _Run(NamedTuple):
+    """One swept batch in (instance, time) order, as it was swept.
 
-    ``local`` is a shard-local instance index (:func:`index_dtype`
-    keys): a stable sort on time, then a stable radix sort on the
-    narrow index, which is how ``lexsort`` composes its keys.
-    """
-    by_t = stable_argsort(t)
-    return by_t[np.argsort(local[by_t], kind="stable")]
-
-
-class _History:
-    """One shard's visit log and departure frontier.
-
-    Holds every visit already swept — shard-local instance, arrival,
-    packet, and the running-max departure at its instance — in exact
-    lexicographic (instance, arrival) order, ties kept in sweep order.
-    A float key ``instance * span + arrival`` lets one ``searchsorted``
-    answer "latest backlog this arrival sees at its instance" for a
-    whole level; where the key rounds two distinct times to one value,
-    :meth:`rank` breaks the tie on the arrival itself.  Instances never
-    cross shards, so the per-shard frontiers partition the global one
-    exactly, and the measurement sweep reads the log as it stands.
+    Within an instance FCFS departures do not decrease, so ``dep`` is
+    its own running max; ``seen`` marks the local instances it holds.
     """
 
-    def __init__(self, span: float, index_type: np.dtype) -> None:
-        self._span = span
-        self.keys = np.empty(0, dtype=np.float64)
-        self.inst = np.empty(0, dtype=index_type)
-        self.arr = np.empty(0, dtype=np.float64)
-        self.pkt = np.empty(0, dtype=np.int64)
-        self.dep_cummax = np.empty(0, dtype=np.float64)
+    keys: np.ndarray
+    inst: np.ndarray
+    arr: np.ndarray
+    pkt: np.ndarray
+    dep: np.ndarray
+    seen: np.ndarray
 
-    def key_of(self, inst: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return inst.astype(np.float64) * self._span + t
-
-    def rank(self, inst: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Per visit, the number of log entries lexicographically at or
+    def rank(
+        self, keys: np.ndarray, inst: np.ndarray, t: np.ndarray
+    ) -> np.ndarray:
+        """Per visit, the number of run entries lexicographically at or
         before its (instance, time)."""
-        keys = self.key_of(inst, t)
         pos = np.searchsorted(self.keys, keys, side="right")
-        # Step back over tied keys whose entry lies after the visit.
-        tied = np.flatnonzero(pos > 0)
+        # Step back over tied keys whose entry lies after the visit.  A
+        # run is never empty, and where ``pos`` is 0 the wrapped-around
+        # last key is above the visit's, so it never ties.
+        tied = np.flatnonzero(self.keys[pos - 1] == keys)
         while tied.size:
-            tied = tied[self.keys[pos[tied] - 1] == keys[tied]]
             j = pos[tied] - 1
             after = (self.inst[j] > inst[tied]) | (
                 (self.inst[j] == inst[tied]) & (self.arr[j] > t[tied])
@@ -259,70 +252,76 @@ class _History:
             tied = tied[after]
             pos[tied] -= 1
             tied = tied[pos[tied] > 0]
+            tied = tied[self.keys[pos[tied] - 1] == keys[tied]]
         return pos
 
+
+class _History:
+    """One shard's visit log and departure frontier.
+
+    Every swept batch is kept as one sorted :class:`_Run`, appended and
+    never touched again.  A float key ``instance * span + arrival``
+    lets one ``searchsorted`` per earlier run find the latest backlog
+    an arrival sees at its instance; only the visits whose instance the
+    run holds search it.  Instances never cross shards, so the
+    per-shard frontiers partition the global one exactly.  The
+    measurement sweep reads :meth:`merged`, the runs merged once into
+    exact (instance, arrival) order, ties in sweep order.
+    """
+
+    def __init__(self, span: float, size: int) -> None:
+        self._span = span
+        self._size = size
+        self.runs: List[_Run] = []
+
+    def key_of(self, inst: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return inst.astype(np.float64) * self._span + t
+
     def waits(
-        self, pos: np.ndarray, inst: np.ndarray, t: np.ndarray
+        self, keys: np.ndarray, inst: np.ndarray, t: np.ndarray
     ) -> np.ndarray:
-        """Residual backlog each visit queues behind, from its
-        :meth:`rank`."""
-        if not self.keys.size:
-            return np.zeros(t.shape, dtype=np.float64)
-        prev = np.maximum(pos - 1, 0)
-        valid = (pos > 0) & (self.inst[prev] == inst)
-        return np.where(
-            valid, np.clip(self.dep_cummax[prev] - t, 0.0, None), 0.0
-        )
+        """Residual backlog each visit queues behind: the latest
+        departure at or before it at its instance, less its time."""
+        latest = np.full(t.size, -np.inf)
+        for run in self.runs:
+            sel = np.flatnonzero(run.seen[inst])
+            sel_inst = inst[sel]
+            # The last run entry at or before each visit, -1 if none.
+            prev = run.rank(keys[sel], sel_inst, t[sel]) - 1
+            hit = (prev >= 0) & (run.inst[prev] == sel_inst)
+            at = sel[hit]
+            latest[at] = np.maximum(latest[at], run.dep[prev[hit]])
+        return np.clip(latest - t, 0.0, None)
 
     def record(
         self,
-        pos: np.ndarray,
+        keys: np.ndarray,
         inst: np.ndarray,
         t: np.ndarray,
         pkt: np.ndarray,
         dep: np.ndarray,
     ) -> None:
-        """Merge one swept batch into the log in O(log + batch).
+        """Append one swept batch, in (instance, time) order with its
+        keys; ``dep`` is non-decreasing within each instance."""
+        seen = np.zeros(self._size, dtype=bool)
+        seen[inst] = True
+        self.runs.append(_Run(keys, inst, t, pkt, dep, seen))
 
-        The batch is non-empty, in (instance, time) order, with its
-        :meth:`rank` ``pos``; ``dep`` is non-decreasing within each instance run, as
-        FCFS departures are.  Each entry's running max is its own and
-        that of the last entry of the other side at the same instance.
-        """
-        size, m = self.keys.size, t.size
-        if not size:
-            self.keys, self.inst, self.arr = self.key_of(inst, t), inst, t
-            self.pkt, self.dep_cummax = pkt, dep
-            return
-        new_at = pos + np.arange(m)
-        # Old entry i moves past every new visit ranked at or before it.
-        moved = np.cumsum(np.bincount(pos, minlength=size + 1)[:size])
-        old_at = np.arange(size) + moved
-
-        prev = np.maximum(pos - 1, 0)
-        after_old = (pos > 0) & (self.inst[prev] == inst)
-        new_max = np.where(
-            after_old, np.maximum(dep, self.dep_cummax[prev]), dep
+    def merged(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(inst, arr, pkt)`` of every visit in exact (instance,
+        arrival) order, ties in sweep order."""
+        if not self.runs:
+            return (
+                np.empty(0, dtype=np.intp),
+                np.empty(0, dtype=np.float64),
+                np.empty(0, dtype=np.int64),
+            )
+        keys, inst, arr, pkt = (
+            np.concatenate([getattr(run, col) for run in self.runs])
+            for col in ("keys", "inst", "arr", "pkt")
         )
-        last = np.maximum(moved - 1, 0)
-        after_new = (moved > 0) & (inst[last] == self.inst)
-        old_max = np.where(
-            after_new,
-            np.maximum(self.dep_cummax, new_max[last]),
-            self.dep_cummax,
-        )
-
-        def merged(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-            out = np.empty(size + m, dtype=old.dtype)
-            out[old_at] = old
-            out[new_at] = new
-            return out
-
-        self.keys = merged(self.keys, self.key_of(inst, t))
-        self.inst = merged(self.inst, inst)
-        self.arr = merged(self.arr, t)
-        self.pkt = merged(self.pkt, pkt)
-        self.dep_cummax = merged(old_max, new_max)
+        order = visit_order(keys, inst, arr, kind="stable")
+        return inst[order], arr[order], pkt[order]
 
 
 class _ShardMeasure(NamedTuple):
@@ -346,28 +345,28 @@ class _ShardSim:
     """One shard's private causal-sweep and measurement state.
 
     The shard sorts and keys its visits on the instance's index among
-    the shard's members (:meth:`ScaleShardPlan.local_index`), a narrow
-    integer that orders them as the global id does.
+    the shard's members (``local``, :meth:`ScaleShardPlan.local_index`),
+    a narrow integer that orders them as the global id does.
     """
 
     def __init__(
         self,
         mu_inst: np.ndarray,
         plan: ScaleShardPlan,
+        local: np.ndarray,
         shard: int,
         horizon: float,
         sweep_seq: np.random.SeedSequence,
         measure_seq: np.random.SeedSequence,
     ) -> None:
         self._members = plan.members(shard)
-        self._local = plan.local_index()
+        self._local = local
         self._mu = mu_inst[self._members]
         self._horizon = horizon
         self._sweep_rng = np.random.default_rng(sweep_seq)
         self._measure_rng = np.random.default_rng(measure_seq)
         self._history = _History(
-            span=horizon * (1.0 + 1e-9) + 1.0,
-            index_type=self._local.dtype,
+            span=horizon * (1.0 + 1e-9) + 1.0, size=self._members.size
         )
 
     def sweep(
@@ -375,61 +374,65 @@ class _ShardSim:
     ) -> np.ndarray:
         """Sweep one level sub-batch; departures in input order."""
         local = self._local[inst]
-        order = visit_order(local, t)
-        b_local = local[order]
-        b_t = t[order]
+        keys = self._history.key_of(local, t)
+        order = visit_order(keys, local, t)
+        b_keys, b_local, b_t = keys[order], local[order], t[order]
         services = self._sweep_rng.standard_exponential(
             b_t.size
         ) / self._mu[b_local]
-        pos = self._history.rank(b_local, b_t)
-        waits = self._history.waits(pos, b_local, b_t)
+        waits = self._history.waits(b_keys, b_local, b_t)
         dep = segmented_lindley(b_t + waits, services, b_local)
-        self._history.record(pos, b_local, b_t, pkt[order], dep)
+        self._history.record(b_keys, b_local, b_t, pkt[order], dep)
         out = np.empty_like(dep)
         out[order] = dep
         return out
 
     def measure(self, num_instances: int, generated: int) -> _ShardMeasure:
-        """Full-load measurement pass over this shard's visit log."""
-        log = self._history
+        """Full-load measurement pass over this shard's merged visits."""
+        inst, arr, pkt = self._history.merged()
         size = self._members.size
+        bounds = np.arange(size + 1)
 
-        def per_instance(values, weights=None, dtype=np.float64):
-            out = np.zeros(num_instances, dtype=dtype)
-            out[self._members] = np.bincount(
-                values, weights=weights, minlength=size
-            )
+        def per_instance(column):
+            out = np.zeros(num_instances, dtype=column.dtype)
+            out[self._members] = column
             return out
 
+        def counts(sorted_inst):
+            return np.diff(np.searchsorted(sorted_inst, bounds))
+
         services = self._measure_rng.standard_exponential(
-            log.arr.size
-        ) / self._mu[log.inst]
-        dep = segmented_lindley(log.arr, services, log.inst)
-        sojourns = dep - log.arr
+            arr.size
+        ) / self._mu[inst]
+        dep = segmented_lindley(arr, services, inst)
+        sojourns = dep - arr
         # Per-packet sums over the shard's own packets, in log order
         # within each packet (bincount's order).  A boolean mark finds
         # the packets and a dense rank numbers them, so the only
         # ``generated``-long arrays are a bool mask and an index table
         # that is written at the marked packets only.
         seen = np.zeros(generated, dtype=bool)
-        seen[log.pkt] = True
+        seen[pkt] = True
         pkt_idx = np.flatnonzero(seen)
         rank = np.empty(generated, dtype=np.intp)
         rank[pkt_idx] = np.arange(pkt_idx.size)
         pkt_sums = np.bincount(
-            rank[log.pkt], weights=sojourns, minlength=pkt_idx.size
+            rank[pkt], weights=sojourns, minlength=pkt_idx.size
         )
         done = dep < self._horizon
+        inst_done = inst[done]
         overlap = np.clip(
             np.minimum(dep, self._horizon) - (dep - services), 0.0, None
         )
         return _ShardMeasure(
             pkt_idx=pkt_idx,
             pkt_sums=pkt_sums,
-            arrivals=per_instance(log.inst, dtype=np.int64),
-            departures=per_instance(log.inst[done], dtype=np.int64),
-            sojourn_done=per_instance(log.inst[done], sojourns[done]),
-            busy=per_instance(log.inst, overlap),
+            arrivals=per_instance(counts(inst)),
+            departures=per_instance(counts(inst_done)),
+            sojourn_done=per_instance(
+                np.bincount(inst_done, sojourns[done], minlength=size)
+            ),
+            busy=per_instance(np.bincount(inst, overlap, minlength=size)),
         )
 
 
@@ -505,8 +508,11 @@ class _SerialShardExecutor:
         mu = arrays.mu_inst.astype(np.float64, copy=False)
         self._num_instances = int(arrays.num_instances)
         self._generated = int(generated)
+        local = plan.local_index()
         self._sims = [
-            _ShardSim(mu, plan, s, horizon, sweep_seqs[s], measure_seqs[s])
+            _ShardSim(
+                mu, plan, local, s, horizon, sweep_seqs[s], measure_seqs[s]
+            )
             for s in range(plan.num_shards)
         ]
 
@@ -570,8 +576,11 @@ def _shard_worker(
         # balances it — unregistering here would double-remove.
         block = shared_memory.SharedMemory(name=scratch_name)
         lanes = _scratch_lanes(block, capacity)
+        local = plan.local_index()
         sims = {
-            sid: _ShardSim(mu, plan, sid, horizon, sweep_seq, measure_seq)
+            sid: _ShardSim(
+                mu, plan, local, sid, horizon, sweep_seq, measure_seq
+            )
             for sid, sweep_seq, measure_seq in owned
         }
         conn.send(("ready",))
