@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Micro-benchmark: trace-driven Lindley backend vs the event loop.
+"""Micro-benchmark: the column simulator vs the event loop.
 
 Builds one deterministic chained scenario (default: 1000 requests,
 100 s horizon, ~1.2M events on the event backend), cross-checks that
@@ -8,7 +8,9 @@ the two backends agree on the statistics the parity contract covers
 distributional agreement, see docs/SIM_BACKENDS.md), then times both:
 
 * ``backend="events"`` — the per-packet reference event loop,
-* ``backend="trace"``  — pre-sampled arrays through the Lindley kernel.
+* ``backend="trace"``  — :func:`repro.sim.scale.simulate_columns`,
+  pre-sampled columns through the segmented Lindley kernel, reshaped
+  into the same per-request metrics.
 
 Usage::
 
@@ -18,7 +20,7 @@ Usage::
 the JSON report to a file (it always prints to stdout).  Pass
 ``--min-speedup`` to turn the report into a gate — the acceptance bar
 for the default large scenario is 20x; quick-mode scenarios are too
-small to amortize the trace backend's setup and may sit well below the
+small to amortize the column simulator's setup and may sit well below the
 full-scale speedup.
 """
 
@@ -177,7 +179,8 @@ def main(argv=None):
 
     speedup = events_s / trace_s if trace_s > 0 else float("inf")
     print(
-        f"events {events_s * 1e3:9.1f} ms   trace {trace_s * 1e3:9.1f} ms   "
+        f"events {events_s * 1e3:9.1f} ms   "
+        f"trace (simulate_columns) {trace_s * 1e3:9.1f} ms   "
         f"{speedup:7.1f}x",
         file=sys.stderr,
     )
@@ -195,6 +198,7 @@ def main(argv=None):
         "results": {
             "events": {"best_s": events_s, "repeats": 1, **events_summary},
             "trace": {
+                "engine": "repro.sim.scale.simulate_columns",
                 "best_s": trace_s,
                 "repeats": repeats,
                 **trace_summary,

@@ -13,10 +13,12 @@ DESIGN.md (abl-jackson):
   through their chains' scheduled instances, with end-to-end loss and
   NACK retransmission feedback.
 * :mod:`repro.sim.kernels` — array-native FCFS kernels (the Lindley
-  recurrence) shared by the trace backend and the sensitivity sweeps.
-* :mod:`repro.sim.trace` — the trace-driven backend: pre-sampled
-  arrival/service arrays replayed per chain hop and feedback round
-  (``ChainSimulator(..., backend="trace")``); see docs/SIM_BACKENDS.md.
+  recurrence) shared by the column simulator and the sensitivity sweeps.
+* :mod:`repro.sim.scale` and :mod:`repro.sim.shard` — the column
+  simulator: pre-sampled arrival/service columns replayed per chain hop
+  and feedback round over instance shards, the batch pipeline's
+  simulator and ``ChainSimulator(..., backend="trace")``; see
+  docs/SIM_BACKENDS.md.
 * :mod:`repro.sim.metrics` — measurement collectors (per-instance
   sojourn, utilization; per-request end-to-end latency).
 """
@@ -26,7 +28,6 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.kernels import fcfs_sojourn_times, lindley_departure_times
 from repro.sim.metrics import InstanceStats, SimulationMetrics
 from repro.sim.simulator import BACKENDS, ChainSimulator, SimulationConfig
-from repro.sim.trace import run_trace_simulation
 
 __all__ = [
     "Event",
@@ -39,5 +40,4 @@ __all__ = [
     "InstanceStats",
     "fcfs_sojourn_times",
     "lindley_departure_times",
-    "run_trace_simulation",
 ]

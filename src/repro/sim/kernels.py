@@ -1,11 +1,11 @@
 """Array-native FCFS queueing kernels (the Lindley recurrence).
 
-The trace-driven simulation backend (:mod:`repro.sim.trace`) replaces
-the per-packet event loop with whole-array computations over
-pre-sampled arrival and service times.  Its core is the classic
-Lindley / max-prefix identity for a single FCFS server: with arrival
-(availability) times ``A`` in service order and per-packet service
-times ``S``, the recurrence
+The column simulator (:mod:`repro.sim.scale`, the ``trace`` backend of
+:class:`~repro.sim.simulator.ChainSimulator`) replaces the per-packet
+event loop with whole-array computations over pre-sampled arrival and
+service times.  Its core is the classic Lindley / max-prefix identity
+for a single FCFS server: with arrival (availability) times ``A`` in
+service order and per-packet service times ``S``, the recurrence
 
     ``D_m = max(A_m, D_{m-1}) + S_m``
 
@@ -16,15 +16,15 @@ unrolls to
 — one ``cumsum`` and one ``maximum.accumulate``, O(n) with no
 Python-level iteration over packets.
 
-Everything here is a pure function of arrays; the backend in
-:mod:`repro.sim.trace` owns RNG streams, chain routing and feedback
+Everything here is a pure function of arrays; :mod:`repro.sim.scale`
+and :mod:`repro.sim.shard` own RNG streams, chain routing and feedback
 rounds, and :mod:`repro.experiments.sensitivity` drives
 :func:`fcfs_sojourn_times` directly on MMPP traces.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -53,9 +53,10 @@ def lindley_departure_times(
     ----------
     arrivals:
         Per-packet availability times **in service (FCFS) order**.
-        Plain arrival traces are sorted; the trace backend may inflate
-        entries by carryover waits, so monotonicity is not required —
-        only the ordering is (packet ``m`` is served after ``m - 1``).
+        Plain arrival traces are sorted; the column simulator may
+        inflate entries by carryover waits, so monotonicity is not
+        required — only the ordering is (packet ``m`` is served after
+        ``m - 1``).
     services:
         Per-packet service times, aligned with ``arrivals``.
 
@@ -108,59 +109,20 @@ def fcfs_sojourn_times(
     return W
 
 
-def merge_streams(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge per-flow arrival arrays into one time-sorted stream.
-
-    Returns ``(merged, order)`` where ``order`` indexes the
-    concatenation of ``arrays`` (stable sort: ties resolve in flow
-    order, deterministically).  Scatter per-packet results back with
-    ``out[order] = result``.
-    """
-    cat = np.concatenate([np.asarray(a, dtype=np.float64) for a in arrays])
-    order = np.argsort(cat, kind="stable")
-    return cat[order], order
-
-
-def frontier_delays(
-    frontier_arrivals: np.ndarray,
-    frontier_departures: np.ndarray,
-    arrivals: np.ndarray,
-) -> np.ndarray:
-    """Residual backlog each arrival sees from earlier passes.
-
-    ``frontier_arrivals`` (sorted) and ``frontier_departures`` (aligned)
-    describe packets already replayed through the same server by
-    earlier passes.  A new packet arriving at ``t`` must wait for every
-    earlier-arrived packet to depart:
-
-        ``V(t) = max(0, max{D_j : A_j <= t} - t)``.
-
-    Returns the per-packet waits ``V`` aligned with ``arrivals``.
-    """
-    A = np.asarray(arrivals, dtype=np.float64)
-    if frontier_arrivals.size == 0:
-        return np.zeros(A.shape, dtype=np.float64)
-    dep_cummax = np.maximum.accumulate(
-        np.asarray(frontier_departures, dtype=np.float64)
-    )
-    idx = np.searchsorted(frontier_arrivals, A, side="right") - 1
-    latest = dep_cummax[np.maximum(idx, 0)]
-    return np.where(idx >= 0, np.clip(latest - A, 0.0, None), 0.0)
-
-
 def busy_time_within(
     departures: np.ndarray, services: np.ndarray, horizon: float
-) -> float:
-    """Total service time rendered inside ``[0, horizon)``.
+) -> np.ndarray:
+    """Service time each visit renders inside ``[0, horizon)``.
 
-    Each packet occupies the server on ``[D - S, D]``; the sum of the
-    overlaps with the measurement window is the busy time the event
-    backend accumulates via its busy-period bookkeeping.
+    Each packet occupies the server on ``[D - S, D]``; its overlap with
+    the measurement window, summed over an instance's visits, is the
+    busy time the event backend accumulates via its busy-period
+    bookkeeping.
     """
     D = np.asarray(departures, dtype=np.float64)
     S = np.asarray(services, dtype=np.float64)
     overlap = np.minimum(D, horizon) - (D - S)
-    return float(np.clip(overlap, 0.0, None).sum())
+    return np.clip(overlap, 0.0, None)
 
 
 def segmented_maximum_accumulate(

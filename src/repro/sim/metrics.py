@@ -27,7 +27,10 @@ class SimulationMetrics:
     instances: List[InstanceStats]
     #: Completed end-to-end deliveries per request id.
     delivered: Dict[str, int]
-    #: End-to-end latencies (creation to final delivery), per request id.
+    #: End-to-end latencies (creation to final delivery), per request
+    #: id.  The order within one request's list is not part of the
+    #: contract: the backends list the same deliveries in different
+    #: orders.
     end_to_end: Dict[str, List[float]]
     #: Packets retransmitted at least once, per request id.
     retransmitted: Dict[str, int]

@@ -1,29 +1,33 @@
-"""Column-native trace simulation for million-request scenarios.
+"""The column simulator: whole-run packet columns, no event loop.
 
-The trace backend (:mod:`repro.sim.trace`) already replaced the event
-loop with array kernels, but its orchestration is per-request Python:
-one RNG spawn, one dict entry and one arrival array *per request*.  At
-1M requests that is minutes of setup for seconds of kernel time.  This
-backend keeps the same two-sweep structure — causal rounds × hop
-levels establishing when every packet reaches every instance, then one
-full-load measurement pass per instance — but works on whole-run
-packet columns:
+Replays the system of the event backend (Poisson sources, FCFS
+exponential service instances, end-to-end loss with NACK feedback) in
+two sweeps over whole-run packet columns.  It is both the million-
+request batch simulator and the ``trace`` backend of
+:class:`~repro.sim.simulator.ChainSimulator`, which reshapes its
+columns into :class:`~repro.sim.metrics.SimulationMetrics`.
 
 * arrivals are one vectorized draw: per-request Poisson *counts*, then
   uniform order statistics on ``[0, duration)`` (exactly the
   conditional law of a Poisson process given its count), sorted within
   each request's segment;
-* each hop level is partitioned by shard, and each shard sorts its
-  sub-batch by ``(instance, time)`` once and runs one segmented Lindley
-  pass (:func:`~repro.sim.kernels.segmented_lindley`) over it;
+* the **causal sweep** advances packets through their chains level by
+  level inside geometric feedback rounds: packets failing their
+  delivery coin (probability ``1 - P_r``) re-enter the chain head at
+  their last-hop departure plus the NACK delay, forming the next
+  round's arrivals, until none remain before the horizon.  Each hop
+  level is partitioned by shard, and each shard sorts its sub-batch by
+  ``(instance, time)`` once and runs one segmented Lindley pass
+  (:func:`~repro.sim.kernels.segmented_lindley`) over it;
 * every swept batch is appended to the shard's visit log as one
-  sorted run; cross-pass backlog (the trace backend's departure
-  frontier) is one ``searchsorted`` into each earlier run, by the
-  visits whose instance that run holds;
-* the measurement sweep merges each shard's runs once into (instance,
-  time) order — every recorded (packet, hop, round) visit — and runs
-  one segmented Lindley pass over them, merged back per packet in
-  shard order.
+  sorted run; cross-pass backlog (the departure frontier) is one
+  ``searchsorted`` into each earlier run, by the visits whose instance
+  that run holds;
+* the **measurement sweep** merges each shard's runs once into
+  (instance, time) order — every recorded (packet, hop, round) visit —
+  and runs one full-load segmented Lindley pass over them, merged back
+  per packet in shard order.  Every reported statistic comes from this
+  pass.
 
 Sharded execution (``jobs=N``)
 ------------------------------
@@ -47,10 +51,10 @@ with ``S`` shards, in order:
 * child ``2 + S + s`` — measurement services of shard ``s``.
 
 Each child seeds ONE generator consumed in deterministic (round,
-level, sorted-sub-batch) order within its owner — unlike the trace
-backend's per-request/per-instance spawns, so the two backends agree
-in distribution only (the same contract the trace backend has with the
-event engine; see docs/SCALE.md and docs/SIM_BACKENDS.md).  The layout
+level, sorted-sub-batch) order within its owner, so a run is a pure
+function of (scenario, schedule, seed).  The streams differ from the
+event backend's single shared generator: the two agree in
+distribution, not sample by sample (docs/SIM_BACKENDS.md).  The layout
 depends on the shard *plan*, never on ``jobs``.
 """
 
@@ -70,9 +74,15 @@ from repro.sim.shard import (
     open_shard_executor,
     partition_by_shard,
 )
-from repro.sim.trace import MAX_FEEDBACK_ROUNDS
+from repro.sim.simulator import SimulationConfig
 
 __all__ = ["ScaleShardPlan", "ScaleSimMetrics", "simulate_columns"]
+
+#: Hard cap on feedback rounds — each round thins by ``1 - P_r`` and
+#: re-entry times only grow toward the horizon, so hitting this means
+#: the configuration is pathological (e.g. ``P_r`` microscopically
+#: small at enormous load), not that the simulation is healthy.
+MAX_FEEDBACK_ROUNDS = 10_000
 
 
 @dataclass
@@ -93,6 +103,10 @@ class ScaleSimMetrics:
     retransmitted: np.ndarray
     #: Summed end-to-end latency of counted deliveries, per request.
     latency_sum: np.ndarray
+    #: Per counted delivery: its request index and its end-to-end
+    #: latency (the ``latency_sum`` bincount's inputs), in round order.
+    delivery_request: np.ndarray
+    delivery_latency: np.ndarray
     #: Per-instance: packets seen / completed before the horizon.
     instance_arrivals: np.ndarray
     instance_departures: np.ndarray
@@ -137,7 +151,7 @@ def _sorted_within(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def simulate_columns(
     arrays: ScenarioArrays,
     sched: ScheduleArrays,
-    config: Optional[object] = None,
+    config: Optional[SimulationConfig] = None,
     *,
     jobs: Optional[int] = None,
     plan: Optional[ScaleShardPlan] = None,
@@ -169,8 +183,6 @@ def simulate_columns(
         ``"fork"`` / ``"forkserver"``); ``None`` uses the platform
         default.  Workers are spawn-safe under all of them.
     """
-    from repro.sim.simulator import SimulationConfig
-
     cfg = config if config is not None else SimulationConfig()
     horizon = float(cfg.duration)
     num_requests = len(arrays.request_ids)
@@ -224,7 +236,6 @@ def simulate_columns(
     extra_delay = np.zeros(generated, dtype=np.float64)
     delivered = np.zeros(num_requests, dtype=np.int64)
     retransmitted = np.zeros(num_requests, dtype=np.int64)
-    latency_sum = np.zeros(num_requests, dtype=np.float64)
     counted_pkts: List[np.ndarray] = []
 
     executor = open_shard_executor(
@@ -336,14 +347,18 @@ def simulate_columns(
         else np.zeros(num_instances)
     )
 
-    # End-to-end latency of counted deliveries, summed per request.
-    if counted_pkts:
-        c_pkt = np.concatenate(counted_pkts)
-        latency_sum = np.bincount(
-            pkt_req[c_pkt],
-            weights=sojourn_sums[c_pkt] + extra_delay[c_pkt],
-            minlength=num_requests,
-        )
+    # End-to-end latency of each counted delivery, summed per request.
+    c_pkt = (
+        np.concatenate(counted_pkts)
+        if counted_pkts
+        else np.empty(0, dtype=np.int64)
+    )
+    delivery_request = pkt_req[c_pkt]
+    delivery_latency = sojourn_sums[c_pkt] + extra_delay[c_pkt]
+    # A weighted bincount of no entries is int64, hence the cast.
+    latency_sum = np.bincount(
+        delivery_request, weights=delivery_latency, minlength=num_requests
+    ).astype(np.float64, copy=False)
 
     return ScaleSimMetrics(
         duration=horizon,
@@ -351,6 +366,8 @@ def simulate_columns(
         delivered=delivered,
         retransmitted=retransmitted,
         latency_sum=latency_sum,
+        delivery_request=delivery_request,
+        delivery_latency=delivery_latency,
         instance_arrivals=inst_arrivals,
         instance_departures=inst_departures,
         instance_mean_sojourn=inst_sojourn,

@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.core.arrays import ScenarioArrays, ScheduleArrays
 from repro.exceptions import SimulationError, ValidationError
-from repro.sim.kernels import segmented_lindley
+from repro.sim.kernels import busy_time_within, segmented_lindley
 
 __all__ = [
     "DEFAULT_NUM_SHARDS",
@@ -421,9 +421,7 @@ class _ShardSim:
         )
         done = dep < self._horizon
         inst_done = inst[done]
-        overlap = np.clip(
-            np.minimum(dep, self._horizon) - (dep - services), 0.0, None
-        )
+        overlap = busy_time_within(dep, services, self._horizon)
         return _ShardMeasure(
             pkt_idx=pkt_idx,
             pkt_sums=pkt_sums,

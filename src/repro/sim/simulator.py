@@ -20,20 +20,24 @@ Two interchangeable backends produce those statistics:
 
 * ``backend="events"`` (default) — the per-packet event loop below, the
   reference implementation.
-* ``backend="trace"`` — :mod:`repro.sim.trace`, an array-native
-  replay over pre-sampled arrival/service traces (Lindley kernels)
-  that iterates over chain hops and feedback rounds, never packets.
+* ``backend="trace"`` — the column simulator
+  :func:`~repro.sim.scale.simulate_columns`, an array-native replay
+  over pre-sampled arrival/service traces (Lindley kernels) that
+  iterates over chain hops and feedback rounds, never packets; its
+  columns are reshaped into the same :class:`SimulationMetrics`.
   Orders of magnitude faster at scale; agrees with the event backend
   in distribution (see docs/SIM_BACKENDS.md for the parity contract).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.arrays import ScenarioArrays
 from repro.exceptions import ValidationError
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
@@ -56,6 +60,10 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("duration", "warmup", "nack_delay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.duration <= 0.0:
             raise ValidationError(
                 f"duration must be positive, got {self.duration!r}"
@@ -90,8 +98,8 @@ class ChainSimulator:
         Run-control parameters.
     backend:
         ``"events"`` for the per-packet event loop (the reference
-        implementation) or ``"trace"`` for the array-native Lindley
-        replay of :mod:`repro.sim.trace`.
+        implementation) or ``"trace"`` for the column simulator
+        :func:`~repro.sim.scale.simulate_columns`.
     """
 
     def __init__(
@@ -140,16 +148,7 @@ class ChainSimulator:
     def run(self) -> SimulationMetrics:
         """Execute one simulation run and return measured statistics."""
         if self._backend == "trace":
-            # Imported lazily: trace.py itself imports SimulationConfig
-            # from this module.
-            from repro.sim.trace import run_trace_simulation
-
-            return run_trace_simulation(
-                list(self._vnfs.values()),
-                list(self._requests.values()),
-                self._schedule,
-                self._config,
-            )
+            return self._run_columns()
         cfg = self._config
         engine = SimulationEngine()
         rng = np.random.default_rng(cfg.seed)
@@ -236,4 +235,52 @@ class ChainSimulator:
             end_to_end=end_to_end,
             retransmitted=retransmitted,
             generated=sum(s.generated for s in sources),
+        )
+
+    def _run_columns(self) -> SimulationMetrics:
+        """The trace backend: one :func:`simulate_columns` run, its
+        columns reshaped into :class:`SimulationMetrics`."""
+        # Imported here: repro.sim.scale imports SimulationConfig from
+        # this module.
+        from repro.sim.scale import simulate_columns
+
+        vnfs = list(self._vnfs.values())
+        requests = list(self._requests.values())
+        arrays = ScenarioArrays.build(vnfs, requests, {})
+        # Only the chain pairs: like the event loop, ignore the rest.
+        sched = arrays.schedule_arrays(
+            {
+                (r.request_id, name): self._schedule[(r.request_id, name)]
+                for r in requests
+                for name in r.chain
+            }
+        )
+        m = simulate_columns(arrays, sched, self._config)
+
+        keys = [(f.name, k) for f in vnfs for k in range(f.num_instances)]
+        columns = zip(
+            m.instance_arrivals.tolist(),
+            m.instance_departures.tolist(),
+            m.instance_mean_sojourn.tolist(),
+            m.instance_utilization.tolist(),
+        )
+        instances = [
+            InstanceStats(key, *stats) for key, stats in zip(keys, columns)
+        ]
+        # Group the per-delivery latencies by request; ``delivered``
+        # counts exactly those deliveries, so it gives the group sizes.
+        order = np.argsort(m.delivery_request, kind="stable")
+        groups = np.split(
+            m.delivery_latency[order], np.cumsum(m.delivered)[:-1]
+        )
+        rids = arrays.request_ids
+        return SimulationMetrics(
+            duration=m.duration,
+            instances=instances,
+            delivered=dict(zip(rids, m.delivered.tolist())),
+            end_to_end={
+                rid: group.tolist() for rid, group in zip(rids, groups)
+            },
+            retransmitted=dict(zip(rids, m.retransmitted.tolist())),
+            generated=m.generated,
         )

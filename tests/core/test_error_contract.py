@@ -6,7 +6,9 @@ below feeds one defect — an unplaced chain VNF, a node missing from the
 capacity map, a missing schedule index, an out-of-range schedule index —
 to every metric that reads that part of the solution, and expects a
 ``ValidationError`` carrying the validator's message (never a number, a
-``KeyError`` or a ``SchedulingError``).
+``KeyError`` or a ``SchedulingError``).  The simulator's run-control
+parameters follow the same rule: a non-finite time is refused with a
+message naming the field.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.nfv.vnf import VNF
 from repro.placement.base import PlacementProblem, PlacementResult
 from repro.scheduling.base import ScheduleResult, SchedulingProblem
 from repro.scheduling.metrics import schedule_report
+from repro.sim.simulator import SimulationConfig
 from repro.topology.graph import DatacenterTopology
 
 VNFS = (VNF("fw", 10.0, 2, 100.0), VNF("nat", 5.0, 1, 200.0))
@@ -180,3 +183,10 @@ def test_the_clean_inputs_evaluate():
         *STATE_PLACEMENT_METRICS.values(),
     ):
         metric(state)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["duration", "warmup", "nack_delay"])
+def test_simulation_config_refuses_non_finite_times(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        SimulationConfig(**{field: value})

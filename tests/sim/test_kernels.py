@@ -12,9 +12,7 @@ from repro.exceptions import SimulationError
 from repro.sim.kernels import (
     busy_time_within,
     fcfs_sojourn_times,
-    frontier_delays,
     lindley_departure_times,
-    merge_streams,
 )
 
 
@@ -108,63 +106,21 @@ class TestFcfsSojournTimes:
             fcfs_sojourn_times(np.array([1.0, 0.5]), np.array([0.1, 0.1]))
 
 
-class TestMergeStreams:
-    def test_merged_is_sorted_and_order_roundtrips(self):
-        rng = np.random.default_rng(3)
-        streams = [np.sort(rng.uniform(0, 10, size=n)) for n in (5, 0, 8)]
-        merged, order = merge_streams(streams)
-        assert np.all(np.diff(merged) >= 0)
-        concat = np.concatenate(streams)
-        np.testing.assert_allclose(concat[order], merged)
-        # Scatter-back: results computed in merged order return home.
-        out = np.empty_like(merged)
-        out[order] = merged
-        np.testing.assert_allclose(out, concat)
-
-    def test_stable_for_ties(self):
-        merged, order = merge_streams([np.array([1.0]), np.array([1.0])])
-        assert list(order) == [0, 1]
-
-
-class TestFrontierDelays:
-    def test_no_history_means_no_wait(self):
-        waits = frontier_delays(
-            np.empty(0), np.empty(0), np.array([0.0, 1.0])
-        )
-        np.testing.assert_allclose(waits, [0.0, 0.0])
-
-    def test_waits_behind_residual_backlog(self):
-        # History: arrival at 0 departs at 5.  A packet arriving at 2
-        # finds 3 units of backlog; one arriving at 6 finds none.
-        waits = frontier_delays(
-            np.array([0.0]), np.array([5.0]), np.array([2.0, 6.0])
-        )
-        np.testing.assert_allclose(waits, [3.0, 0.0])
-
-    def test_frontier_is_running_max(self):
-        # Out-of-order departures: the *latest* departure among earlier
-        # arrivals is what blocks.
-        waits = frontier_delays(
-            np.array([0.0, 1.0]),
-            np.array([10.0, 4.0]),
-            np.array([2.0]),
-        )
-        np.testing.assert_allclose(waits, [8.0])
-
-
 class TestBusyTimeWithin:
     def test_full_service_inside_horizon(self):
         departures = np.array([2.0, 5.0])
         services = np.array([1.0, 2.0])
-        assert busy_time_within(departures, services, 10.0) == pytest.approx(3.0)
+        assert busy_time_within(
+            departures, services, 10.0
+        ).sum() == pytest.approx(3.0)
 
     def test_service_clipped_at_horizon(self):
         # Service runs [9, 12) against horizon 10: only 1s counts.
         assert busy_time_within(
             np.array([12.0]), np.array([3.0]), 10.0
-        ) == pytest.approx(1.0)
+        ).sum() == pytest.approx(1.0)
 
     def test_service_entirely_past_horizon(self):
         assert busy_time_within(
             np.array([15.0]), np.array([2.0]), 10.0
-        ) == pytest.approx(0.0)
+        ).sum() == pytest.approx(0.0)

@@ -1,5 +1,5 @@
 """Column-native simulation backend: kernel exactness + distributional
-parity with the analytic M/M/1 model and the trace backend."""
+parity with the analytic M/M/1 model and the event backend."""
 
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from repro.sim.kernels import (
     segmented_maximum_accumulate,
 )
 from repro.sim.scale import simulate_columns
-from repro.sim.simulator import SimulationConfig
-from repro.sim.trace import run_trace_simulation
+from repro.sim.simulator import ChainSimulator, SimulationConfig
 from repro.workload.stream import rescale_to_stability, stream_scenario
 
 
@@ -105,7 +104,7 @@ class TestScaleBackend:
             50.0 * (200.0 - 20.0) / 200.0, rel=0.08
         )
 
-    def test_aggregates_track_trace_backend(self):
+    def test_aggregates_track_event_backend(self):
         scn = stream_scenario(
             num_vnfs=6, num_nodes=8, num_requests=30,
             rng=np.random.default_rng(11), delivery_probability=0.97,
@@ -124,7 +123,9 @@ class TestScaleBackend:
             schedule[
                 (scn.arrays.request_ids[int(r)], names[int(f)])
             ] = int(k)
-        ref = run_trace_simulation(scn.vnfs, requests, schedule, cfg)
+        ref = ChainSimulator(
+            scn.vnfs, requests, schedule, cfg, backend="events"
+        ).run()
 
         assert got.generated == pytest.approx(
             ref.generated, rel=0.05

@@ -9,18 +9,22 @@ Three layers of evidence, mirroring docs/SIM_BACKENDS.md:
   (two-sample KS statistic — the backends agree in distribution, not
   sample by sample);
 * edge cases (idle instance, ``warmup == 0``, ``nack_delay > 0``) are
-  asserted identically on both backends.
+  asserted identically on both backends;
+* the backend is the column simulator: its counts and instance
+  statistics equal ``simulate_columns`` on the same arrays.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.arrays import ScenarioArrays
 from repro.exceptions import ValidationError
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
 from repro.queueing.jackson import ChainFeedbackModel
 from repro.queueing.mm1 import MM1Queue
+from repro.sim.scale import simulate_columns
 from repro.sim.simulator import BACKENDS, ChainSimulator, SimulationConfig
 
 LONG = SimulationConfig(duration=2000.0, warmup=200.0, seed=123)
@@ -216,3 +220,70 @@ class TestBackendPlumbing:
             vnfs, requests, schedule, cfg, backend="trace"
         ).run()
         assert tr.generated == pytest.approx(ev.generated, rel=0.10)
+
+
+class TestColumnRoute:
+    """``backend="trace"`` is ``simulate_columns`` on the same arrays,
+    reshaped: every count and instance statistic matches exactly."""
+
+    @staticmethod
+    def _scenario():
+        vnfs = [
+            VNF("fw", 1.0, 2, 120.0),
+            VNF("nat", 1.0, 1, 150.0),
+            VNF("ids", 1.0, 2, 90.0),
+        ]
+        requests = [
+            Request("a", ServiceChain(["fw", "nat", "ids"]), 20.0, 0.8),
+            Request("b", ServiceChain(["nat", "fw"]), 15.0, 0.9),
+            Request("c", ServiceChain(["ids"]), 25.0, 0.7),
+            Request("d", ServiceChain(["fw", "ids"]), 10.0, 1.0),
+        ]
+        schedule = {
+            ("a", "fw"): 0, ("a", "nat"): 0, ("a", "ids"): 1,
+            ("b", "nat"): 0, ("b", "fw"): 1,
+            ("c", "ids"): 0,
+            ("d", "fw"): 0, ("d", "ids"): 1,
+        }
+        return vnfs, requests, schedule
+
+    def test_matches_simulate_columns(self):
+        vnfs, requests, schedule = self._scenario()
+        cfg = SimulationConfig(
+            duration=80.0, warmup=8.0, nack_delay=0.02, seed=31
+        )
+        got = ChainSimulator(
+            vnfs, requests, schedule, cfg, backend="trace"
+        ).run()
+        arrays = ScenarioArrays.build(vnfs, requests, {})
+        ref = simulate_columns(arrays, arrays.schedule_arrays(schedule), cfg)
+
+        rids = arrays.request_ids
+        assert got.generated == ref.generated
+        assert got.delivered == dict(zip(rids, ref.delivered.tolist()))
+        assert got.retransmitted == dict(
+            zip(rids, ref.retransmitted.tolist())
+        )
+        assert sum(got.retransmitted.values()) > 0
+        keys = [(f.name, k) for f in vnfs for k in range(f.num_instances)]
+        assert [s.key for s in got.instances] == keys
+        for i, stats in enumerate(got.instances):
+            assert stats.arrivals == ref.instance_arrivals[i]
+            assert stats.departures == ref.instance_departures[i]
+            assert stats.mean_sojourn == ref.instance_mean_sojourn[i]
+            assert stats.utilization == ref.instance_utilization[i]
+        for i, rid in enumerate(rids):
+            assert len(got.end_to_end[rid]) == got.delivered[rid]
+            assert sum(got.end_to_end[rid]) == pytest.approx(
+                ref.latency_sum[i], rel=1e-12
+            )
+
+    def test_schedule_entries_off_the_chains_are_ignored(self):
+        vnfs, requests, schedule = self._scenario()
+        cfg = SimulationConfig(duration=20.0, warmup=2.0, seed=5)
+        extra = {**schedule, ("c", "fw"): 1, ("ghost", "nat"): 0}
+        runs = [
+            ChainSimulator(vnfs, requests, s, cfg, backend="trace").run()
+            for s in (schedule, extra)
+        ]
+        assert runs[0] == runs[1]
