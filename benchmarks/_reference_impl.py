@@ -221,7 +221,10 @@ def reference_instance_rates(result) -> List[float]:
 
 
 def reference_schedule_all_vnfs(vnfs, requests, algorithm):
-    """Pre-refactor ``schedule_all_vnfs``: quadratic per-VNF user scan."""
+    """The object route of the joint ``z`` map: one ``SchedulingProblem``
+    per used VNF (a quadratic user scan), one dict entry per (request,
+    VNF) pair.  ``schedule_columns`` + ``ScenarioArrays.schedule_dict``
+    must give the same items in the same order."""
     joint: Dict[Tuple[str, str], int] = {}
     for vnf in vnfs:
         users = [r for r in requests if r.uses(vnf.name)]

@@ -7,7 +7,9 @@ agree to 1e-12 relative, then times both with ``time.perf_counter``:
 
 * ``evaluate_deployment`` — the full Eq. (13)-(16) scorecard,
 * ``total_inter_node_hops`` — the local-search inner loop,
-* ``schedule_all_vnfs`` — joint ``z``-map construction,
+* ``schedule_all_vnfs`` — joint ``z``-map construction: columns
+  (``schedule_columns`` + ``ScenarioArrays.schedule_dict``) vs the
+  per-VNF object route,
 * ``PlacementResult.node_loads`` — Eq. (13)/(14) ingredients.
 
 Usage::
@@ -44,11 +46,12 @@ from _reference_impl import (
     reference_schedule_all_vnfs,
     reference_total_inter_node_hops,
 )
+from repro.core.arrays import ScenarioArrays
 from repro.core.evaluation import evaluate_deployment
 from repro.core.joint import JointOptimizer
 from repro.core.local_search import total_inter_node_hops
 from repro.nfv.request import Request
-from repro.scheduling.base import schedule_all_vnfs
+from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.least_loaded import LeastLoadedScheduler
 from repro.workload.generator import WorkloadGenerator
 
@@ -204,9 +207,14 @@ def main(argv=None):
     worst_rel = check_parity(state)
 
     scheduler = LeastLoadedScheduler()
-    z_new = schedule_all_vnfs(vnfs, requests, scheduler)
+
+    def column_z_map():
+        arrays = ScenarioArrays.build(vnfs, requests, {})
+        return arrays.schedule_dict(schedule_columns(arrays, scheduler))
+
+    z_new = column_z_map()
     z_old = reference_schedule_all_vnfs(vnfs, requests, scheduler)
-    if z_new != z_old:
+    if list(z_new.items()) != list(z_old.items()):
         raise SystemExit("schedule_all_vnfs z-map mismatch vs reference")
 
     results = {}
@@ -227,7 +235,7 @@ def main(argv=None):
     _compare(
         "schedule_all_vnfs",
         lambda: reference_schedule_all_vnfs(vnfs, requests, scheduler),
-        lambda: schedule_all_vnfs(vnfs, requests, scheduler),
+        column_z_map,
         repeats,
         results,
     )

@@ -105,7 +105,7 @@ def parity_check(seed: int) -> None:
     from repro.core.arrays import ScenarioArrays
     from repro.core.evaluation import evaluate_deployment
     from repro.nfv.state import DeploymentState
-    from repro.scheduling.base import schedule_all_vnfs
+    from _reference_impl import reference_schedule_all_vnfs
     from repro.scheduling.least_loaded import LeastLoadedScheduler
     from repro.workload.stream import materialize_requests
 
@@ -134,7 +134,7 @@ def parity_check(seed: int) -> None:
         requests=requests,
         node_capacities=scn.capacities,
         placement=plain.placement,
-        schedule=schedule_all_vnfs(
+        schedule=reference_schedule_all_vnfs(
             scn.vnfs, requests, LeastLoadedScheduler()
         ),
     )

@@ -15,7 +15,7 @@ legacy paths produce byte-identical solutions, then times both:
   singleton inserts are nearly every combine,
 * ``rckk_schedule_serve`` — a whole serve-shaped RCKK schedule (12 VNFs
   of 16-24 instances, the engine's rebalance input): the object route
-  (``schedule_all_vnfs`` + ``schedule_arrays``) vs
+  (``reference_schedule_all_vnfs`` + ``schedule_arrays``) vs
   ``schedule_columns(arrays, RCKKScheduler())``, which must give the
   same rows in the same order and the same instance-load bytes,
 * ``local_search_refine`` — relocate hill climb (neighbor-count delta
@@ -59,6 +59,7 @@ from _reference_impl import (
     reference_kk_multiway,
     reference_refine_assignment,
     reference_refine_placement,
+    reference_schedule_all_vnfs,
 )
 from bench_core import DEFAULT_SEED, _time, build_scenario
 from repro.core.arrays import ScenarioArrays
@@ -66,7 +67,6 @@ from repro.core.local_search import refine_placement
 from repro.partition.rckk import rckk_partition
 from repro.placement.base import PlacementProblem
 from repro.placement.bfdsu import BFDSUPlacement
-from repro.scheduling.base import schedule_all_vnfs
 from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.rckk import RCKKScheduler
 from repro.scheduling.swap_refine import refine_assignment
@@ -198,7 +198,9 @@ def main(argv=None):
     )
 
     def _object_schedule():
-        joint = schedule_all_vnfs(serve.vnfs, serve.requests, RCKKScheduler())
+        joint = reference_schedule_all_vnfs(
+            serve.vnfs, serve.requests, RCKKScheduler()
+        )
         return serve_arrays.schedule_arrays(joint)
 
     def _column_schedule():

@@ -578,6 +578,16 @@ class ScenarioArrays:
         inst = self.instance_offset[vnf] + k
         return ScheduleArrays(req=req, vnf=vnf, k=k, inst=inst)
 
+    def schedule_dict(self, sched: ScheduleArrays) -> Dict[Tuple[str, str], int]:
+        """The ``(request_id, vnf_name) -> k`` map of ``sched``, one entry
+        per row in row order: the inverse of :meth:`schedule_arrays`."""
+        ids, names = self.request_ids, self.vnf_names
+        keys = zip(
+            map(ids.__getitem__, sched.req.tolist()),
+            map(names.__getitem__, sched.vnf.tolist()),
+        )
+        return dict(zip(keys, sched.k.tolist()))
+
     # ------------------------------------------------------------------
     # Placement metrics (Eqs. 13/14, Fig. 9)
     # ------------------------------------------------------------------

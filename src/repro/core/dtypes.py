@@ -69,11 +69,6 @@ class DtypePolicy:
         object.__setattr__(self, "index_dtype", idt)
         object.__setattr__(self, "float_dtype", fdt)
 
-    @property
-    def index_max(self) -> int:
-        """Largest index value representable by ``index_dtype``."""
-        return int(np.iinfo(self.index_dtype).max)
-
 
 #: The historical widths — what every parity suite pins.
 DEFAULT_POLICY = DtypePolicy(np.dtype(np.int64), np.dtype(np.float64))

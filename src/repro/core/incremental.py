@@ -85,13 +85,14 @@ from repro.core.admission import (
 )
 from repro.core.arrays import ScenarioArrays
 from repro.core.deltas import FIT_EPS
+from repro.core.joint import JointOptimizer
 from repro.exceptions import InfeasiblePlacementError, SchedulingError
 from repro.nfv.request import Request
 from repro.nfv.state import DeploymentState
 from repro.nfv.vnf import VNF
 from repro.placement.base import PlacementProblem
 from repro.placement.bfdsu import BFDSUPlacement
-from repro.scheduling.base import SchedulingAlgorithm, schedule_all_vnfs
+from repro.scheduling.base import SchedulingAlgorithm
 from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.least_loaded import least_loaded_admit
 from repro.scheduling.rckk import RCKKScheduler
@@ -115,18 +116,6 @@ def _fresh_rng(seed: Optional[int]) -> np.random.Generator:
     return np.random.default_rng(DEFAULT_SEED if seed is None else int(seed))
 
 
-def _distinct_chains(requests: Sequence[Request]) -> tuple:
-    """Distinct service chains in first-seen order (JointOptimizer's rule)."""
-    seen = set()
-    chains = []
-    for request in requests:
-        key = request.chain.vnf_names
-        if key not in seen:
-            seen.add(key)
-            chains.append(request.chain)
-    return tuple(chains)
-
-
 def solve_joint(
     vnfs: Sequence[VNF],
     requests: Sequence[Request],
@@ -148,29 +137,18 @@ def solve_joint(
     """
     from repro.topology.network import NetworkModel
 
-    chains = _distinct_chains(requests)
-    problem = PlacementProblem(
-        vnfs=vnfs, capacities=node_capacities, chains=chains
-    )
     network = None
     if topology is not None:
         network = NetworkModel.for_problem(
-            problem, topology, requests=requests, bandwidth=bandwidth
+            PlacementProblem(vnfs, node_capacities),
+            topology,
+            requests=requests,
+            bandwidth=bandwidth,
         )
-    placement_result = BFDSUPlacement(
-        rng=_fresh_rng(seed), network=network
-    ).place(problem)
-    algorithm = scheduler if scheduler is not None else RCKKScheduler()
-    schedule = schedule_all_vnfs(vnfs, requests, algorithm)
-    state = DeploymentState(
-        vnfs=list(vnfs),
-        requests=list(requests),
-        node_capacities=dict(node_capacities),
-        placement=dict(placement_result.placement),
-        schedule=schedule,
-    )
-    state.validate()
-    return state
+    placement = BFDSUPlacement(rng=_fresh_rng(seed), network=network)
+    return JointOptimizer(placement, scheduler).optimize(
+        vnfs, requests, node_capacities
+    ).state
 
 
 #: The assignment of every rejected request: empty and read-only, so
@@ -899,8 +877,6 @@ class DeploymentEngine:
         """
         from repro.topology.network import NetworkModel
 
-        survivors = list(self._requests.values())
-        chains = _distinct_chains(survivors)
         capacities = self._capacities
         if self._failed_nodes:
             capacities = {
@@ -912,32 +888,25 @@ class DeploymentEngine:
                 raise InfeasiblePlacementError(
                     "every compute node is marked failed"
                 )
-        problem = PlacementProblem(
-            vnfs=self._vnfs, capacities=capacities, chains=chains
-        )
+        # BFDSU packs VNFs by demand; it reads no chains.
+        problem = PlacementProblem(self._vnfs, capacities)
         solve_network = None
         if self._topology is not None:
             solve_network = NetworkModel.for_problem(
                 problem,
                 self._topology,
-                requests=survivors,
+                requests=list(self._requests.values()),
                 bandwidth=self._bandwidth,
             )
         placement_result = BFDSUPlacement(
             rng=_fresh_rng(self._seed), network=solve_network
         ).place(problem)
         placement = dict(placement_result.placement)
-        placement_vec = self._arrays.placement_vector(placement)
         arrays = self._arrays
+        placement_vec = arrays.placement_vector(placement)
         sched = schedule_columns(arrays, self._scheduler, down=self._down_inst)
         inst_loads, _, _ = arrays.instance_rates(sched)
-        # Row order is schedule_all_vnfs's dict insertion order.
-        ids, names = arrays.request_ids, arrays.vnf_names
-        keys = zip(
-            map(ids.__getitem__, sched.req.tolist()),
-            map(names.__getitem__, sched.vnf.tolist()),
-        )
-        schedule = dict(zip(keys, sched.k.tolist()))
+        schedule = arrays.schedule_dict(sched)
         network = solve_network
         if solve_network is not None and self._failed_nodes:
             # The solve ran on the reduced node set, so its node
@@ -950,7 +919,7 @@ class DeploymentEngine:
                 self._arrays.node_keys,
                 (
                     (list(r.chain), float(r.effective_rate))
-                    for r in survivors
+                    for r in self._requests.values()
                 ),
                 bandwidth=self._bandwidth,
             )

@@ -30,7 +30,8 @@ from repro.placement.base import (
     PlacementResult,
 )
 from repro.placement.bfdsu import BFDSUPlacement
-from repro.scheduling.base import SchedulingAlgorithm, schedule_all_vnfs
+from repro.scheduling.base import SchedulingAlgorithm
+from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.rckk import RCKKScheduler
 from repro.topology.graph import DEFAULT_LINK_LATENCY
 
@@ -76,16 +77,6 @@ class JointOptimizer:
         self._scheduler = scheduler if scheduler is not None else RCKKScheduler()
         self._link_latency = link_latency
 
-    @property
-    def placement_algorithm(self) -> PlacementAlgorithm:
-        """The configured phase-one algorithm."""
-        return self._placement
-
-    @property
-    def scheduling_algorithm(self) -> SchedulingAlgorithm:
-        """The configured phase-two algorithm."""
-        return self._scheduler
-
     def optimize(
         self,
         vnfs: Sequence[VNF],
@@ -104,21 +95,24 @@ class JointOptimizer:
         capacities:
             ``A_v`` per compute node.
         """
-        chains = _distinct_chains(requests)
-        problem = PlacementProblem(
-            vnfs=vnfs, capacities=capacities, chains=chains
+        placement_result = self._placement.place(
+            PlacementProblem(
+                vnfs, capacities, chains=_distinct_chains(requests)
+            )
         )
-        placement_result = self._placement.place(problem)
-
-        schedule = schedule_all_vnfs(vnfs, requests, self._scheduler)
-
         state = DeploymentState(
             vnfs=list(vnfs),
             requests=list(requests),
             node_capacities=dict(capacities),
             placement=dict(placement_result.placement),
-            schedule=schedule,
         )
+        # Schedule on the columns the state caches for validate(); the
+        # dict is built once, at the boundary.
+        arrays = state.arrays()
+        schedule = arrays.schedule_dict(
+            schedule_columns(arrays, self._scheduler)
+        )
+        state.schedule = schedule
         state.validate()
         return JointSolution(
             state=state,
@@ -130,11 +124,7 @@ class JointOptimizer:
 
 def _distinct_chains(requests: Sequence[Request]) -> Tuple[ServiceChain, ...]:
     """The distinct service chains of a request set, in first-seen order."""
-    seen = set()
-    chains = []
+    chains: Dict[Tuple[str, ...], ServiceChain] = {}
     for request in requests:
-        key = request.chain.vnf_names
-        if key not in seen:
-            seen.add(key)
-            chains.append(request.chain)
-    return tuple(chains)
+        chains.setdefault(request.chain.vnf_names, request.chain)
+    return tuple(chains.values())

@@ -36,6 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.arrays import ScenarioArrays
 from repro.core.local_search import refine_placement, total_inter_node_hops
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.montecarlo import run_trials
@@ -49,7 +50,7 @@ from repro.placement.bfdsu import BFDSUPlacement
 from repro.placement.ffd import FFDPlacement
 from repro.queueing.mm1 import MM1Queue
 from repro.queueing.mmc import MMCQueue
-from repro.scheduling.base import schedule_all_vnfs
+from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.ckk import CKKScheduler
 from repro.scheduling.metrics import schedule_report
 from repro.scheduling.rckk import RCKKScheduler
@@ -146,7 +147,8 @@ def _localsearch(seed: int, rep: int) -> Metrics:
         num_vnfs=10, num_nodes=8, num_requests=40
     )
     problem = PlacementProblem(vnfs=w.vnfs, capacities=w.capacities, chains=w.chains)
-    schedule = schedule_all_vnfs(w.vnfs, w.requests, RCKKScheduler())
+    arrays = ScenarioArrays.build(w.vnfs, w.requests, {})
+    schedule = arrays.schedule_dict(schedule_columns(arrays, RCKKScheduler()))
     out = {}
     for name, algorithm in (
         ("FFD", FFDPlacement()),

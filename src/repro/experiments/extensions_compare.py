@@ -13,6 +13,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.core.arrays import ScenarioArrays
 from repro.core.local_search import refine_placement
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.montecarlo import run_trials
@@ -22,7 +23,7 @@ from repro.placement.base import PlacementProblem
 from repro.placement.best_of import BestOfKPlacement
 from repro.placement.bfdsu import BFDSUPlacement
 from repro.placement.chain_affinity import ChainAffinityBFDSU
-from repro.scheduling.base import schedule_all_vnfs
+from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.rckk import RCKKScheduler
 from repro.workload.generator import WorkloadGenerator
 
@@ -60,7 +61,8 @@ def _trial(task) -> Dict[str, tuple]:
     problem = PlacementProblem(
         vnfs=w.vnfs, capacities=w.capacities, chains=w.chains
     )
-    schedule = schedule_all_vnfs(w.vnfs, w.requests, RCKKScheduler())
+    arrays = ScenarioArrays.build(w.vnfs, w.requests, {})
+    schedule = arrays.schedule_dict(schedule_columns(arrays, RCKKScheduler()))
     metrics: Dict[str, tuple] = {}
 
     def evaluate(name: str, placement_map) -> None:

@@ -26,6 +26,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.core.arrays import ScenarioArrays
 from repro.core.evaluation import evaluate_deployment
 from repro.exceptions import MaxRestartsExceededError
 from repro.core.local_search import refine_placement, swap_placement
@@ -37,7 +38,7 @@ from repro.nfv.request import Request
 from repro.nfv.state import DeploymentState
 from repro.placement.base import PlacementProblem
 from repro.placement.bfdsu import BFDSUPlacement
-from repro.scheduling.base import schedule_all_vnfs
+from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.rckk import RCKKScheduler
 from repro.topology.fattree import fat_tree
 from repro.topology.io import abilene
@@ -132,7 +133,8 @@ def _trial(task) -> Dict[str, Dict[str, float]]:
     requests = _rescale_for_stability(w.vnfs, w.requests)
     total_demand = sum(f.total_demand for f in w.vnfs)
     max_demand = max(f.total_demand for f in w.vnfs)
-    schedule = schedule_all_vnfs(w.vnfs, requests, RCKKScheduler())
+    arrays = ScenarioArrays.build(w.vnfs, requests, {})
+    schedule = arrays.schedule_dict(schedule_columns(arrays, RCKKScheduler()))
     topo_rng = np.random.default_rng(topo_ss)
 
     metrics: Dict[str, Dict[str, float]] = {}

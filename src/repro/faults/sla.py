@@ -108,10 +108,6 @@ class ResilienceReport:
         return self.availability >= self.availability_target
 
     @property
-    def downtime_minutes(self) -> float:
-        return self.downtime_seconds / 60.0
-
-    @property
     def violation_minutes(self) -> float:
         """Chain-minutes above the latency threshold."""
         return self.violation_seconds / 60.0

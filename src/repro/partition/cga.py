@@ -73,43 +73,57 @@ def complete_greedy_partition(
     sums = [0.0] * num_ways
     subsets: List[List[int]] = [[] for _ in range(num_ways)]
 
-    def search(depth: int) -> bool:
-        """DFS; returns True when the node budget is exhausted."""
-        nonlocal best_subsets, best_makespan, nodes
+    # Depth-first search on an explicit stack: one greedy descent is n
+    # levels deep, past the interpreter's recursion limit at n ~ 1000.
+    # An open node is [value index, ways in visiting order, next
+    # position, sums already tried, way its open child took or -1].
+    stack: List[list] = []
+    while True:
+        # Enter the node at depth len(stack).
         nodes += 1
         if not unlimited and nodes > max_nodes:
-            return True
-        if depth == len(order):
-            makespan = max(sums) if sums else 0.0
+            break
+        if len(stack) == len(order):
+            makespan = max(sums)
             if makespan < best_makespan:
                 best_makespan = makespan
                 best_subsets = [list(s) for s in subsets]
-            return False
-        idx = order[depth]
-        value = values[idx]
-        # Visit ways in increasing current-sum order; skip duplicate sums
-        # (assigning to either of two equal-sum ways is symmetric).
-        visited_sums = set()
-        for way in sorted(range(num_ways), key=lambda w: sums[w]):
-            if sums[way] in visited_sums:
-                continue
-            visited_sums.add(sums[way])
-            # Prune: this branch cannot beat the incumbent.
-            if sums[way] + value >= best_makespan:
-                continue
-            sums[way] += value
-            subsets[way].append(idx)
-            exhausted = search(depth + 1)
-            subsets[way].pop()
-            sums[way] -= value
-            if exhausted:
-                return True
-            # Perfect partition found — nothing can be better.
-            if best_makespan <= perfect + 1e-12:
-                return True
-        return False
+        else:
+            # Visit ways in increasing current-sum order.
+            ways = sorted(range(num_ways), key=lambda w: sums[w])
+            stack.append([order[len(stack)], ways, 0, set(), -1])
+        # Back up to the deepest open node with a child left to enter.
+        entered = False
+        while stack and not entered:
+            frame = stack[-1]
+            idx, ways, pos, tried, taken = frame
+            value = values[idx]
+            if taken >= 0:
+                sums[taken] -= value
+                subsets[taken].pop()
+                # Perfect partition found — nothing can be better.
+                if best_makespan <= perfect + 1e-12:
+                    break
+            while pos < num_ways and not entered:
+                way = ways[pos]
+                pos += 1
+                # Skip duplicate sums (assigning to either of two
+                # equal-sum ways is symmetric).
+                if sums[way] in tried:
+                    continue
+                tried.add(sums[way])
+                # Prune: this branch cannot beat the incumbent.
+                if sums[way] + value >= best_makespan:
+                    continue
+                sums[way] += value
+                subsets[way].append(idx)
+                frame[2], frame[4] = pos, way
+                entered = True
+            if not entered:
+                stack.pop()
+        if not entered:
+            break
 
-    search(0)
     if best_subsets is None:
         # The budget was too small to even reach the first leaf; fall back
         # to the plain greedy assignment so callers always get an answer.

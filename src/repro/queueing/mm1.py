@@ -87,10 +87,6 @@ class MM1Queue:
         rho = self.rho
         return (1.0 - rho) * rho**n
 
-    def prob_empty(self) -> float:
-        """Probability the instance is idle, ``pi(0) = 1 - rho``."""
-        return self.prob_n_in_system(0)
-
     def prob_more_than(self, n: int) -> float:
         """Tail probability ``P[N > n] = rho^(n+1)``."""
         if n < 0:

@@ -18,7 +18,6 @@ from repro.scheduling.base import (
     SchedulingAlgorithm,
     SchedulingProblem,
     ScheduleResult,
-    schedule_all_vnfs,
 )
 from repro.scheduling.cga import CGAScheduler
 from repro.scheduling.ckk import CKKScheduler
@@ -41,5 +40,4 @@ __all__ = [
     "RandomScheduler",
     "LeastLoadedScheduler",
     "schedule_report",
-    "schedule_all_vnfs",
 ]

@@ -10,8 +10,10 @@ routes run: :meth:`~SchedulingAlgorithm.schedule` turns it into a
 :class:`ScheduleResult` and
 :func:`~repro.scheduling.kernels.schedule_columns` into index-form rows.
 
-:func:`schedule_all_vnfs` lifts a per-VNF scheduler over a whole problem
-instance, producing the ``(request_id, vnf_name) -> k`` map a
+Over a whole problem instance the rule runs on columns:
+:func:`~repro.scheduling.kernels.schedule_columns` schedules every VNF,
+and :meth:`~repro.core.arrays.ScenarioArrays.schedule_dict` turns its
+rows into the ``(request_id, vnf_name) -> k`` map a
 :class:`~repro.nfv.state.DeploymentState` consumes.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -211,7 +213,7 @@ class SchedulingAlgorithm(abc.ABC):
 
     def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
         """Solve ``problem`` with :meth:`assign` (the rules emit every
-        user once; :func:`schedule_all_vnfs` validates the result)."""
+        user once; :meth:`ScheduleResult.validate` checks the result)."""
         rule = self.assign(problem.effective_rates(), problem.num_instances)
         requests = problem.requests
         if rule.order is not None:
@@ -225,35 +227,3 @@ class SchedulingAlgorithm(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def schedule_all_vnfs(
-    vnfs: Sequence[VNF],
-    requests: Sequence[Request],
-    algorithm: SchedulingAlgorithm,
-) -> Dict[Tuple[str, str], int]:
-    """Schedule every VNF's request set, yielding the joint ``z`` map.
-
-    VNFs used by no request are skipped (they simply idle).  The result
-    maps ``(request_id, vnf_name) -> k`` and is directly consumable by
-    :class:`~repro.nfv.state.DeploymentState`.
-    """
-    # One pass over the requests builds the inverted U_r^f index; the
-    # old per-VNF membership scan was O(|F| * |R|).  Iterating requests
-    # in the outer loop keeps each VNF's user list in request order,
-    # exactly as the scan produced it.
-    users_by_vnf: Dict[str, List[Request]] = {}
-    for request in requests:
-        for vnf_name in request.chain:
-            users_by_vnf.setdefault(vnf_name, []).append(request)
-
-    joint: Dict[Tuple[str, str], int] = {}
-    for vnf in vnfs:
-        users = users_by_vnf.get(vnf.name)
-        if not users:
-            continue
-        result = algorithm.schedule(SchedulingProblem(vnf=vnf, requests=users))
-        result.validate()
-        for request_id, k in result.assignment.items():
-            joint[(request_id, vnf.name)] = k
-    return joint

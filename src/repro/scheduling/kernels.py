@@ -1,12 +1,12 @@
 """Column-native scheduling: build :class:`ScheduleArrays` directly.
 
-``schedule_all_vnfs`` + ``ScenarioArrays.schedule_arrays`` go through a
-``SchedulingProblem`` per VNF and a dict entry per (request, VNF) pair
--- 3.5M entries at 1M requests, and at a serving-engine rebalance more
-time than the RCKK kernel.  :func:`schedule_columns` goes straight from
-the inverted ``U_r^f`` CSR (:meth:`ScenarioArrays.vnf_requests`) to the
-index-form schedule, row for row the dict route's
-(``tests/scheduling/test_schedule_columns.py`` pins it per scheduler):
+:func:`schedule_columns` goes straight from the inverted ``U_r^f`` CSR
+(:meth:`ScenarioArrays.vnf_requests`) to the index-form schedule, with
+no ``SchedulingProblem`` per VNF and no dict entry per (request, VNF)
+pair (3.5M entries at 1M requests).  It is row for row the object
+route that ``benchmarks/_reference_impl.reference_schedule_all_vnfs``
+keeps (``tests/scheduling/test_schedule_columns.py`` pins it per
+scheduler):
 
 * each VNF's CSR user list is ascending request order, the object
   path's in-request-order scan (chains never revisit a VNF);
@@ -17,9 +17,10 @@ index-form schedule, row for row the dict route's
   order fixes the order of the per-instance float sums, so the loads
   agree bit for bit.
 
-Every scheduler runs here: :class:`~repro.core.incremental
-.DeploymentEngine` re-solves with RCKK, and the batch pipeline uses
-least-loaded at 100k requests.
+Every scheduler runs here: :class:`~repro.core.joint.JointOptimizer`
+and :class:`~repro.core.incremental.DeploymentEngine` solve with it
+(RCKK by default), and the batch pipeline uses least-loaded at 100k
+requests.
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ def schedule_columns(
     (``"least_loaded"`` / ``"round_robin"``) or a callable
     ``(rates, m) -> k`` giving the instance of each user in user order.
     The rule sees each VNF's users' effective rates (float64,
-    user-list order).  VNFs used by no request idle, exactly as
-    :func:`~repro.scheduling.base.schedule_all_vnfs` skips them.
+    user-list order).  VNFs used by no request idle and get no rows.
 
     ``down`` is a per-global-instance mask of failed instances: a VNF
     with some down is scheduled over its live instances only, way ``j``

@@ -77,11 +77,6 @@ class SimServer:
         """Packets waiting (excluding the one in service)."""
         return len(self._buffer)
 
-    @property
-    def in_system(self) -> int:
-        """Packets in the station (buffer + in service)."""
-        return len(self._buffer) + (1 if self._busy else 0)
-
     def enqueue(self, packet: SimPacket) -> None:
         """Packet arrival: serve immediately if idle, else buffer FCFS."""
         packet.arrived_at = self._engine.now

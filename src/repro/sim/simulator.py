@@ -76,6 +76,10 @@ class SimulationConfig:
             raise ValidationError(
                 f"nack delay must be non-negative, got {self.nack_delay!r}"
             )
+        if self.seed < 0:
+            raise ValidationError(
+                f"seed must be non-negative, got {self.seed!r}"
+            )
 
 
 #: Valid ``ChainSimulator`` backends.

@@ -285,12 +285,6 @@ class TopologyArrays:
     # ------------------------------------------------------------------
     # Gathers (the hot-path API)
     # ------------------------------------------------------------------
-    def gather_latency(
-        self, src: np.ndarray, dst: np.ndarray
-    ) -> np.ndarray:
-        """``latency[src[i], dst[i]]`` for compute-index vectors."""
-        return self.latency[src, dst]
-
     def links_on_pairs(
         self, src: np.ndarray, dst: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:

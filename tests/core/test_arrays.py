@@ -121,6 +121,26 @@ class TestScheduleArrays:
         assert by_entry[(1, 2)] == 5      # lb k=0 -> offset 5
         assert by_entry[(2, 0)] == 1      # fw k=1
 
+    def test_schedule_dict_inverts_schedule_arrays(self, arrays):
+        schedule = {
+            ("r2", "nat"): 2,
+            ("r0", "fw"): 0,
+            ("r1", "lb"): 0,
+            ("r0", "nat"): 2,
+        }
+        sched = arrays.schedule_arrays(schedule)
+        back = arrays.schedule_dict(sched)
+        # Same entries in the same (row) order.
+        assert list(back.items()) == list(schedule.items())
+        again = arrays.schedule_arrays(back)
+        for col in ("req", "vnf", "k", "inst"):
+            np.testing.assert_array_equal(
+                getattr(again, col), getattr(sched, col), err_msg=col
+            )
+
+    def test_schedule_dict_of_no_rows_is_empty(self, arrays):
+        assert arrays.schedule_dict(arrays.schedule_arrays({})) == {}
+
     def test_unknown_request_rejected(self, arrays):
         with pytest.raises(ValidationError, match="unknown request"):
             arrays.schedule_arrays({("nope", "fw"): 0})

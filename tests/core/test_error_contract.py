@@ -190,3 +190,8 @@ def test_the_clean_inputs_evaluate():
 def test_simulation_config_refuses_non_finite_times(field, value):
     with pytest.raises(ValidationError, match=f"^{field} must be finite"):
         SimulationConfig(**{field: value})
+
+
+def test_simulation_config_refuses_a_negative_seed():
+    with pytest.raises(ValidationError, match="^seed must be non-negative"):
+        SimulationConfig(seed=-1)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import copy
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from repro.scheduling.cga import CGAScheduler
 from repro.scheduling.ckk import CKKScheduler
 from repro.scheduling.least_loaded import LeastLoadedScheduler
 from repro.scheduling.random_assign import RandomScheduler
+from repro.scheduling.rckk import RCKKScheduler
 from repro.scheduling.round_robin import RoundRobinScheduler
 from repro.scheduling.swap_refine import SwapRefinedScheduler
 from repro.seeding import derive_seed
@@ -38,6 +41,10 @@ from repro.topology.leafspine import leaf_spine
 from repro.topology.network import NetworkModel
 from repro.topology.random_topology import random_datacenter
 from repro.workload.generator import WorkloadGenerator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from _reference_impl import reference_schedule_all_vnfs  # noqa: E402
 
 
 def _request(i, names, rate, p=1.0, prefix="q"):
@@ -284,6 +291,19 @@ class TestBatchIdentity:
             w.vnfs, survivors, w.capacities, seed=123, scheduler=scheduler
         )
         _assert_lands_on(engine, ref)
+
+    def test_solve_joint_schedule_is_the_object_route(self):
+        """The column solve schedules exactly as the per-VNF object
+        route does over the survivors, item for item and in order."""
+        gen = WorkloadGenerator(np.random.default_rng(20170605))
+        w = gen.workload(num_vnfs=8, num_nodes=10, num_requests=40)
+        engine = DeploymentEngine(
+            w.vnfs, w.capacities, w.requests[:15], seed=123
+        )
+        survivors = _churn(engine, w.requests[15:], np.random.default_rng(99))
+        ref = solve_joint(w.vnfs, survivors, w.capacities, seed=123)
+        want = reference_schedule_all_vnfs(w.vnfs, survivors, RCKKScheduler())
+        assert list(ref.schedule.items()) == list(want.items())
 
     def test_empty_engine_loads_are_float(self, small_vnfs, small_caps):
         engine = DeploymentEngine(small_vnfs, small_caps)

@@ -1,5 +1,8 @@
 """Unit and integration tests for the two-phase joint optimizer."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,11 +10,16 @@ from repro.core.joint import JointOptimizer
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
+from repro.placement.base import PlacementProblem
 from repro.placement.bfd import BFDPlacement
 from repro.placement.bfdsu import BFDSUPlacement
 from repro.scheduling.cga import CGAScheduler
 from repro.scheduling.rckk import RCKKScheduler
 from repro.workload.generator import WorkloadGenerator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from _reference_impl import reference_schedule_all_vnfs  # noqa: E402
 
 
 @pytest.fixture
@@ -30,17 +38,29 @@ def small_instance():
 
 
 class TestDefaults:
-    def test_default_algorithms(self):
-        opt = JointOptimizer()
-        assert isinstance(opt.placement_algorithm, BFDSUPlacement)
-        assert isinstance(opt.scheduling_algorithm, RCKKScheduler)
-
-    def test_custom_algorithms(self):
-        opt = JointOptimizer(
-            placement=BFDPlacement(), scheduler=CGAScheduler()
+    def test_default_algorithms(self, small_instance):
+        # The defaults are BFDSU (default seed) then RCKK.
+        vnfs, requests, capacities = small_instance
+        a = JointOptimizer().optimize(vnfs, requests, capacities)
+        b = JointOptimizer(BFDSUPlacement(), RCKKScheduler()).optimize(
+            vnfs, requests, capacities
         )
-        assert isinstance(opt.placement_algorithm, BFDPlacement)
-        assert isinstance(opt.scheduling_algorithm, CGAScheduler)
+        assert a.placement_result.placement == b.placement_result.placement
+        assert list(a.schedule.items()) == list(b.schedule.items())
+
+    def test_custom_algorithms(self, small_instance):
+        vnfs, requests, capacities = small_instance
+        solution = JointOptimizer(
+            placement=BFDPlacement(), scheduler=CGAScheduler()
+        ).optimize(vnfs, requests, capacities)
+        placed = BFDPlacement().place(
+            PlacementProblem(vnfs=vnfs, capacities=capacities)
+        )
+        assert solution.placement_result.placement == placed.placement
+        assert list(solution.schedule.items()) == list(
+            reference_schedule_all_vnfs(vnfs, requests, CGAScheduler()).items()
+        )
+        assert solution.state.schedule is solution.schedule
 
 
 class TestOptimize:

@@ -1,6 +1,10 @@
-"""Parity tests: column-native scheduling vs the per-VNF object path."""
+"""Parity tests: column-native scheduling vs the per-VNF object path
+(``benchmarks/_reference_impl.reference_schedule_all_vnfs``)."""
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,6 @@ from repro.exceptions import SchedulingError, ValidationError
 from repro.nfv.state import DeploymentState
 from repro.placement.bfdsu import BFDSUPlacement
 from repro.placement.base import PlacementProblem
-from repro.scheduling.base import schedule_all_vnfs
 from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.cga import CGAScheduler
 from repro.scheduling.ckk import CKKScheduler
@@ -22,6 +25,10 @@ from repro.scheduling.rckk import RCKKScheduler
 from repro.scheduling.round_robin import RoundRobinScheduler
 from repro.scheduling.swap_refine import SwapRefinedScheduler
 from repro.workload.generator import WorkloadGenerator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from _reference_impl import reference_schedule_all_vnfs  # noqa: E402
 
 
 @pytest.fixture
@@ -89,7 +96,7 @@ class TestScheduleColumnsParity:
         arrays = ScenarioArrays.build(
             workload.vnfs, workload.requests, workload.capacities
         )
-        joint = schedule_all_vnfs(
+        joint = reference_schedule_all_vnfs(
             workload.vnfs, workload.requests, SCHEDULERS[policy]()
         )
         ref = arrays.schedule_arrays(joint)
@@ -233,7 +240,7 @@ class TestEvaluateColumnsParity:
                 vnfs=workload.vnfs, capacities=workload.capacities
             )
         )
-        joint = schedule_all_vnfs(
+        joint = reference_schedule_all_vnfs(
             workload.vnfs, workload.requests, LeastLoadedScheduler()
         )
         state = DeploymentState(

@@ -113,6 +113,19 @@ class TestCGA:
         assert rates == [pytest.approx(10.0), pytest.approx(10.0)]
 
 
+    def test_thousands_of_users_on_one_vnf(self):
+        # One greedy descent is 3,000 levels deep: far past the
+        # interpreter's recursion limit, so the search keeps its own stack.
+        rates = np.random.default_rng(3).uniform(1.0, 100.0, 3000).tolist()
+        rule = CGAScheduler().assign(rates, 4)
+        assert sorted(rule.order) == list(range(3000))
+        way_of = np.empty(3000, dtype=np.int64)
+        way_of[list(rule.order)] = rule.ways
+        # The first leaf in arrival order is online least-loaded.
+        expected = LeastLoadedScheduler().assign(rates, 4).ways
+        assert way_of.tolist() == list(expected)
+        assert rule.iterations == 3000 + 3  # budget n + 2, then one over
+
 class TestLeastLoaded:
     def test_online_greedy(self):
         problem = _problem([10.0, 10.0, 1.0], instances=2)

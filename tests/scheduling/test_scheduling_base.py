@@ -1,17 +1,22 @@
 """Unit tests for the scheduling problem/result model."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.core.arrays import ScenarioArrays
 from repro.exceptions import ValidationError
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
-from repro.scheduling.base import (
-    SchedulingProblem,
-    ScheduleResult,
-    schedule_all_vnfs,
-)
+from repro.scheduling.base import SchedulingProblem, ScheduleResult
+from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.rckk import RCKKScheduler
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from _reference_impl import reference_schedule_all_vnfs  # noqa: E402
 
 
 @pytest.fixture
@@ -96,6 +101,13 @@ class TestResult:
             result.validate()
 
 
+def _schedule_all(vnfs, requests, scheduler):
+    """Every VNF scheduled on columns, as the ``(request_id, vnf_name)
+    -> k`` map."""
+    arrays = ScenarioArrays.build(vnfs, requests, {})
+    return arrays.schedule_dict(schedule_columns(arrays, scheduler))
+
+
 class TestScheduleAllVnfs:
     def test_joint_map(self):
         fw = VNF("fw", 1.0, 2, 100.0)
@@ -106,7 +118,7 @@ class TestScheduleAllVnfs:
             Request("r0", chain_both, 5.0),
             Request("r1", chain_fw, 3.0),
         ]
-        joint = schedule_all_vnfs([fw, nat], requests, RCKKScheduler())
+        joint = _schedule_all([fw, nat], requests, RCKKScheduler())
         assert ("r0", "fw") in joint
         assert ("r0", "nat") in joint
         assert ("r1", "fw") in joint
@@ -116,13 +128,13 @@ class TestScheduleAllVnfs:
         fw = VNF("fw", 1.0, 1, 100.0)
         idle = VNF("idle", 1.0, 1, 100.0)
         requests = [Request("r0", ServiceChain(["fw"]), 1.0)]
-        joint = schedule_all_vnfs([fw, idle], requests, RCKKScheduler())
+        joint = _schedule_all([fw, idle], requests, RCKKScheduler())
         assert all(vnf == "fw" for (_, vnf) in joint)
 
     @pytest.mark.parametrize("seed", [1, 42, 20170605])
     def test_z_map_matches_quadratic_reference(self, seed):
-        """Regression: the single-pass inverted index must yield the
-        exact joint ``z`` map the old per-VNF request scan produced."""
+        """The column route yields the exact joint ``z`` map, entries in
+        the same order, that the per-VNF request scan produces."""
         import numpy as np
 
         from repro.workload.generator import WorkloadGenerator
@@ -131,18 +143,6 @@ class TestScheduleAllVnfs:
             num_vnfs=8, num_nodes=5, num_requests=40
         )
         scheduler = RCKKScheduler()
-
-        # Pre-refactor implementation: re-scan all requests per VNF.
-        reference = {}
-        for vnf in w.vnfs:
-            users = [r for r in w.requests if r.uses(vnf.name)]
-            if not users:
-                continue
-            result = scheduler.schedule(
-                SchedulingProblem(vnf=vnf, requests=users)
-            )
-            result.validate()
-            for request_id, k in result.assignment.items():
-                reference[(request_id, vnf.name)] = k
-
-        assert schedule_all_vnfs(w.vnfs, w.requests, scheduler) == reference
+        reference = reference_schedule_all_vnfs(w.vnfs, w.requests, scheduler)
+        got = _schedule_all(w.vnfs, w.requests, scheduler)
+        assert list(got.items()) == list(reference.items())
