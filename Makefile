@@ -5,8 +5,9 @@ PYTHON ?= python
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
+# The tier-1 command of ROADMAP.md; works in an uninstalled checkout.
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
 # Rewrite tests/golden/quick.json (the fixture-reps experiment tables
 # that tests/experiments/test_runall.py compares against) and

@@ -1,17 +1,5 @@
 """Statistics helpers for experiment aggregation."""
 
-from repro.analysis.convergence import ConvergenceTracker
-from repro.analysis.stats import (
-    SummaryStats,
-    confidence_interval,
-    percentile,
-    summarize,
-)
+from repro.analysis.stats import percentile
 
-__all__ = [
-    "SummaryStats",
-    "summarize",
-    "percentile",
-    "confidence_interval",
-    "ConvergenceTracker",
-]
+__all__ = ["percentile"]

@@ -1,40 +1,17 @@
 """Summary statistics for Monte-Carlo experiment results.
 
 The paper reports means over 1000 runs plus 99th-percentile tails
-(Section V-C); these helpers compute exactly those quantities with a
-normal-approximation confidence interval for the mean.
+(Section V-C); the sweep drivers take the means with numpy and the
+tails with :func:`percentile`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import ValidationError
-
-#: Two-sided z-scores for the confidence levels experiments use.
-_Z_SCORES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Mean, spread and tail statistics of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    p50: float
-    p95: float
-    p99: float
-
-    def ci95(self) -> Tuple[float, float]:
-        """95% normal-approximation confidence interval for the mean."""
-        return confidence_interval(self.mean, self.std, self.count, 0.95)
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -44,46 +21,3 @@ def percentile(samples: Sequence[float], q: float) -> float:
     if not 0.0 <= q <= 100.0:
         raise ValidationError(f"percentile must be in [0, 100], got {q!r}")
     return float(np.percentile(np.asarray(samples, dtype=float), q))
-
-
-def summarize(samples: Sequence[float]) -> SummaryStats:
-    """Compute :class:`SummaryStats` for a sample."""
-    if not samples:
-        raise ValidationError("cannot summarize an empty sample")
-    arr = np.asarray(samples, dtype=float)
-    return SummaryStats(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        p50=float(np.percentile(arr, 50)),
-        p95=float(np.percentile(arr, 95)),
-        p99=float(np.percentile(arr, 99)),
-    )
-
-
-def confidence_interval(
-    mean: float, std: float, count: int, level: float = 0.95
-) -> Tuple[float, float]:
-    """Normal-approximation CI for a sample mean.
-
-    Parameters
-    ----------
-    mean, std, count:
-        Sample statistics (``std`` with ``ddof=1``).
-    level:
-        One of 0.90, 0.95, 0.99.
-    """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count!r}")
-    z = _Z_SCORES.get(level)
-    if z is None:
-        raise ValidationError(
-            f"unsupported confidence level {level!r}; "
-            f"choose from {sorted(_Z_SCORES)}"
-        )
-    if count == 1:
-        return (mean, mean)
-    half = z * std / math.sqrt(count)
-    return (mean - half, mean + half)

@@ -19,7 +19,6 @@ are never replaced in-repo).  Owners therefore build a
 
 One exception: the *request rows* (and their chain CSR) support
 in-place mutation through :meth:`ScenarioArrays.append_requests` /
-:meth:`ScenarioArrays.remove_request` /
 :meth:`ScenarioArrays.remove_requests` — the substrate of the
 incremental :class:`~repro.core.incremental.DeploymentEngine`, where
 the request set churns while VNFs and nodes stay fixed.  Appends write
@@ -51,8 +50,8 @@ placement in place).  They are converted to index vectors per call:
   Eq. (6).
 * :meth:`ScenarioArrays.schedule_arrays` is O(|z|); owners that hold a
   schedule (``DeploymentState``) cache the result keyed on the dict's
-  identity and length and expose ``invalidate_arrays()`` for the one
-  unsupported pattern (mutating schedule *values* in place).
+  entries.  :meth:`ScenarioArrays.check_schedule` checks Eq. (5) on the
+  index form.
 
 Adding a new vectorized metric (see ``docs/ARRAYS_CORE.md``) is: fetch
 the owner's cached ``ScenarioArrays``, convert the decision dicts with
@@ -690,6 +689,59 @@ class ScenarioArrays:
             inst = np.full(len(chain_codes), -1, dtype=np.int64)
         return inst
 
+    def check_schedule(self, sched: ScheduleArrays) -> None:
+        """Check Eq. (5) on index form: every chain entry (request, VNF)
+        has a row whose ``k`` lies in ``[0, M_f)``, and ``sched`` holds
+        no other row.  These are the checks of converting the dict form
+        with :meth:`schedule_arrays` and matching it to the chains, as a
+        few vector passes.
+
+        Raises
+        ------
+        ValidationError
+            Naming the first fault found: a row with an unknown request
+            or VNF, a row outside ``[0, M_f)``, a chain naming an
+            unknown VNF, a chain entry without a row, or a row no chain
+            entry claims.
+        """
+        req, vnf, k = sched.req, sched.vnf, sched.k
+        bad = np.flatnonzero(
+            (req < 0) | (req >= len(self.request_ids))
+            | (vnf < 0) | (vnf >= len(self.vnf_names))
+        )
+        if len(bad):
+            row = int(bad[0])
+            raise ValidationError(
+                f"schedule row {row} references unknown request or VNF "
+                f"({int(req[row])}, {int(vnf[row])})"
+            )
+        bad = np.flatnonzero((k < 0) | (k >= self.M_f[vnf]))
+        if len(bad):
+            row = int(bad[0])
+            raise ValidationError(
+                "schedule references unknown instance "
+                f"({self.vnf_names[int(vnf[row])]!r}, {int(k[row])})"
+            )
+        if self.chain_has_unknown:
+            entry = int(np.flatnonzero(self.chain_vnf < 0)[0])
+            raise ValidationError(
+                f"request {self.request_ids[int(self.chain_req[entry])]!r} "
+                "references an unknown VNF"
+            )
+        missing = np.flatnonzero(self.chain_instances(sched) < 0)
+        if len(missing):
+            entry = int(missing[0])
+            raise ValidationError(
+                f"request {self.request_ids[int(self.chain_req[entry])]!r} "
+                "has no instance for VNF "
+                f"{self.vnf_names[int(self.chain_vnf[entry])]!r} (Eq. 5)"
+            )
+        if len(sched) != len(self.chain_vnf):
+            raise ValidationError(
+                f"schedule holds {len(sched)} entries for "
+                f"{len(self.chain_vnf)} chain entries (Eq. 5)"
+            )
+
     def hops_per_request(self, placement_vec: np.ndarray) -> np.ndarray:
         """Eq. (16)'s ``(sum_v eta_v^r - 1)`` with consecutive-duplicate
         collapsing: inter-node transitions along each chain."""
@@ -904,18 +956,6 @@ class ScenarioArrays:
         self._vnf_req_csr = None
         self._vnf_nbr_csr = None
 
-    def append_request(self, request) -> int:
-        """Append one request row; returns its index.
-
-        The one-row case of :meth:`append_requests`.
-
-        Raises
-        ------
-        ValidationError
-            If ``request.request_id`` is already present.
-        """
-        return self.append_requests((request,))
-
     def append_requests(self, requests: Iterable) -> int:
         """Append request rows (+ their chain entries) in the given
         order; returns the index of the first.
@@ -990,18 +1030,6 @@ class ScenarioArrays:
         self._reslice(n + k, c + m)
         self._invalidate_request_caches()
         return n
-
-    def remove_request(self, request_id: str) -> int:
-        """Remove one request row; returns the index it occupied.
-
-        The one-row case of :meth:`remove_requests`.
-
-        Raises
-        ------
-        ValidationError
-            If ``request_id`` is unknown.
-        """
-        return int(self.remove_requests((request_id,))[0])
 
     def remove_requests(self, request_ids: Iterable[str]) -> np.ndarray:
         """Remove request rows; returns the (ascending) rows they held.

@@ -374,13 +374,6 @@ class DeploymentEngine:
         """VNF index -> node index under the current placement (copy)."""
         return self._placement_vec.copy()
 
-    def down_instances(self) -> np.ndarray:
-        """Boolean down-mask per global instance (copy; all-False when
-        no instance fault was ever injected)."""
-        if self._down_inst is None:
-            return np.zeros(self._arrays.num_instances, dtype=bool)
-        return self._down_inst.copy()
-
     @property
     def placement(self) -> Dict[str, Hashable]:
         """``vnf_name -> node`` (copy)."""
@@ -540,31 +533,6 @@ class DeploymentEngine:
     # ------------------------------------------------------------------
     # Failure operations (repro.faults)
     # ------------------------------------------------------------------
-    def evict(self, request_ids) -> List[Request]:
-        """Mass-depart a set of active requests; returns them in
-        arrival order.
-
-        The retraction is the :meth:`depart` one, applied to the whole
-        set in one pass in arrival order, so the residuals are
-        bit-identical to departing the victims one by one in arrival
-        order, and evicting any subset then re-solving leaves the
-        engine identical to one rebuilt from the survivors (both pinned
-        by ``tests/core/test_incremental.py``).
-
-        Raises
-        ------
-        SchedulingError
-            If some id is not active.
-        """
-        wanted = set(request_ids)
-        unknown = wanted.difference(self._requests)
-        if unknown:
-            raise SchedulingError(
-                f"cannot evict unknown requests {sorted(unknown)!r}"
-            )
-        index = self._arrays.request_index
-        return self._evict_rows(sorted(index[rid] for rid in wanted))
-
     def _evict_rows(self, rows) -> List[Request]:
         """Evict the active requests at ascending scenario ``rows``
         (row order is arrival order)."""

@@ -106,14 +106,14 @@ class JointOptimizer:
             node_capacities=dict(capacities),
             placement=dict(placement_result.placement),
         )
-        # Schedule on the columns the state caches for validate(); the
+        # Schedule and validate on the columns the state caches; the
         # dict is built once, at the boundary.
         arrays = state.arrays()
-        schedule = arrays.schedule_dict(
-            schedule_columns(arrays, self._scheduler)
-        )
+        sched = schedule_columns(arrays, self._scheduler)
+        state.validate_placement()
+        arrays.check_schedule(sched)
+        schedule = arrays.schedule_dict(sched)
         state.schedule = schedule
-        state.validate()
         return JointSolution(
             state=state,
             placement_result=placement_result,

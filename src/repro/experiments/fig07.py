@@ -38,22 +38,11 @@ def run(
     repetitions: int = DEFAULT_PLACEMENT_REPS,
     seed: int = 20170607,
     jobs: int = 1,
-    shared: bool = False,
 ) -> ExperimentResult:
-    """Regenerate Fig. 7's series.
-
-    ``shared=True`` builds every problem instance once in the parent
-    and ships the pooled columns to workers via the shared-memory
-    backend (``run_trials(shared=...)``); the rows are byte-identical
-    to the default path (pinned by ``tests/experiments/test_fig07.py``).
-    """
+    """Regenerate Fig. 7's series."""
     scenarios = [(n, _scenario(n, seed)) for n in NODE_COUNTS]
     rows = placement_sweep(
-        scenarios,
-        repetitions=repetitions,
-        seed=seed,
-        jobs=jobs,
-        shared=shared,
+        scenarios, repetitions=repetitions, seed=seed, jobs=jobs
     )
     result = ExperimentResult(
         experiment_id="fig07",

@@ -8,6 +8,8 @@ one trial computes:
 * :func:`run_trials` — execute a trial function over a task list,
   serially or on a :class:`~concurrent.futures.ProcessPoolExecutor`,
   returning results **in task order** regardless of completion order.
+  It is the one trial path of every sweep; each trial receives only its
+  own task payload.
 * :func:`resolve_jobs` — turn a ``--jobs`` value (``0``/``None`` means
   auto) into a worker count.
 
@@ -83,26 +85,10 @@ def _run_chunk(fn: Callable[[Task], Result], chunk: Sequence[Task]) -> List[Resu
     return [fn(task) for task in chunk]
 
 
-def _run_chunk_shared(
-    fn: Callable, chunk: Sequence[Task], handle
-) -> List[Result]:
-    """Worker-side driver for shared-scenario trials.
-
-    Attaches to the published columns (cached per process, so every
-    chunk after the first is free) and passes the scenario as the trial
-    function's second argument.
-    """
-    from repro.experiments.shm import attach_arrays
-
-    arrays = attach_arrays(handle)
-    return [fn(task, arrays) for task in chunk]
-
-
 def run_trials(
-    fn: Callable[..., Result],
+    fn: Callable[[Task], Result],
     tasks: Sequence[Task],
     jobs: Optional[int] = 1,
-    shared=None,
 ) -> List[Result]:
     """Run ``fn`` over ``tasks``; results come back in task order.
 
@@ -117,43 +103,12 @@ def run_trials(
         Worker processes.  ``1`` runs serially in-process; ``0`` or
         ``None`` auto-detects; any value degrades gracefully to serial
         when the pool cannot be used.
-    shared:
-        Optional scenario shared by every trial: a
-        :class:`~repro.core.arrays.ScenarioArrays` (published/released
-        automatically around the run) or an already-published
-        :class:`~repro.experiments.shm.SharedScenarioHandle` (caller
-        owns the lifetime).  When given, ``fn`` is called as
-        ``fn(task, arrays)`` — workers attach to the published columns
-        zero-copy instead of re-pickling the scenario per chunk, and
-        results stay byte-identical to the serial path at any ``jobs``
-        (see :mod:`repro.experiments.shm`).
 
     Raises
     ------
     Whatever ``fn`` raises — trial exceptions propagate unchanged on
     both paths (they are not converted into fallbacks).
     """
-    if shared is None:
-        return _run_trials_plain(fn, tasks, jobs)
-    from repro.core.arrays import ScenarioArrays
-    from repro.experiments.shm import SharedScenarioHandle, published
-
-    if isinstance(shared, SharedScenarioHandle):
-        return _run_trials_shared(fn, tasks, jobs, shared)
-    if not isinstance(shared, ScenarioArrays):
-        raise ConfigurationError(
-            f"shared must be a ScenarioArrays or SharedScenarioHandle, "
-            f"got {type(shared).__name__}"
-        )
-    with published(shared) as handle:
-        return _run_trials_shared(fn, tasks, jobs, handle)
-
-
-def _run_trials_plain(
-    fn: Callable[[Task], Result],
-    tasks: Sequence[Task],
-    jobs: Optional[int],
-) -> List[Result]:
     task_list = list(tasks)
     workers = resolve_jobs(jobs)
     if task_list:
@@ -192,52 +147,3 @@ def _run_trials_plain(
     except BrokenProcessPool:
         # Workers were killed (OOM, sandbox) — recompute serially.
         return [fn(task) for task in task_list]
-
-
-def _run_trials_shared(
-    fn: Callable, tasks: Sequence[Task], jobs: Optional[int], handle
-) -> List[Result]:
-    """The ``shared=`` twin of :func:`_run_trials_plain`.
-
-    Serial paths attach in-process (which returns the published
-    original, so nothing is copied); pool paths ship only the tiny
-    handle per chunk.
-    """
-    from repro.experiments.shm import attach_arrays
-
-    task_list = list(tasks)
-    workers = resolve_jobs(jobs)
-    if task_list:
-        workers = min(workers, len(task_list))
-
-    def _serial() -> List[Result]:
-        arrays = attach_arrays(handle)
-        return [fn(task, arrays) for task in task_list]
-
-    if workers <= 1 or len(task_list) <= 1:
-        return _serial()
-    if not _is_picklable(fn, task_list[0]):
-        return _serial()
-    try:
-        executor = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError, PermissionError):
-        return _serial()
-    try:
-        with executor:
-            chunksize = compute_chunksize(len(task_list), workers)
-            chunks = [
-                task_list[start : start + chunksize]
-                for start in range(0, len(task_list), chunksize)
-            ]
-            futures = {
-                executor.submit(_run_chunk_shared, fn, chunk, handle): index
-                for index, chunk in enumerate(chunks)
-            }
-            results: List[Optional[Result]] = [None] * len(task_list)
-            for future in futures:
-                start = futures[future] * chunksize
-                chunk_results = future.result()
-                results[start : start + len(chunk_results)] = chunk_results
-            return results  # type: ignore[return-value]
-    except BrokenProcessPool:
-        return _serial()

@@ -1,12 +1,12 @@
-"""Shared-memory scenario passing for Monte-Carlo workers.
+"""Shared-memory scenario passing for worker processes.
 
-``run_trials`` pickles every task payload into each worker — fine for
-``(seed, rep)`` tuples, fatal when every trial needs the same
-million-request :class:`~repro.core.arrays.ScenarioArrays` (gigabytes
-re-pickled per chunk).  This module publishes a scenario's numpy
-columns ONCE and hands workers a tiny picklable
+Pickling a million-request :class:`~repro.core.arrays.ScenarioArrays`
+into every worker costs gigabytes.  This module publishes a scenario's
+numpy columns ONCE and hands workers a tiny picklable
 :class:`SharedScenarioHandle`; each worker process attaches to the
-columns zero-copy and caches the attachment for all its chunks.
+columns zero-copy and caches the attachment.  The sharded simulator
+(:mod:`repro.sim.shard`) publishes its scenario this way for its shard
+workers and unpublishes it when its pool closes.
 
 Backend chain (first available wins; ``publish_arrays(backend=...)``
 pins one explicitly):
@@ -23,13 +23,10 @@ pins one explicitly):
    falls back to exactly the old behaviour (correct everywhere,
    shared nowhere).
 
-Results are byte-identical across backends and worker counts: workers
-read the same column bytes either way, and
-:func:`~repro.experiments.montecarlo.run_trials` reduces by task
-index.  Attached columns are read-only; trial functions that need to
-mutate must copy (the parity suites run trial functions unchanged on
-both paths, so this surfaces immediately as a ``WRITEBACKIFCOPY``
-error rather than silent divergence).
+Results are byte-identical across backends: workers read the same
+column bytes either way.  Attached columns are read-only; a worker
+that needs to mutate must copy (a write surfaces immediately as a
+``WRITEBACKIFCOPY`` error rather than silent divergence).
 
 The non-array scenario fields travel inside the handle: entity tables
 (names/index dicts) are small, and the lazy id views of streamed
@@ -44,9 +41,8 @@ from __future__ import annotations
 import os
 import tempfile
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +53,6 @@ __all__ = [
     "SharedScenarioHandle",
     "attach_arrays",
     "publish_arrays",
-    "published",
     "unpublish_arrays",
 ]
 
@@ -239,29 +234,6 @@ def publish_arrays(
         handle = SharedScenarioHandle("inline", None, inline, meta, token)
     _published[token] = (arrays, resource)
     return handle
-
-
-@contextmanager
-def published(
-    arrays: ScenarioArrays, backend: str = "auto"
-) -> Iterator[SharedScenarioHandle]:
-    """Publish ``arrays`` for the duration of a ``with`` block.
-
-    The exception-safe form of :func:`publish_arrays` /
-    :func:`unpublish_arrays`: the shm block or temp directory is
-    released on *every* exit path — normal return, a worker raising
-    through ``run_trials``, or the orchestrator dying mid-run — which
-    is what keeps ``/dev/shm`` from accumulating orphaned
-    ``repro_*`` segments::
-
-        with published(scenario.arrays) as handle:
-            run_trials(fn, tasks, jobs=4, shared=handle)
-    """
-    handle = publish_arrays(arrays, backend)
-    try:
-        yield handle
-    finally:
-        unpublish_arrays(handle)
 
 
 def attach_arrays(handle: SharedScenarioHandle) -> ScenarioArrays:

@@ -20,26 +20,19 @@ is shared across trials, so results are bit-identical at every
 ``jobs`` level and independent of completion order.  Trials execute
 through :func:`repro.experiments.montecarlo.run_trials`; the reduction
 (means, percentiles) always consumes samples in repetition order.
-
-Passing explicit ``algorithms`` instances preserves the legacy
-shared-state semantics (one mutable algorithm object across all
-trials): that path runs serially regardless of ``jobs``, as does the
-sequential-stopping ``adaptive_precision`` mode.
+Every sweep point runs exactly ``repetitions`` trials of the paper's
+contenders, as the paper's fixed-repetition Monte-Carlo does.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.stats import percentile
-from repro.exceptions import ConfigurationError
 from repro.experiments.montecarlo import run_trials
-from repro.nfv.chain import ServiceChain
-from repro.nfv.vnf import VNF
-from repro.placement.base import PlacementAlgorithm, PlacementProblem
+from repro.placement.base import PlacementAlgorithm
 from repro.placement.bfdsu import BFDSUPlacement
 from repro.placement.ffd import FFDPlacement
 from repro.placement.nah import NAHPlacement
@@ -97,97 +90,6 @@ def _placement_trial(
     return metrics
 
 
-def _pool_placement_problems(
-    scenario_list: Sequence[Tuple[object, PlacementScenario]],
-    repetitions: int,
-):
-    """Pool every (point, repetition) problem into one columnar scenario.
-
-    The parent builds each :class:`PlacementProblem` once, stacks all
-    numeric columns (``M_f``, ``D_f``, ``mu_f``, ``A_v``) into a single
-    :class:`~repro.core.arrays.ScenarioArrays` — publishable once over
-    the :mod:`repro.experiments.shm` backends — and keeps only the
-    small non-numeric fields (names, categories, chain tuples) in the
-    per-task metadata.  Pooled entity names are prefixed ``t{i}:`` for
-    uniqueness; workers never read them — the metadata carries the
-    ORIGINAL names, so reconstructed problems are exactly the built
-    ones (float columns round-trip bit-exactly through float64).
-
-    Returns ``(pooled_arrays, metas)`` with ``metas`` aligned to the
-    point-major task order of :func:`placement_sweep`.
-    """
-    from repro.core.arrays import ScenarioArrays
-
-    pooled_vnfs: List[VNF] = []
-    pooled_caps: Dict[str, float] = {}
-    metas: List[Tuple] = []
-    vnf_offset = 0
-    node_offset = 0
-    for _x, scenario in scenario_list:
-        for repetition in range(repetitions):
-            problem = scenario.build(repetition)
-            tag = f"t{len(metas)}:"
-            for f in problem.vnfs:
-                pooled_vnfs.append(replace(f, name=tag + f.name))
-            for key, cap in problem.capacities.items():
-                pooled_caps[f"{tag}{key}"] = cap
-            metas.append(
-                (
-                    vnf_offset,
-                    tuple(f.name for f in problem.vnfs),
-                    tuple(f.category for f in problem.vnfs),
-                    node_offset,
-                    tuple(problem.capacities.keys()),
-                    tuple(chain.vnf_names for chain in problem.chains),
-                )
-            )
-            vnf_offset += len(problem.vnfs)
-            node_offset += len(problem.capacities)
-    return ScenarioArrays.build(pooled_vnfs, (), pooled_caps), metas
-
-
-def _placement_trial_shared(task, arrays) -> Dict[str, Tuple[float, ...]]:
-    """Shared-scenario twin of :func:`_placement_trial`.
-
-    ``task`` is ``(point_index, repetition, seed, meta)`` and
-    ``arrays`` the pooled columns attached zero-copy in the worker; the
-    trial reconstructs its exact problem instance from the column
-    slices plus the metadata names and then runs the identical
-    contender loop — results are byte-identical to the unshared path.
-    """
-    point_index, repetition, seed, meta = task
-    vnf_off, vnf_names, categories, node_off, node_keys, chain_specs = meta
-    vnfs = [
-        VNF(
-            name=name,
-            demand_per_instance=float(arrays.D_f[vnf_off + j]),
-            num_instances=int(arrays.M_f[vnf_off + j]),
-            service_rate=float(arrays.mu_f[vnf_off + j]),
-            category=categories[j],
-        )
-        for j, name in enumerate(vnf_names)
-    ]
-    capacities = {
-        key: float(arrays.A_v[node_off + j])
-        for j, key in enumerate(node_keys)
-    }
-    chains = [ServiceChain(names) for names in chain_specs]
-    problem = PlacementProblem(
-        vnfs=vnfs, capacities=capacities, chains=chains
-    )
-    rng = trial_rng(seed, point_index, repetition)
-    metrics: Dict[str, Tuple[float, ...]] = {}
-    for algorithm in default_placement_algorithms(rng):
-        result = algorithm.place(problem)
-        metrics[algorithm.name] = (
-            float(result.average_utilization),
-            float(result.num_used_nodes),
-            float(result.total_occupied_capacity),
-            float(result.iterations),
-        )
-    return metrics
-
-
 def _scheduling_trial(
     task: Tuple[int, SchedulingScenario, bool]
 ) -> Dict[str, Tuple[float, float]]:
@@ -210,9 +112,7 @@ def placement_sweep(
     scenarios: Sequence[Tuple[object, PlacementScenario]],
     repetitions: int = DEFAULT_PLACEMENT_REPS,
     seed: int = 0,
-    algorithms: Optional[Sequence[PlacementAlgorithm]] = None,
     jobs: int = 1,
-    shared: bool = False,
 ) -> List[Dict[str, object]]:
     """Run placement algorithms over scenario sweep points.
 
@@ -225,18 +125,8 @@ def placement_sweep(
     seed:
         Seed for the randomized algorithms; every trial spawns its own
         child stream from it (see the module docstring).
-    algorithms:
-        Explicit contender instances (legacy shared-state path; forces
-        serial execution).  Defaults to per-trial BFDSU/FFD/NAH.
     jobs:
-        Worker processes for the default path; results are identical at
-        every level.
-    shared:
-        Build every problem instance once in the parent and ship the
-        pooled numeric columns to workers through
-        ``run_trials(shared=...)`` (one shared-memory publish instead
-        of per-task pickling).  Results are byte-identical to the
-        default path; requires the default algorithm set.
+        Worker processes; results are identical at every level.
 
     Returns
     -------
@@ -251,50 +141,8 @@ def placement_sweep(
         for point_index, (_x, scenario) in enumerate(scenario_list)
         for repetition in range(repetitions)
     ]
-    if algorithms is None:
-        algo_names = [a.name for a in default_placement_algorithms(0)]
-        if shared:
-            pooled, metas = _pool_placement_problems(
-                scenario_list, repetitions
-            )
-            shared_tasks = [
-                (point, repetition, task_seed, meta)
-                for (point, repetition, _scn, task_seed), meta in zip(
-                    tasks, metas
-                )
-            ]
-            trials = run_trials(
-                _placement_trial_shared,
-                shared_tasks,
-                jobs=jobs,
-                shared=pooled,
-            )
-        else:
-            trials = run_trials(_placement_trial, tasks, jobs=jobs)
-    elif shared:
-        raise ConfigurationError(
-            "shared=True requires the default per-trial algorithms "
-            "(explicit `algorithms` run on the legacy serial path)"
-        )
-    else:
-        shared = list(algorithms)
-        algo_names = [a.name for a in shared]
-
-        def shared_trial(task):
-            _point, repetition, scenario, _seed = task
-            problem = scenario.build(repetition)
-            out = {}
-            for algorithm in shared:
-                result = algorithm.place(problem)
-                out[algorithm.name] = (
-                    float(result.average_utilization),
-                    float(result.num_used_nodes),
-                    float(result.total_occupied_capacity),
-                    float(result.iterations),
-                )
-            return out
-
-        trials = run_trials(shared_trial, tasks, jobs=1)
+    trials = run_trials(_placement_trial, tasks, jobs=jobs)
+    algo_names = [a.name for a in default_placement_algorithms(0)]
 
     rows: List[Dict[str, object]] = []
     for point_index, (x_value, _scenario) in enumerate(scenario_list):
@@ -320,24 +168,15 @@ def placement_sweep(
 def scheduling_sweep(
     scenarios: Sequence[Tuple[object, SchedulingScenario]],
     repetitions: int = DEFAULT_SCHEDULING_REPS,
-    algorithms: Optional[Sequence[SchedulingAlgorithm]] = None,
     apply_admission: bool = True,
-    adaptive_precision: Optional[float] = None,
     jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """Run scheduling algorithms over scenario sweep points.
 
     Parameters
     ----------
-    adaptive_precision:
-        When set (e.g. ``0.02`` for +/-2%), each sweep point stops early
-        once every algorithm's running mean ``W`` has converged to that
-        relative precision (95% CI), with ``repetitions`` as the hard
-        cap — the sequential stopping rule of
-        :class:`repro.analysis.convergence.ConvergenceTracker`.  This
-        mode is inherently sequential and ignores ``jobs``.
     jobs:
-        Worker processes for the fixed-repetitions default path.
+        Worker processes; results are identical at every level.
 
     Returns
     -------
@@ -346,15 +185,6 @@ def scheduling_sweep(
         ``algorithm``, ``mean_w`` (average response time), ``p99_w``
         (99th percentile over repetitions), ``rejection_rate``.
     """
-    if algorithms is not None or adaptive_precision is not None:
-        return _scheduling_sweep_sequential(
-            scenarios,
-            repetitions=repetitions,
-            algorithms=algorithms,
-            apply_admission=apply_admission,
-            adaptive_precision=adaptive_precision,
-        )
-
     scenario_list = list(scenarios)
     tasks = [
         (repetition, scenario, apply_admission)
@@ -379,64 +209,6 @@ def scheduling_sweep(
                     "mean_w": float(np.mean(w_samples)),
                     "p99_w": percentile(w_samples, 99),
                     "rejection_rate": float(np.mean(rej_samples)),
-                }
-            )
-    return rows
-
-
-def _scheduling_sweep_sequential(
-    scenarios: Sequence[Tuple[object, SchedulingScenario]],
-    repetitions: int,
-    algorithms: Optional[Sequence[SchedulingAlgorithm]],
-    apply_admission: bool,
-    adaptive_precision: Optional[float],
-) -> List[Dict[str, object]]:
-    """Serial path: shared algorithm instances / sequential stopping."""
-    algos = (
-        list(algorithms)
-        if algorithms is not None
-        else default_scheduling_algorithms()
-    )
-    rows: List[Dict[str, object]] = []
-    for x_value, scenario in scenarios:
-        per_algo: Dict[str, Dict[str, List[float]]] = {
-            a.name: {"w": [], "rej": []} for a in algos
-        }
-        trackers = None
-        if adaptive_precision is not None:
-            from repro.analysis.convergence import ConvergenceTracker
-
-            trackers = {
-                a.name: ConvergenceTracker(
-                    relative_precision=adaptive_precision, min_samples=20
-                )
-                for a in algos
-            }
-        for rep in range(repetitions):
-            problem = scenario.build(rep)
-            for algo in algos:
-                report = schedule_report(
-                    algo.schedule(problem), apply_admission=apply_admission
-                )
-                per_algo[algo.name]["w"].append(report.average_response_time)
-                per_algo[algo.name]["rej"].append(report.rejection_rate)
-                if trackers is not None:
-                    trackers[algo.name].add(report.average_response_time)
-            if trackers is not None and all(
-                t.converged() for t in trackers.values()
-            ):
-                break
-        for algo in algos:
-            w_samples = per_algo[algo.name]["w"]
-            rows.append(
-                {
-                    "x": x_value,
-                    "algorithm": algo.name,
-                    "mean_w": float(np.mean(w_samples)),
-                    "p99_w": percentile(w_samples, 99),
-                    "rejection_rate": float(
-                        np.mean(per_algo[algo.name]["rej"])
-                    ),
                 }
             )
     return rows

@@ -104,10 +104,6 @@ class ResilienceReport:
         return self.served_seconds / self.demanded_seconds
 
     @property
-    def availability_met(self) -> bool:
-        return self.availability >= self.availability_target
-
-    @property
     def violation_minutes(self) -> float:
         """Chain-minutes above the latency threshold."""
         return self.violation_seconds / 60.0

@@ -49,26 +49,6 @@ class ServiceChain:
         """The ``U_r^f`` indicator: whether this chain requires ``vnf_name``."""
         return vnf_name in self.vnf_names
 
-    def position_of(self, vnf_name: str) -> int:
-        """0-based hop index of ``vnf_name`` in the chain."""
-        try:
-            return self.vnf_names.index(vnf_name)
-        except ValueError:
-            raise ValidationError(
-                f"VNF {vnf_name!r} is not on chain {self.vnf_names!r}"
-            ) from None
-
-    def successors(self, vnf_name: str) -> Tuple[str, ...]:
-        """VNF names after ``vnf_name`` on the chain."""
-        return self.vnf_names[self.position_of(vnf_name) + 1 :]
-
     def hops(self) -> Tuple[Tuple[str, str], ...]:
         """Consecutive VNF pairs along the chain."""
         return tuple(zip(self.vnf_names[:-1], self.vnf_names[1:]))
-
-    def validate_length(self, max_length: int = MAX_CHAIN_LENGTH) -> None:
-        """Raise if the chain exceeds the configured maximum length."""
-        if len(self) > max_length:
-            raise ValidationError(
-                f"chain of length {len(self)} exceeds maximum {max_length}"
-            )

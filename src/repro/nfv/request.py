@@ -69,8 +69,3 @@ class Request:
     def uses(self, vnf_name: str) -> bool:
         """The ``U_r^f`` indicator for this request."""
         return self.chain.uses(vnf_name)
-
-    @property
-    def chain_length(self) -> int:
-        """Number of VNFs on this request's chain."""
-        return len(self.chain)

@@ -4,12 +4,13 @@
 placement variables ``x_v^f``/``y_v`` and the scheduling variables
 ``z_{r,k}^f``/``eta_v^r`` — and validates every structural constraint:
 
-* Eq. (1): ``y_v = 1`` iff some VNF is placed at ``v`` (derived here).
+* Eq. (1): ``y_v = 1`` iff some VNF is placed at ``v`` (derived here,
+  :meth:`DeploymentState.nodes_in_service`).
 * Eq. (2): every VNF placed at exactly one node.
 * Eq. (3): ``M_f`` never exceeds the number of requests using ``f``
   (checked as a warning-level validation; the catalog may deploy fewer).
 * Eq. (4): ``eta_v^r = 1`` iff the request traverses some VNF at ``v``
-  (derived here).
+  (derived here, :meth:`DeploymentState.nodes_traversed`).
 * Eq. (5): each request using VNF ``f`` mapped to exactly one instance.
 * Eq. (6): per-node capacity respected.
 * Eq. (7): instance arrival rates are ``sum_r lambda_r / P_r`` (derived
@@ -74,8 +75,7 @@ class DeploymentState:
         Built once; valid as long as ``vnfs``/``requests``/
         ``node_capacities`` are not replaced (mutating ``placement`` or
         adding/removing ``schedule`` entries is fine — those are
-        re-indexed per metric call).  Call :meth:`invalidate_arrays`
-        after replacing an entity sequence.
+        re-indexed per metric call).
         """
         from repro.core.arrays import ScenarioArrays
 
@@ -99,22 +99,9 @@ class DeploymentState:
             cache = self._schedule_arrays_cache = (keys, values, sched)
         return cache[2]
 
-    def invalidate_arrays(self) -> None:
-        """Drop the cached columnar views (after entity-level edits)."""
-        self._scenario_arrays = None
-        self._schedule_arrays_cache = None
-
     # ------------------------------------------------------------------
-    # Placement variables
+    # Placement views
     # ------------------------------------------------------------------
-    def x(self, vnf_name: str, node: Hashable) -> int:
-        """The binary ``x_v^f``: 1 iff ``vnf_name`` is placed at ``node``."""
-        return int(self.placement.get(vnf_name) == node)
-
-    def y(self, node: Hashable) -> int:
-        """The binary ``y_v`` of Eq. (1): 1 iff any VNF is placed at ``node``."""
-        return int(any(n == node for n in self.placement.values()))
-
     def nodes_in_service(self) -> List[Hashable]:
         """All nodes ``v`` with ``y_v = 1``."""
         used = []
@@ -147,22 +134,8 @@ class DeploymentState:
         return self.node_load(node) / capacity
 
     # ------------------------------------------------------------------
-    # Scheduling variables
+    # Scheduling views
     # ------------------------------------------------------------------
-    def z(self, request_id: str, vnf_name: str, k: int) -> int:
-        """The binary ``z_{r,k}^f``."""
-        return int(self.schedule.get((request_id, vnf_name)) == k)
-
-    def eta(self, request_id: str, node: Hashable) -> int:
-        """The binary ``eta_v^r`` of Eq. (4)."""
-        request = self._request_by_id.get(request_id)
-        if request is None:
-            raise ValidationError(f"unknown request {request_id!r}")
-        for vnf_name in request.chain:
-            if self.placement.get(vnf_name) == node:
-                return 1
-        return 0
-
     def nodes_traversed(self, request_id: str) -> List[Hashable]:
         """Distinct nodes a request's chain visits, in chain order."""
         request = self._request_by_id.get(request_id)
@@ -206,10 +179,6 @@ class DeploymentState:
             instance.assign(request)
         return list(table.values())
 
-    def instances_of(self, vnf_name: str) -> List[ServiceInstance]:
-        """The instances of one VNF with their scheduled requests."""
-        return [inst for inst in self.instances() if inst.vnf.name == vnf_name]
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
@@ -226,12 +195,10 @@ class DeploymentState:
     def validate_schedule(self) -> None:
         """Check Eq. (5): each (request, used VNF) maps to exactly one instance.
 
-        One :meth:`~repro.core.arrays.ScenarioArrays.chain_instances`
-        pass finds every chain entry's instance; the schedule is valid
-        when each is found and the schedule holds no other entry.  Only
-        an invalid schedule is walked entry by entry, for the first
-        error: chain entries in request order, then schedule entries in
-        insertion order.
+        :meth:`~repro.core.arrays.ScenarioArrays.check_schedule` checks
+        the index form in a few vector passes.  Only an invalid schedule
+        is walked entry by entry, for the first error: chain entries in
+        request order, then schedule entries in insertion order.
 
         Raises
         ------
@@ -239,18 +206,11 @@ class DeploymentState:
             On a missing mapping, a mapping for an unused VNF, or an
             out-of-range instance index.
         """
-        arrays = self.arrays()
         try:
-            sched = self.schedule_arrays()
-        except ValidationError:
-            sched = None  # the walk below raises the Eq. 5 message
-        if (
-            sched is not None
-            and not arrays.chain_has_unknown
-            and len(sched) == len(arrays.chain_vnf)
-            and (arrays.chain_instances(sched) >= 0).all()
-        ):
+            self.arrays().check_schedule(self.schedule_arrays())
             return
+        except ValidationError:
+            pass  # the walk below raises the first error in entry order
         for request in self.requests:
             for vnf_name in request.chain:
                 vnf = self._vnf_by_name.get(vnf_name)

@@ -98,21 +98,6 @@ class VNF:
         """Aggregate demand ``D_f^sum = M_f * D_f`` — the bin-packing size."""
         return self.demand_per_instance * self.num_instances
 
-    @property
-    def total_service_rate(self) -> float:
-        """Aggregate service capacity ``M_f * mu_f`` across instances."""
-        return self.service_rate * self.num_instances
-
-    def replica(self, index: int) -> "VNF":
-        """A replica VNF, treated as a new VNF per the paper's convention."""
-        if index < 1:
-            raise ValidationError(f"replica index must be >= 1, got {index!r}")
-        return replace(self, name=f"{self.name}#{index}")
-
     def with_instances(self, num_instances: int) -> "VNF":
         """A copy with a different ``M_f`` (used when sizing to demand)."""
         return replace(self, num_instances=num_instances)
-
-    def with_service_rate(self, service_rate: float) -> "VNF":
-        """A copy with a different ``mu_f`` (used by the mu-scaling sweeps)."""
-        return replace(self, service_rate=service_rate)

@@ -176,10 +176,6 @@ class PlacementResult:
                 result[node] = float(loads[node_idx])
         return result
 
-    def used_nodes(self) -> List[Hashable]:
-        """Nodes in service (``y_v = 1``)."""
-        return list(self.node_loads().keys())
-
     @property
     def num_used_nodes(self) -> int:
         """``sum_v y_v`` — the Eq. (14) objective."""
@@ -198,13 +194,6 @@ class PlacementResult:
         return self.problem.arrays().occupied_capacity(
             self._placement_vector()
         )
-
-    def node_of(self, vnf_name: str) -> Hashable:
-        """The node hosting ``vnf_name``."""
-        try:
-            return self.placement[vnf_name]
-        except KeyError:
-            raise ValidationError(f"VNF {vnf_name!r} is not placed") from None
 
     # ------------------------------------------------------------------
     # Validation

@@ -69,11 +69,6 @@ class HypoexponentialLatency:
         """``E[T] = sum_i 1/theta_i`` — the Eq. (12) chain sum."""
         return sum(1.0 / t for t in self._thetas)
 
-    @property
-    def variance(self) -> float:
-        """``Var[T] = sum_i 1/theta_i^2`` (independent stages)."""
-        return sum(1.0 / (t * t) for t in self._thetas)
-
     def cdf(self, t: float) -> float:
         """``P[T <= t]``."""
         if t <= 0.0:
@@ -82,10 +77,6 @@ class HypoexponentialLatency:
         for theta, coeff in zip(self._thetas, self._coefficients):
             total += coeff * math.exp(-theta * t)
         return min(1.0, max(0.0, 1.0 - total))
-
-    def survival(self, t: float) -> float:
-        """``P[T > t]`` — the tail probability."""
-        return 1.0 - self.cdf(t)
 
     def percentile(self, q: float) -> float:
         """Inverse CDF by bisection; ``q`` in ``[0, 1)``.

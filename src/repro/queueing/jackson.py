@@ -72,10 +72,6 @@ class JacksonSolution:
             )
         return self.mean_total_number / self.total_external_rate
 
-    def bottleneck(self) -> JacksonNodeMetrics:
-        """Return the station with the highest utilization."""
-        return max(self.node_metrics, key=lambda m: m.utilization)
-
 
 class OpenJacksonNetwork:
     """An open Jackson network over an arbitrary routing matrix.
@@ -216,14 +212,6 @@ class ChainFeedbackModel:
                 f"chain is unstable: equivalent rate {self.equivalent_rate:.6g} "
                 f"exceeds the slowest service rate {min(self._rates):.6g}"
             )
-
-    def mean_number_at(self, i: int) -> float:
-        """``E[N_i] = lambda0 / (P mu_i - lambda0)`` for the i-th VNF (0-based)."""
-        self._require_stable()
-        mu = self._rates[i]
-        return self.external_rate / (
-            self.delivery_probability * mu - self.external_rate
-        )
 
     def mean_response_time_at(self, i: int) -> float:
         """``E[T_i] = 1 / (P mu_i - lambda0)`` for the i-th VNF (0-based)."""

@@ -74,13 +74,3 @@ def mean_waiting_time(arrival_rate: float, service_rate: float) -> float:
     ``Wq = W - 1/mu = rho / (mu - Lambda)``.
     """
     return mean_response_time(arrival_rate, service_rate) - 1.0 / service_rate
-
-
-def mean_queue_length(arrival_rate: float, service_rate: float) -> float:
-    """Mean number of packets waiting in the buffer (excluding service).
-
-    ``Nq = N - rho = rho^2 / (1 - rho)``.
-    """
-    rho = utilization(arrival_rate, service_rate)
-    require_stable(rho)
-    return rho * rho / (1.0 - rho)

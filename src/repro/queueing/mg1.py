@@ -93,20 +93,3 @@ class MG1Queue:
     def mean_number_in_system(self) -> float:
         """Little: ``N = lambda W``."""
         return self.arrival_rate * self.mean_response_time
-
-    @property
-    def mean_queue_length(self) -> float:
-        """Little: ``Nq = lambda Wq``."""
-        return self.arrival_rate * self.mean_waiting_time
-
-    def exponential_model_error(self) -> float:
-        """Relative error of assuming M/M/1 for this service distribution.
-
-        ``(W_MM1 - W) / W`` — positive when the exponential assumption
-        over-estimates latency (cs2 < 1), negative when it
-        under-estimates (cs2 > 1).
-        """
-        self._require_stable()
-        w_mm1 = 1.0 / (self.service_rate - self.arrival_rate)
-        w = self.mean_response_time
-        return (w_mm1 - w) / w

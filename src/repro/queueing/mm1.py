@@ -6,16 +6,13 @@ M/M/1 queue: Poisson packet arrivals at an equivalent total rate
 approximation, each inflated by its loss feedback) and an exponential
 single server with rate ``mu_f``.
 
-:class:`MM1Queue` exposes every steady-state quantity the evaluation
-needs: utilization (Eq. 9), queue-length distribution (Eq. 8), mean
-number in system (Eq. 10) and mean response time (Eqs. 11/12), plus
-response-time percentiles used for the tail-latency analysis in
-Section V-C.
+:class:`MM1Queue` exposes the steady-state quantities the evaluation
+needs: utilization (Eq. 9), mean number in system (Eq. 10) and mean
+response time (Eqs. 11/12).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,24 +74,6 @@ class MM1Queue:
             )
 
     # ------------------------------------------------------------------
-    # Queue-length distribution (Eq. 8)
-    # ------------------------------------------------------------------
-    def prob_n_in_system(self, n: int) -> float:
-        """Steady-state probability ``pi(n) = (1 - rho) rho^n`` of Eq. (8)."""
-        if n < 0:
-            raise ValidationError(f"n must be non-negative, got {n!r}")
-        self._require_stable()
-        rho = self.rho
-        return (1.0 - rho) * rho**n
-
-    def prob_more_than(self, n: int) -> float:
-        """Tail probability ``P[N > n] = rho^(n+1)``."""
-        if n < 0:
-            raise ValidationError(f"n must be non-negative, got {n!r}")
-        self._require_stable()
-        return self.rho ** (n + 1)
-
-    # ------------------------------------------------------------------
     # Means (Eqs. 10-12)
     # ------------------------------------------------------------------
     @property
@@ -102,11 +81,6 @@ class MM1Queue:
         """Mean packets in the instance, ``N = rho / (1 - rho)`` (Eq. 10)."""
         self._require_stable()
         return self.rho / (1.0 - self.rho)
-
-    @property
-    def mean_queue_length(self) -> float:
-        """Mean packets waiting in the buffer, ``Nq = rho^2/(1-rho)``."""
-        return littles_law.mean_queue_length(self.arrival_rate, self.service_rate)
 
     @property
     def mean_response_time(self) -> float:
@@ -120,36 +94,8 @@ class MM1Queue:
         return littles_law.mean_waiting_time(self.arrival_rate, self.service_rate)
 
     # ------------------------------------------------------------------
-    # Response-time distribution
-    # ------------------------------------------------------------------
-    def response_time_cdf(self, t: float) -> float:
-        """CDF of the sojourn time: ``F(t) = 1 - exp(-(mu - Lambda) t)``.
-
-        The M/M/1 sojourn time is exponential with rate ``mu - Lambda``.
-        """
-        if t < 0.0:
-            return 0.0
-        self._require_stable()
-        return 1.0 - math.exp(-(self.service_rate - self.arrival_rate) * t)
-
-    def response_time_percentile(self, q: float) -> float:
-        """Inverse CDF of the sojourn time; ``q`` in ``[0, 1)``.
-
-        Used for the paper's 99th-percentile tail analysis:
-        ``t_q = -ln(1 - q) / (mu - Lambda)``.
-        """
-        if not 0.0 <= q < 1.0:
-            raise ValidationError(f"percentile must be in [0, 1), got {q!r}")
-        self._require_stable()
-        return -math.log(1.0 - q) / (self.service_rate - self.arrival_rate)
-
-    # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def with_arrival_rate(self, arrival_rate: float) -> "MM1Queue":
-        """Return a copy of this queue with a different arrival rate."""
-        return MM1Queue(arrival_rate=arrival_rate, service_rate=self.service_rate)
-
     def headroom(self) -> float:
         """Remaining service capacity ``mu - Lambda`` (may be negative)."""
         return self.service_rate - self.arrival_rate

@@ -9,7 +9,6 @@ module provides the Erlang-C analytics for that comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.exceptions import UnstableQueueError, ValidationError
@@ -97,26 +96,6 @@ class MMCQueue:
         return self.mean_waiting_time + 1.0 / self.service_rate
 
     @property
-    def mean_queue_length(self) -> float:
-        """Mean packets in the buffer (Little: ``Nq = Lambda Wq``)."""
-        return self.arrival_rate * self.mean_waiting_time
-
-    @property
     def mean_number_in_system(self) -> float:
         """Mean packets in the station (Little: ``N = Lambda W``)."""
         return self.arrival_rate * self.mean_response_time
-
-    def prob_n_in_system(self, n: int) -> float:
-        """Steady-state probability of ``n`` packets in the station."""
-        if n < 0:
-            raise ValidationError(f"n must be non-negative, got {n!r}")
-        self._require_stable()
-        a = self.offered_load
-        c = self.servers
-        # pi(0) from the standard normalization.
-        tail = (a**c / math.factorial(c)) * (1.0 / (1.0 - self.rho))
-        head = sum(a**k / math.factorial(k) for k in range(c))
-        pi0 = 1.0 / (head + tail)
-        if n < c:
-            return pi0 * a**n / math.factorial(n)
-        return pi0 * a**n / (math.factorial(c) * c ** (n - c))

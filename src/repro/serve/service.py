@@ -88,23 +88,6 @@ class ServeReport:
         """Rejected arrivals / all arrivals (0 when there were none)."""
         return self.rejected / self.arrivals if self.arrivals else 0.0
 
-    @property
-    def mean_admit_latency(self) -> float:
-        """Mean wall-clock seconds per admit decision."""
-        if not self.admit_latencies:
-            return 0.0
-        return sum(self.admit_latencies) / len(self.admit_latencies)
-
-    @property
-    def max_admit_latency(self) -> float:
-        return max(self.admit_latencies) if self.admit_latencies else 0.0
-
-    @property
-    def mean_rebalance_latency(self) -> float:
-        if not self.rebalance_latencies:
-            return 0.0
-        return sum(self.rebalance_latencies) / len(self.rebalance_latencies)
-
 
 class ServingLayer:
     """Drive a :class:`DeploymentEngine` through churn events.

@@ -20,17 +20,11 @@ class SimulationEngine:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
-        self._dispatched = 0
 
     @property
     def now(self) -> float:
         """Current simulated time (seconds)."""
         return self._now
-
-    @property
-    def events_dispatched(self) -> int:
-        """Total events dispatched so far."""
-        return self._dispatched
 
     def schedule(self, time: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at absolute time ``time`` (>= now).
@@ -70,7 +64,6 @@ class SimulationEngine:
                     break
                 event = self._queue.pop()
                 self._now = event.time
-                self._dispatched += 1
                 event.action()
             if until is not None:
                 self._now = max(self._now, until)

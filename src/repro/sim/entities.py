@@ -72,11 +72,6 @@ class SimServer:
         self.total_sojourn = 0.0
         self._busy_since: Optional[float] = None
 
-    @property
-    def queue_length(self) -> int:
-        """Packets waiting (excluding the one in service)."""
-        return len(self._buffer)
-
     def enqueue(self, packet: SimPacket) -> None:
         """Packet arrival: serve immediately if idle, else buffer FCFS."""
         packet.arrived_at = self._engine.now

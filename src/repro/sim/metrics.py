@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.analysis.stats import SummaryStats, summarize
-
 
 @dataclass(frozen=True)
 class InstanceStats:
@@ -43,10 +41,6 @@ class SimulationMetrics:
             if stats.key == (vnf_name, k):
                 return stats
         raise KeyError(f"no stats for instance ({vnf_name!r}, {k})")
-
-    def end_to_end_summary(self, request_id: str) -> SummaryStats:
-        """Latency summary of one request's delivered packets."""
-        return summarize(self.end_to_end[request_id])
 
     def all_latencies(self) -> List[float]:
         """Every delivered packet's end-to-end latency."""

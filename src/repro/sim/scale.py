@@ -125,13 +125,6 @@ class ScaleSimMetrics:
         done = self.total_delivered
         return float(self.latency_sum.sum() / done) if done else float("nan")
 
-    @property
-    def throughput(self) -> float:
-        """Counted deliveries per simulated second."""
-        return (
-            self.total_delivered / self.duration if self.duration else 0.0
-        )
-
 
 def _sorted_within(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``values`` sorted within each contiguous segment of the given

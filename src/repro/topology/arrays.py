@@ -106,9 +106,6 @@ class TopologyArrays:
     _path_csr: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False
     )
-    #: Vertex-level hop matrix (the compute ``hops`` is its submatrix);
-    #: kept for scalar Router queries that may touch switches.
-    _hops_all: Optional[np.ndarray] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # Builder
@@ -164,9 +161,8 @@ class TopologyArrays:
             num_vertices, link_u, link_v, link_latency
         )
 
-        hops_all = _hop_counts(pred)
         latency = dist[np.ix_(compute_vertex, compute_vertex)].copy()
-        hops = hops_all[np.ix_(compute_vertex, compute_vertex)].copy()
+        hops = _hop_counts(pred)[np.ix_(compute_vertex, compute_vertex)]
 
         return cls(
             vertex_keys=vertex_keys,
@@ -187,7 +183,6 @@ class TopologyArrays:
             pred=pred,
             latency=latency,
             hops=hops,
-            _hops_all=hops_all,
         )
 
     # ------------------------------------------------------------------

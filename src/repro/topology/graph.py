@@ -124,13 +124,6 @@ class DatacenterTopology:
         """All compute nodes, in insertion order."""
         return list(self._compute.values())
 
-    def compute_node(self, key: str) -> ComputeNode:
-        """Look up one compute node."""
-        try:
-            return self._compute[key]
-        except KeyError:
-            raise ValidationError(f"unknown compute node {key!r}") from None
-
     def switches(self) -> List[Switch]:
         """All switches, in insertion order."""
         return list(self._switches.values())

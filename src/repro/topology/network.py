@@ -342,25 +342,6 @@ class NetworkModel:
         if len(ids):
             np.add.at(loads, ids, sign * flows)
 
-    def remove_flows(
-        self,
-        fi: int,
-        at_node: int,
-        placement_vec: np.ndarray,
-        loads: np.ndarray,
-    ) -> None:
-        """The exact inverse of :meth:`add_flows`.
-
-        Retracting charges the identical link set with the identical
-        per-link flow values (the canonical min->max pair routing makes
-        the route endpoint-order-free), so each load entry receives
-        ``x + f - f`` — an exact float round trip whenever the add was
-        the latest change to those links, and the same retract the
-        solvers' trial-commit kernels already rely on.  Pinned by the
-        round-trip tests in ``tests/topology/test_network.py``.
-        """
-        self.add_flows(fi, at_node, placement_vec, loads, -1.0)
-
     # ------------------------------------------------------------------
     # Per-request chain flows (incremental admit/depart)
     # ------------------------------------------------------------------
@@ -411,19 +392,6 @@ class NetworkModel:
         return bool(
             (loads[touched] + add[touched] <= self._slack[touched]).all()
         )
-
-    def add_chain_flows(
-        self,
-        vnf_idx_seq: np.ndarray,
-        placement_vec: np.ndarray,
-        loads: np.ndarray,
-        flow: float,
-        sign: float = 1.0,
-    ) -> None:
-        """Commit (``sign=1``) or retract (``sign=-1``) one chain's flow."""
-        ids, flows = self.chain_link_flows(vnf_idx_seq, placement_vec, flow)
-        if len(ids):
-            np.add.at(loads, ids, sign * flows)
 
     # ------------------------------------------------------------------
     # Diagnostics

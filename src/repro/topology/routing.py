@@ -80,16 +80,6 @@ class Router:
             )
         return value
 
-    def hop_count(self, source: str, target: str) -> int:
-        """Number of links on the shortest path."""
-        s = self._vertex(source)
-        t = self._vertex(target)
-        if self._arrays.dist[s, t] == float("inf"):
-            raise ValidationError(
-                f"no path from {source!r} to {target!r}"
-            )
-        return int(_hops_all(self._arrays)[s, t])
-
     def path_latency(self, waypoints: Sequence[str]) -> float:
         """Total latency visiting ``waypoints`` in order via shortest paths.
 
@@ -110,12 +100,3 @@ class Router:
         fabric rather than supplied as a parameter.
         """
         return self._arrays.mean_compute_latency()
-
-
-def _hops_all(arrays):
-    """Vertex-level hop matrix, derived once from the predecessors."""
-    if arrays._hops_all is None:
-        from repro.topology.arrays import _hop_counts
-
-        arrays._hops_all = _hop_counts(arrays.pred)
-    return arrays._hops_all

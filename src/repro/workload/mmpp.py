@@ -57,10 +57,6 @@ class MMPP2:
         p_high = self.stationary_high_fraction
         return p_high * self.rate_high + (1.0 - p_high) * self.rate_low
 
-    def burstiness_index(self) -> float:
-        """Ratio of peak to mean rate — 1.0 for a plain Poisson process."""
-        return self.rate_high / self.mean_rate
-
     def sample_arrival_times(
         self,
         horizon: float,

@@ -16,6 +16,7 @@ Monte-Carlo averages are reproducible run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -134,22 +135,27 @@ class SchedulingScenario:
     delivery_probability: float = 1.0
     rho: float = 0.8
     rate_range: Tuple[float, float] = (1.0, 100.0)
-    #: When set, a fixed absolute service rate overriding the rho
-    #: scaling.  The rejection experiments (Figs. 15-16) fix mu so the
-    #: offered load *grows toward capacity* as requests increase — that
-    #: shrinking headroom is what makes the CGA rejection rate rise.
-    service_rate: Optional[float] = None
     seed: int = 20170605
 
     def __post_init__(self) -> None:
+        if self.num_instances < 1:
+            raise ConfigurationError(
+                f"num_instances must be >= 1, got {self.num_instances!r}"
+            )
         if self.num_requests < self.num_instances:
             raise ConfigurationError(
                 f"need at least as many requests ({self.num_requests}) as "
                 f"instances ({self.num_instances}) — Eq. (3)"
             )
-        if self.rho <= 0.0:
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
             raise ConfigurationError(
-                f"rho must be positive, got {self.rho!r}"
+                f"rho must be positive and finite, got {self.rho!r}"
+            )
+        lo, hi = self.rate_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
+            raise ConfigurationError(
+                f"rate_range must be finite with 0 < lo <= hi, got "
+                f"{self.rate_range!r}"
             )
 
     def build(self, repetition: int = 0) -> SchedulingProblem:
@@ -169,13 +175,9 @@ class SchedulingScenario:
         ]
         # mu scales with the offered raw load; retransmission overhead
         # (the 1/P factor on effective rates) then competes with balance
-        # quality for the remaining headroom.  A fixed service_rate
-        # overrides the scaling for the saturation experiments.
-        if self.service_rate is not None:
-            mu = self.service_rate
-        else:
-            total_raw = float(sum(rates))
-            mu = total_raw / (self.num_instances * self.rho)
+        # quality for the remaining headroom.
+        total_raw = float(sum(rates))
+        mu = total_raw / (self.num_instances * self.rho)
         vnf = VNF(
             name="vnf_under_test",
             demand_per_instance=1.0,

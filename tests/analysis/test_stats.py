@@ -1,13 +1,8 @@
 """Unit tests for the statistics helpers."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    confidence_interval,
-    percentile,
-    summarize,
-)
+from repro.analysis.stats import percentile
 from repro.exceptions import ValidationError
 
 
@@ -31,54 +26,3 @@ class TestPercentile:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             percentile([1.0], 101)
-
-
-class TestSummarize:
-    def test_basic_stats(self):
-        s = summarize([2.0, 4.0, 6.0, 8.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(5.0)
-        assert s.minimum == 2.0
-        assert s.maximum == 8.0
-        assert s.p50 == pytest.approx(5.0)
-
-    def test_std_is_sample_std(self):
-        s = summarize([1.0, 3.0])
-        assert s.std == pytest.approx(np.std([1.0, 3.0], ddof=1))
-
-    def test_singleton(self):
-        s = summarize([7.0])
-        assert s.std == 0.0
-        assert s.p99 == pytest.approx(7.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            summarize([])
-
-    def test_ci95_contains_mean(self):
-        s = summarize(list(np.random.default_rng(0).normal(10.0, 2.0, 500)))
-        lo, hi = s.ci95()
-        assert lo < s.mean < hi
-
-
-class TestConfidenceInterval:
-    def test_symmetric(self):
-        lo, hi = confidence_interval(10.0, 2.0, 100, 0.95)
-        assert hi - 10.0 == pytest.approx(10.0 - lo)
-        assert hi - lo == pytest.approx(2 * 1.96 * 2.0 / 10.0, rel=1e-3)
-
-    def test_wider_at_higher_level(self):
-        lo95, hi95 = confidence_interval(0.0, 1.0, 10, 0.95)
-        lo99, hi99 = confidence_interval(0.0, 1.0, 10, 0.99)
-        assert hi99 > hi95
-
-    def test_single_sample_degenerate(self):
-        assert confidence_interval(5.0, 0.0, 1) == (5.0, 5.0)
-
-    def test_unsupported_level(self):
-        with pytest.raises(ValidationError):
-            confidence_interval(0.0, 1.0, 10, 0.5)
-
-    def test_bad_count(self):
-        with pytest.raises(ValidationError):
-            confidence_interval(0.0, 1.0, 0)

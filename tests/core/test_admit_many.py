@@ -142,7 +142,8 @@ def _apply(engine, op, fresh):
         # Crash one instance of VNF ``op[1]``, or repair it if it is down.
         vnf, fi = f"v{op[1]}", op[1]
         k = op[2] % int(engine.arrays.M_f[fi])
-        if engine.down_instances()[int(engine.arrays.instance_offset[fi]) + k]:
+        down = engine._down_inst
+        if down is not None and down[int(engine.arrays.instance_offset[fi]) + k]:
             return engine.recover_instance(vnf, k)
         return engine.fail_instance(vnf, k)
     if kind == "move_vnf":
@@ -209,7 +210,11 @@ def assert_same_engine(a, b):
     assert a.placement == b.placement
     assert a.placement_vector().tobytes() == b.placement_vector().tobytes()
     assert a.failed_nodes == b.failed_nodes
-    assert a.down_instances().tobytes() == b.down_instances().tobytes()
+    if a._down_inst is None or b._down_inst is None:
+        assert a._down_inst is None or not a._down_inst.any()
+        assert b._down_inst is None or not b._down_inst.any()
+    else:
+        assert a._down_inst.tobytes() == b._down_inst.tobytes()
     x, y = a.arrays, b.arrays
     assert list(x.request_ids) == list(y.request_ids)
     assert dict(x.request_index) == dict(y.request_index)

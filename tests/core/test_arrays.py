@@ -212,9 +212,6 @@ class TestCaching:
             vnfs=vnfs, requests=requests, node_capacities=capacities
         )
         assert state.arrays() is state.arrays()
-        first = state.arrays()
-        state.invalidate_arrays()
-        assert state.arrays() is not first
 
     def test_schedule_cache_tracks_dict_size(self, vnfs, requests, capacities):
         state = DeploymentState(

@@ -1,5 +1,5 @@
-"""Mutation parity for ``ScenarioArrays.append_request`` /
-``append_requests`` / ``remove_request`` / ``remove_requests``.
+"""Mutation parity for ``ScenarioArrays.append_requests`` /
+``remove_requests``, one row at a time and in batches.
 
 The contract (docs/ARRAYS_CORE.md + docs/SERVING.md): after any
 sequence of appends and removes, every request-derived column, both
@@ -102,7 +102,7 @@ class TestAppend:
             # Warm both caches so staleness would be visible.
             arrays.vnf_requests()
             arrays.vnf_chain_neighbors()
-            idx = arrays.append_request(request)
+            idx = arrays.append_requests([request])
             assert idx == len(live)
             live.append(request)
             assert_matches_rebuild(arrays, vnfs, live, capacities)
@@ -110,7 +110,7 @@ class TestAppend:
     def test_effective_rate_division_is_exact(self, vnfs, capacities):
         arrays = ScenarioArrays.build(vnfs, [], capacities)
         request = _request(0, ["fw"], 37.0, 0.7)
-        arrays.append_request(request)
+        arrays.append_requests([request])
         # Same IEEE division as build — bit-equal, not just close.
         assert arrays.eff_rate[0] == np.float64(37.0) / np.float64(0.7)
 
@@ -119,14 +119,14 @@ class TestAppend:
             vnfs, [_request(0, ["fw"], 1.0)], capacities
         )
         with pytest.raises(ValidationError):
-            arrays.append_request(_request(0, ["nat"], 2.0))
+            arrays.append_requests([_request(0, ["nat"], 2.0)])
 
     def test_unknown_vnf_sets_flag(self, vnfs, capacities):
         arrays = ScenarioArrays.build(
             vnfs, [_request(0, ["fw"], 1.0)], capacities
         )
         assert not arrays.chain_has_unknown
-        arrays.append_request(_request(1, ["ghost"], 1.0))
+        arrays.append_requests([_request(1, ["ghost"], 1.0)])
         assert arrays.chain_has_unknown
         assert arrays.chain_vnf[-1] == -1
 
@@ -145,7 +145,7 @@ class TestRemove:
         for rid in ("r2", "r0", "r4", "r3", "r1"):  # middle/first/last
             arrays.vnf_requests()
             arrays.vnf_chain_neighbors()
-            idx = arrays.remove_request(rid)
+            (idx,) = arrays.remove_requests([rid])
             assert idx == [r.request_id for r in live].index(rid)
             live = [r for r in live if r.request_id != rid]
             assert_matches_rebuild(arrays, vnfs, live, capacities)
@@ -157,7 +157,7 @@ class TestRemove:
             vnfs, [_request(0, ["fw"], 1.0)], capacities
         )
         with pytest.raises(ValidationError):
-            arrays.remove_request("ghost")
+            arrays.remove_requests(["ghost"])
 
     def test_unknown_flag_clears_when_last_unknown_leaves(
         self, vnfs, capacities
@@ -168,7 +168,7 @@ class TestRemove:
             capacities,
         )
         assert arrays.chain_has_unknown
-        arrays.remove_request("r1")
+        arrays.remove_requests(["r1"])
         assert not arrays.chain_has_unknown
 
 
@@ -183,7 +183,7 @@ class TestChurnSequence:
         for step in range(60):
             if live and rng.random() < 0.4:
                 victim = live[int(rng.integers(len(live)))]
-                arrays.remove_request(victim.request_id)
+                arrays.remove_requests([victim.request_id])
                 live.remove(victim)
             else:
                 size = int(rng.integers(1, 4))
@@ -196,7 +196,7 @@ class TestChurnSequence:
                     float(rng.uniform(0.5, 1.0)),
                 )
                 next_id += 1
-                arrays.append_request(request)
+                arrays.append_requests([request])
                 live.append(request)
             if step % 5 == 0:
                 assert_matches_rebuild(arrays, vnfs, live, capacities)
@@ -209,7 +209,7 @@ class TestChurnSequence:
         )
         before = arrays.lambda_r.copy()
         for i in range(1, 40):  # force several buffer doublings
-            arrays.append_request(_request(i, ["nat"], float(i)))
+            arrays.append_requests([_request(i, ["nat"], float(i))])
         np.testing.assert_array_equal(arrays.lambda_r[:1], before)
         assert arrays.lambda_r[39] == 39.0
 
@@ -262,7 +262,7 @@ class RowMutationMachine(RuleBasedStateMachine):
     @rule(chain=_CHAINS, rate=_RATES, p=_PROBS)
     def append(self, chain, rate, p):
         request = self._new(chain, rate, p)
-        assert self.arrays.append_request(request) == len(self.live)
+        assert self.arrays.append_requests([request]) == len(self.live)
         self.live.append(request)
 
     @precondition(lambda self: self.gone)
@@ -270,7 +270,7 @@ class RowMutationMachine(RuleBasedStateMachine):
     def readmit(self, data):
         request = data.draw(st.sampled_from(self.gone))
         self.gone.remove(request)
-        assert self.arrays.append_request(request) == len(self.live)
+        assert self.arrays.append_requests([request]) == len(self.live)
         self.live.append(request)
 
     @rule(
@@ -310,7 +310,7 @@ class RowMutationMachine(RuleBasedStateMachine):
     def remove_one(self, data):
         request = data.draw(st.sampled_from(self.live))
         row = self.live.index(request)
-        assert self.arrays.remove_request(request.request_id) == row
+        assert self.arrays.remove_requests([request.request_id]).tolist() == [row]
         self.live.remove(request)
         self.gone.append(request)
 

@@ -138,7 +138,7 @@ class TestLeanColumns:
             arrival_rate=5.0,
             delivery_probability=1.0,
         )
-        row = lean.append_request(extra)
+        row = lean.append_requests([extra])
         assert row == len(workload.requests)
         assert lean.lambda_r.dtype == np.float32
         assert lean.chain_req.dtype == np.int32
@@ -160,7 +160,7 @@ class TestLeanEndToEnd:
         )
         # Seed the state's column cache with the lean build so the
         # whole evaluation pipeline runs on int32/float32 columns.
-        state.invalidate_arrays()
+        state._schedule_arrays_cache = None
         state._scenario_arrays = lean_arrays
         lean = evaluate_deployment(state)
         assert lean.total_latency == pytest.approx(

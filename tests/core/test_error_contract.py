@@ -8,7 +8,9 @@ to every metric that reads that part of the solution, and expects a
 ``ValidationError`` carrying the validator's message (never a number, a
 ``KeyError`` or a ``SchedulingError``).  The simulator's run-control
 parameters follow the same rule: a non-finite time is refused with a
-message naming the field.
+message naming the field.  So do the scheduling scenarios of Figs.
+11-16: a bad knob is refused at construction, not deep inside
+``build``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from repro.core import objectives
 from repro.core.local_search import total_inter_node_hops
 from repro.core.topology_eval import total_latency_on_topology
-from repro.exceptions import ValidationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.state import DeploymentState
@@ -28,6 +30,7 @@ from repro.scheduling.base import ScheduleResult, SchedulingProblem
 from repro.scheduling.metrics import schedule_report
 from repro.sim.simulator import SimulationConfig
 from repro.topology.graph import DatacenterTopology
+from repro.workload.scenarios import SchedulingScenario
 
 VNFS = (VNF("fw", 10.0, 2, 100.0), VNF("nat", 5.0, 1, 200.0))
 CHAIN = ServiceChain(["fw", "nat"])
@@ -120,7 +123,6 @@ STATE_PLACEMENT_METRICS = {
 }
 RESULT_METRICS = {
     "PlacementResult.node_loads": lambda r: r.node_loads(),
-    "PlacementResult.used_nodes": lambda r: r.used_nodes(),
     "PlacementResult.num_used_nodes": lambda r: r.num_used_nodes,
     "PlacementResult.average_utilization": lambda r: r.average_utilization,
     "PlacementResult.total_occupied_capacity": (
@@ -195,3 +197,22 @@ def test_simulation_config_refuses_non_finite_times(field, value):
 def test_simulation_config_refuses_a_negative_seed():
     with pytest.raises(ValidationError, match="^seed must be non-negative"):
         SimulationConfig(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_instances", 0),
+        ("num_instances", -2),
+        ("rho", float("nan")),
+        ("rho", float("inf")),
+        ("rate_range", (100.0, 1.0)),
+        ("rate_range", (-5.0, 1.0)),
+        ("rate_range", (0.0, 1.0)),
+        ("rate_range", (1.0, float("inf"))),
+        ("rate_range", (float("nan"), 1.0)),
+    ],
+)
+def test_scheduling_scenario_refuses_bad_knobs(field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        SchedulingScenario(**{field: value})

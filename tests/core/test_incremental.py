@@ -406,7 +406,7 @@ class TestFaultOps:
         k = first.assignment["fw"]
         evicted = engine.fail_instance("fw", k)
         assert [r.request_id for r in evicted] == ["q0"]
-        assert engine.down_instances().sum() == 1
+        assert engine._down_inst.sum() == 1
         # The surviving instance still admits.
         report = engine.admit(_request(1, ["fw"], 5.0))
         assert report.admitted
@@ -419,7 +419,7 @@ class TestFaultOps:
         assert rejected.reason == "unavailable"
         engine.recover_instance("fw", k)
         assert engine.admit(_request(2, ["fw"], 1.0)).admitted
-        assert engine.down_instances().sum() == 1
+        assert engine._down_inst.sum() == 1
 
     def test_rebalance_keeps_down_instances_empty(self):
         gen = WorkloadGenerator(np.random.default_rng(20170605))
@@ -431,7 +431,7 @@ class TestFaultOps:
         assert all(engine.admit(r).admitted for r in evicted)
         assert engine.rebalance().committed
         gi = int(engine.arrays.instance_offset[engine.arrays.vnf_index[vnf]])
-        assert engine.down_instances()[gi]
+        assert engine._down_inst[gi]
         assert engine.instance_loads()[gi] == 0.0
         assert all(
             engine.assignment_of(rid).get(vnf) != 0
@@ -470,14 +470,6 @@ class TestFaultOps:
             engine.fail_instance("fw", 7)
         with pytest.raises(SchedulingError, match="no instance"):
             engine.recover_instance("fw", -1)
-
-    def test_evict_unknown_id_raises(self, small_vnfs, small_caps):
-        engine = DeploymentEngine(small_vnfs, small_caps)
-        engine.admit(_request(0, ["fw"], 1.0))
-        with pytest.raises(SchedulingError, match="unknown requests"):
-            engine.evict(["q0", "ghost"])
-        # The failed call was all-or-nothing.
-        assert engine.active_requests == ("q0",)
 
     def test_move_vnf(self, small_vnfs, small_caps):
         engine = DeploymentEngine(
@@ -540,13 +532,14 @@ def _parity_workload():
 
 
 class TestMassDepartParity:
-    """evict(subset) == the engine that never saw the victims.
+    """A failure's eviction is the exact inverse of the victims' admits.
 
-    The docstring contract of :meth:`DeploymentEngine.evict`: because
-    each eviction is the exact admit inverse, evicting ANY subset and
-    re-solving leaves the engine bit-identical (placement + schedule)
-    to one rebuilt from the survivors; the pre-rebalance residuals
-    match a from-scratch recompute of the surviving schedule.
+    ``fail_node`` and ``fail_instance`` retract their victims in one
+    pass (``DeploymentEngine._evict_rows``).  Because each retraction
+    is the exact admit inverse, the residuals are bit-identical to
+    departing the victims one by one in arrival order, and failing,
+    recovering and re-solving leaves the engine bit-identical
+    (placement + schedule) to one rebuilt from the survivors.
     """
 
     @given(data=st.data())
@@ -558,14 +551,23 @@ class TestMassDepartParity:
             target_utilization=None,
         )
         ids = list(engine.active_requests)
-        victims = data.draw(
-            st.sets(st.sampled_from(ids), max_size=len(ids))
+        nodes = data.draw(
+            st.lists(
+                st.sampled_from(sorted(set(engine.placement.values()))),
+                unique=True, max_size=3,
+            )
         )
-        evicted = engine.evict(victims)
-        # Returned in arrival order, exactly the requested set.
-        assert [r.request_id for r in evicted] == [
-            rid for rid in ids if rid in victims
-        ]
+        vnf = data.draw(st.sampled_from(sorted(engine.placement)))
+        victims = set()
+        for node in nodes:
+            evicted = [r.request_id for r in engine.fail_node(node)]
+            # Returned in arrival order.
+            assert evicted == [rid for rid in ids if rid in evicted]
+            victims.update(evicted)
+        evicted = [r.request_id for r in engine.fail_instance(vnf, 0)]
+        assert evicted == [rid for rid in ids if rid in evicted]
+        victims.update(evicted)
+        assert set(engine.active_requests) == set(ids) - victims
         # Residual bookkeeping equals a from-scratch recompute over
         # the surviving schedule.
         state = engine.state()
@@ -575,8 +577,11 @@ class TestMassDepartParity:
         np.testing.assert_allclose(
             engine.instance_loads(), recomputed, rtol=0, atol=1e-9
         )
-        # After a re-solve the engine is indistinguishable from one
-        # that never saw the evicted requests.
+        # Once the faults heal, a re-solve is indistinguishable from an
+        # engine that never saw the evicted requests.
+        for node in nodes:
+            engine.recover_node(node)
+        engine.recover_instance(vnf, 0)
         engine.rebalance()
         survivors = [
             r for r in w.requests if r.request_id not in victims
@@ -594,8 +599,8 @@ class TestMassDepartParity:
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
     def test_evict_matches_sequential_departs(self, data):
-        """One-pass evict == departing the victims one by one in
-        arrival order, bit for bit, with and without a fabric."""
+        """One-pass node eviction == departing the victims one by one
+        in arrival order, bit for bit, with and without a fabric."""
         w = _parity_workload()
         fabric = _parity_fabric(w)
         for vnfs, caps, requests, topo in (
@@ -609,15 +614,15 @@ class TestMassDepartParity:
             )
             mass = DeploymentEngine(vnfs, caps, requests, **kwargs)
             serial = DeploymentEngine(vnfs, caps, requests, **kwargs)
-            ids = list(mass.active_requests)
-            victims = data.draw(
-                st.sets(st.sampled_from(ids), min_size=1, max_size=len(ids))
+            node = data.draw(
+                st.sampled_from(sorted(set(mass.placement.values())))
             )
-            mass.evict(victims)
-            # Same arrival-order retraction sequence as evict's
+            victims = mass.fail_node(node)
+            assert victims
+            # Same arrival-order retraction sequence as the eviction's
             # internals — float subtraction is order-sensitive.
-            for rid in (i for i in ids if i in victims):
-                serial.depart(rid)
+            for request in victims:
+                serial.depart(request.request_id)
             assert mass.active_requests == serial.active_requests
             np.testing.assert_array_equal(
                 mass.instance_loads(), serial.instance_loads()

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from repro.core.joint import JointOptimizer
+from repro.exceptions import ValidationError
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
 from repro.placement.base import PlacementProblem
 from repro.placement.bfd import BFDPlacement
 from repro.placement.bfdsu import BFDSUPlacement
+from repro.scheduling.base import Assignment, SchedulingAlgorithm
 from repro.scheduling.cga import CGAScheduler
 from repro.scheduling.rckk import RCKKScheduler
 from repro.workload.generator import WorkloadGenerator
@@ -110,6 +112,71 @@ class TestOptimize:
             placement=BFDPlacement()
         ).optimize(vnfs, requests, capacities)
         assert len(solution.placement_result.problem.chains) == 1
+
+
+class _Corrupted(SchedulingAlgorithm):
+    """Round robin, then one fault injected into every VNF's rows."""
+
+    name = "Corrupted"
+
+    def __init__(self, fault):
+        self.fault = fault
+
+    def assign(self, rates, m):
+        ways = [i % m for i in range(len(rates))]
+        order = list(range(len(rates)))
+        if self.fault == "k_too_large":
+            ways[0] = m
+        elif self.fault == "k_negative":
+            ways[0] = -1
+        elif self.fault == "duplicate_user" and len(order) > 1:
+            order[1] = order[0]
+        return Assignment(ways=ways, order=order)
+
+
+class TestScheduleValidation:
+    """optimize() validates the scheduler's columns before building the
+    dict: a corrupted output raises ``ValidationError``."""
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("k_too_large", "unknown instance"),
+            ("k_negative", "unknown instance"),
+            ("duplicate_user", "has no instance"),
+        ],
+    )
+    def test_corrupted_scheduler_output_raises(
+        self, small_instance, fault, message
+    ):
+        optimizer = JointOptimizer(scheduler=_Corrupted(fault))
+        with pytest.raises(ValidationError, match=message):
+            optimizer.optimize(*small_instance)
+
+    def test_unknown_request_row_raises(self, small_instance):
+        from repro.core.arrays import ScenarioArrays
+        from repro.scheduling.kernels import schedule_columns
+
+        arrays = ScenarioArrays.build(*small_instance)
+        sched = schedule_columns(arrays, RCKKScheduler())
+        sched.req[0] = len(arrays.request_ids)
+        with pytest.raises(ValidationError, match="unknown request"):
+            arrays.check_schedule(sched)
+
+    def test_extra_row_raises(self, small_instance):
+        from repro.core.arrays import ScenarioArrays, ScheduleArrays
+        from repro.scheduling.kernels import schedule_columns
+
+        arrays = ScenarioArrays.build(*small_instance)
+        sched = schedule_columns(arrays, RCKKScheduler())
+        arrays.check_schedule(sched)
+        doubled = ScheduleArrays(
+            *(np.concatenate([col, col[:1]]) for col in (
+                sched.req, sched.vnf, sched.k, sched.inst
+            ))
+        )
+        with pytest.raises(ValidationError, match="entries for"):
+            arrays.check_schedule(doubled)
 
 
 class TestEndToEnd:

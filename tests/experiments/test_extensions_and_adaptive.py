@@ -1,10 +1,8 @@
-"""Tests for the extensions-comparison experiment and adaptive sweeps."""
+"""Tests for the extensions-comparison experiment."""
 
 import pytest
 
 from repro.experiments import extensions_compare
-from repro.experiments.sweeps import scheduling_sweep
-from repro.workload.scenarios import SchedulingScenario
 
 
 class TestExtensionsCompare:
@@ -41,36 +39,3 @@ class TestExtensionsCompare:
         for row in result.rows:
             assert 0.0 < row["utilization"] <= 1.0
             assert 0.0 <= row["cross_hop_fraction"] <= 1.0
-
-
-class TestAdaptiveSweep:
-    def test_adaptive_stops_early_on_easy_points(self):
-        scenario = SchedulingScenario(
-            num_requests=100, num_instances=5, rho=0.5, seed=3
-        )
-        # Low load, low variance: convergence should fire well before
-        # the 400-repetition cap.
-        rows = scheduling_sweep(
-            [(100, scenario)],
-            repetitions=400,
-            adaptive_precision=0.05,
-        )
-        assert len(rows) == 2
-        # The sweep ran; means are positive and finite.
-        for row in rows:
-            assert 0.0 < row["mean_w"] < 1.0
-
-    def test_adaptive_matches_fixed_within_precision(self):
-        scenario = SchedulingScenario(
-            num_requests=50, num_instances=5, rho=0.8, seed=4
-        )
-        fixed = scheduling_sweep([(50, scenario)], repetitions=200)
-        adaptive = scheduling_sweep(
-            [(50, scenario)], repetitions=200, adaptive_precision=0.02
-        )
-        fixed_w = {r["algorithm"]: r["mean_w"] for r in fixed}
-        adaptive_w = {r["algorithm"]: r["mean_w"] for r in adaptive}
-        for name in fixed_w:
-            assert adaptive_w[name] == pytest.approx(
-                fixed_w[name], rel=0.10
-            )

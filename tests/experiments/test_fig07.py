@@ -1,66 +1,11 @@
-"""Fig. 7 shared-memory parity — pooled columns must not move a bit.
-
-``fig07.run(shared=True)`` builds every problem instance once in the
-parent, pools the VNF/node columns into one ``ScenarioArrays`` and
-ships them to workers via ``run_trials(shared=...)``; the rows must be
-byte-identical to the per-trial construction path at any ``jobs``.
-"""
+"""Fig. 7's table shape: one row per (pool size, contender)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.exceptions import ConfigurationError
 from repro.experiments import fig07
-from repro.experiments.sweeps import (
-    default_placement_algorithms,
-    placement_sweep,
-)
-from repro.workload.scenarios import PlacementScenario
 
 
-@pytest.fixture(scope="module")
-def default_rows():
-    return fig07.run(repetitions=2).rows
-
-
-class TestSharedParity:
-    def test_shared_rows_byte_identical(self, default_rows):
-        shared = fig07.run(repetitions=2, shared=True).rows
-        assert shared == default_rows
-
-    def test_shared_parallel_rows_byte_identical(self, default_rows):
-        shared = fig07.run(repetitions=2, shared=True, jobs=3).rows
-        assert shared == default_rows
-
-    def test_shape(self, default_rows):
-        assert len(default_rows) == len(fig07.NODE_COUNTS) * 3
-        algorithms = {row["algorithm"] for row in default_rows}
-        assert algorithms == {"BFDSU", "FFD", "NAH"}
-
-
-class TestPlacementSweepShared:
-    def _scenarios(self):
-        return [
-            (10, PlacementScenario(num_vnfs=8, num_nodes=6, seed=1)),
-            (20, PlacementScenario(num_vnfs=8, num_nodes=6, seed=2)),
-        ]
-
-    def test_parity_against_default_path(self):
-        default = placement_sweep(
-            self._scenarios(), repetitions=2, seed=0
-        )
-        shared = placement_sweep(
-            self._scenarios(), repetitions=2, seed=0, shared=True
-        )
-        assert shared == default
-
-    def test_explicit_algorithms_refused(self):
-        with pytest.raises(ConfigurationError, match="shared=True"):
-            placement_sweep(
-                self._scenarios(),
-                repetitions=1,
-                seed=0,
-                algorithms=default_placement_algorithms(seed=0),
-                shared=True,
-            )
+def test_shape():
+    rows = fig07.run(repetitions=2).rows
+    assert len(rows) == len(fig07.NODE_COUNTS) * 3
+    assert {row["algorithm"] for row in rows} == {"BFDSU", "FFD", "NAH"}

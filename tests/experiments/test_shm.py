@@ -1,4 +1,9 @@
-"""Shared-memory scenario passing: byte-identity and graceful fallback."""
+"""Shared-memory scenario passing: byte-identity and graceful fallback.
+
+Workers receive only the small handle inside their task payload and
+attach to the published columns themselves, as the sharded simulator's
+shard workers do.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +18,6 @@ from repro.experiments.montecarlo import run_trials
 from repro.experiments.shm import (
     attach_arrays,
     publish_arrays,
-    published,
     unpublish_arrays,
 )
 from repro.workload.generator import WorkloadGenerator
@@ -31,7 +35,7 @@ COLUMNS = shm_mod._COLUMNS
 
 
 def _trial(task, arrays):
-    """Module-level shared trial: a deterministic scenario digest."""
+    """A deterministic scenario digest of one task."""
     seed, _rep = task
     rng = np.random.default_rng(seed)
     pick = rng.integers(0, len(arrays.request_ids))
@@ -41,6 +45,17 @@ def _trial(task, arrays):
         int(arrays.chain_ptr[-1]),
         arrays.request_ids[int(pick)],
     )
+
+
+def _attached_trial(task):
+    """Module-level worker trial: attach through the handle, then digest."""
+    handle, seed, rep = task
+    return _trial((seed, rep), attach_arrays(handle))
+
+
+def _run_attached(handle, tasks, jobs):
+    payload = [(handle, seed, rep) for seed, rep in tasks]
+    return run_trials(_attached_trial, payload, jobs=jobs)
 
 
 class TestPublishAttach:
@@ -117,20 +132,10 @@ class TestPublishAttach:
         unpublish_arrays(handle)
         unpublish_arrays(handle)
 
-
-class TestPublishedContextManager:
-    def test_releases_on_normal_exit(self, arrays):
-        with published(arrays) as handle:
-            assert attach_arrays(handle) is arrays
-        assert handle.token not in shm_mod._published
-
-    def test_releases_on_exception(self, arrays):
-        # The leak regression: a trial raising through run_trials must
-        # not strand the published segment (orphaned /dev/shm repro_*
-        # blocks accumulate per crashed experiment otherwise).
-        with pytest.raises(RuntimeError, match="trial exploded"):
-            with published(arrays) as handle:
-                raise RuntimeError("trial exploded")
+    def test_unpublish_releases_auto_backend(self, arrays):
+        handle = publish_arrays(arrays)
+        assert attach_arrays(handle) is arrays
+        unpublish_arrays(handle)
         assert handle.token not in shm_mod._published
         if handle.backend == "shm":
             from multiprocessing import shared_memory
@@ -138,28 +143,35 @@ class TestPublishedContextManager:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=handle.location)
 
-    def test_releases_mmap_directory_on_exception(self, arrays, tmp_path):
+    def test_unpublish_removes_mmap_directory(self, arrays):
         import os
 
-        with pytest.raises(ValueError, match="boom"):
-            with published(arrays, backend="mmap") as handle:
-                assert os.path.isdir(handle.location)
-                raise ValueError("boom")
+        handle = publish_arrays(arrays, backend="mmap")
+        assert os.path.isdir(handle.location)
+        unpublish_arrays(handle)
+        assert handle.token not in shm_mod._published
         assert not os.path.exists(handle.location)
 
 
 class TestSharedTrials:
     def test_serial_vs_parallel_byte_identical(self, arrays):
         tasks = [(seed, rep) for seed in range(4) for rep in range(3)]
-        serial = run_trials(_trial, tasks, jobs=1, shared=arrays)
-        parallel = run_trials(_trial, tasks, jobs=2, shared=arrays)
+        handle = publish_arrays(arrays)
+        try:
+            serial = _run_attached(handle, tasks, jobs=1)
+            parallel = _run_attached(handle, tasks, jobs=2)
+        finally:
+            unpublish_arrays(handle)
         assert serial == parallel
 
     def test_matches_unshared_reference(self, arrays):
         tasks = [(seed, 0) for seed in range(5)]
-        got = run_trials(_trial, tasks, jobs=1, shared=arrays)
-        ref = [_trial(task, arrays) for task in tasks]
-        assert got == ref
+        handle = publish_arrays(arrays)
+        try:
+            got = _run_attached(handle, tasks, jobs=1)
+        finally:
+            unpublish_arrays(handle)
+        assert got == [_trial(task, arrays) for task in tasks]
 
     def test_fallback_when_shm_unavailable(self, arrays, monkeypatch):
         # Both fast backends blow up -> inline handle, identical result.
@@ -175,14 +187,10 @@ class TestSharedTrials:
         try:
             assert handle.backend == "inline"
             tasks = [(seed, 0) for seed in range(4)]
-            got = run_trials(_trial, tasks, jobs=2, shared=handle)
+            got = _run_attached(handle, tasks, jobs=2)
             assert got == [_trial(task, arrays) for task in tasks]
         finally:
             unpublish_arrays(handle)
-
-    def test_shared_rejects_wrong_type(self):
-        with pytest.raises(ConfigurationError):
-            run_trials(_trial, [(0, 0)], jobs=1, shared={"not": "arrays"})
 
     def test_handle_is_small_to_pickle(self, arrays):
         import pickle

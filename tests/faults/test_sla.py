@@ -97,7 +97,6 @@ class TestSpellIntegration:
     def test_availability_with_no_demand_is_one(self):
         report = SLATracker(SLASpec()).finish(100.0)
         assert report.availability == 1.0
-        assert report.availability_met
 
 
 class TestLatencyIntegration:
@@ -142,13 +141,3 @@ class TestResilienceReport:
         )
         assert report.served_seconds == 0.0
         assert report.availability == 0.0
-
-    def test_availability_met_threshold(self):
-        report = ResilienceReport(
-            demanded_seconds=1000.0,
-            downtime_seconds=0.5,
-            availability_target=0.999,
-        )
-        assert report.availability_met
-        report.downtime_seconds = 1.5
-        assert not report.availability_met

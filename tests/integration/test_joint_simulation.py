@@ -6,6 +6,8 @@ the discrete-event simulator and require the measured per-instance
 behaviour to match the analytic model the optimizer reasoned with.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ def optimized_and_simulated():
     # Scale service rates so the busiest instance sits near rho ~ 0.5:
     # fast enough to simulate long runs, loaded enough to queue.
     total = sum(r.effective_rate for r in requests)
-    vnfs = [f.with_service_rate(total) for f in vnfs]
+    vnfs = [replace(f, service_rate=total) for f in vnfs]
     capacities = gen.capacities_fitting(3, vnfs, headroom=1.5)
 
     solution = JointOptimizer(

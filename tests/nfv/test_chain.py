@@ -35,20 +35,6 @@ class TestQueries:
         assert not c.uses("ids")
         assert "nat" in c
 
-    def test_position(self):
-        c = ServiceChain(["fw", "nat", "lb"])
-        assert c.position_of("fw") == 0
-        assert c.position_of("lb") == 2
-
-    def test_position_of_missing_raises(self):
-        with pytest.raises(ValidationError):
-            ServiceChain(["fw"]).position_of("nat")
-
-    def test_successors(self):
-        c = ServiceChain(["a", "b", "c"])
-        assert c.successors("a") == ("b", "c")
-        assert c.successors("c") == ()
-
     def test_hops(self):
         c = ServiceChain(["a", "b", "c"])
         assert c.hops() == (("a", "b"), ("b", "c"))
@@ -56,16 +42,5 @@ class TestQueries:
 
 
 class TestLengthValidation:
-    def test_within_limit(self):
-        ServiceChain(list("abcdef")).validate_length()
-
-    def test_over_limit(self):
-        with pytest.raises(ValidationError):
-            ServiceChain(list("abcdefg")).validate_length()
-
-    def test_custom_limit(self):
-        with pytest.raises(ValidationError):
-            ServiceChain(["a", "b"]).validate_length(max_length=1)
-
     def test_default_is_paper_limit(self):
         assert MAX_CHAIN_LENGTH == 6

@@ -52,6 +52,3 @@ class TestDerived:
         r = Request("r", chain, 1.0)
         assert r.uses("fw")
         assert not r.uses("ids")
-
-    def test_chain_length(self, chain):
-        assert Request("r", chain, 1.0).chain_length == 2

@@ -47,28 +47,6 @@ def state(vnfs, requests, capacities):
     )
 
 
-class TestVariables:
-    def test_x(self, state):
-        assert state.x("fw", "n0") == 1
-        assert state.x("fw", "n1") == 0
-
-    def test_y_eq1(self, state):
-        assert state.y("n0") == 1
-        assert state.y("n1") == 0
-
-    def test_z(self, state):
-        assert state.z("r0", "fw", 0) == 1
-        assert state.z("r0", "fw", 1) == 0
-
-    def test_eta_eq4(self, state):
-        assert state.eta("r0", "n0") == 1
-        assert state.eta("r0", "n1") == 0
-
-    def test_eta_unknown_request(self, state):
-        with pytest.raises(ValidationError):
-            state.eta("ghost", "n0")
-
-
 class TestDerivedState:
     def test_nodes_in_service(self, state):
         assert state.nodes_in_service() == ["n0"]
@@ -119,9 +97,6 @@ class TestInstances:
             i for i in state.instances() if i.key == ("nat", 0)
         )
         assert nat0.equivalent_arrival_rate == pytest.approx(30.0)
-
-    def test_instances_of(self, state):
-        assert len(state.instances_of("fw")) == 2
 
 
 class TestValidation:

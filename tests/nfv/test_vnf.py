@@ -45,38 +45,12 @@ class TestDerived:
                 service_rate=50.0)
         assert f.total_demand == pytest.approx(40.0)
 
-    def test_total_service_rate(self):
-        f = VNF("f", 10.0, 4, 50.0)
-        assert f.total_service_rate == pytest.approx(200.0)
-
-
-class TestReplicas:
-    def test_replica_name(self):
-        f = VNF("fw", 10.0, 2, 100.0)
-        assert f.replica(1).name == "fw#1"
-        assert f.replica(3).name == "fw#3"
-
-    def test_replica_preserves_parameters(self):
-        f = VNF("fw", 10.0, 2, 100.0, category=VNFCategory.SECURITY)
-        r = f.replica(1)
-        assert r.demand_per_instance == f.demand_per_instance
-        assert r.num_instances == f.num_instances
-        assert r.category is f.category
-
-    def test_replica_index_validated(self):
-        with pytest.raises(ValidationError):
-            VNF("fw", 1.0, 1, 1.0).replica(0)
-
 
 class TestCopies:
     def test_with_instances(self):
         f = VNF("fw", 10.0, 2, 100.0)
         assert f.with_instances(7).num_instances == 7
         assert f.num_instances == 2  # original untouched
-
-    def test_with_service_rate(self):
-        f = VNF("fw", 10.0, 2, 100.0)
-        assert f.with_service_rate(9.0).service_rate == 9.0
 
     def test_frozen(self):
         f = VNF("fw", 10.0, 2, 100.0)

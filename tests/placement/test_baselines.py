@@ -23,7 +23,7 @@ class TestFFD:
     def test_picks_largest_residual(self):
         problem = _problem([3.0], [5.0, 9.0, 7.0])
         result = FFDPlacement().place(problem)
-        assert result.node_of("f0") == "n1"
+        assert result.placement["f0"] == "n1"
 
     def test_single_iteration(self):
         problem = _problem([3.0, 2.0], [9.0, 9.0])
@@ -44,7 +44,7 @@ class TestFFD:
         # The largest VNF lands on the largest node first.
         problem = _problem([2.0, 8.0], [9.0, 5.0])
         result = FFDPlacement().place(problem)
-        assert result.node_of("f1") == "n0"
+        assert result.placement["f1"] == "n0"
 
 
 class TestNAH:
@@ -53,8 +53,8 @@ class TestNAH:
         problem = _problem([4.0, 2.0], [10.0, 20.0], chains=chains)
         result = NAHPlacement().place(problem)
         # Heaviest VNF of the chain at the biggest node; the rest co-locate.
-        assert result.node_of("f0") == "n1"
-        assert result.node_of("f1") == "n1"
+        assert result.placement["f0"] == "n1"
+        assert result.placement["f1"] == "n1"
 
     def test_overflow_falls_back(self):
         chains = [ServiceChain(["f0", "f1", "f2"])]
@@ -62,7 +62,7 @@ class TestNAH:
         result = NAHPlacement().place(problem)
         result.validate()
         # f0+f1 fill n0 (11/12); f2 must fall back to n1.
-        assert result.node_of("f2") == "n1"
+        assert result.placement["f2"] == "n1"
 
     def test_vnfs_without_chains_treated_singleton(self):
         problem = _problem([4.0, 3.0], [10.0, 10.0])
@@ -90,27 +90,27 @@ class TestNAH:
         result = NAHPlacement().place(problem)
         # The heavy anchor gets the big node even though its chain is
         # listed second.
-        assert result.node_of("f1") == "n0"
+        assert result.placement["f1"] == "n0"
 
 
 class TestBFD:
     def test_tightest_node_chosen(self):
         problem = _problem([3.0], [9.0, 4.0, 6.0])
         result = BFDPlacement().place(problem)
-        assert result.node_of("f0") == "n1"
+        assert result.placement["f0"] == "n1"
 
     def test_used_list_priority(self):
         # After f0 opens n1 (tightest fit), f1 joins it rather than the
         # tighter-but-spare n2 when used-first is on.
         problem = _problem([3.0, 1.0], [9.0, 5.0, 1.0])
         with_used = BFDPlacement(use_used_list=True).place(problem)
-        assert with_used.node_of("f1") == with_used.node_of("f0")
+        assert with_used.placement["f1"] == with_used.placement["f0"]
 
     def test_without_used_list(self):
         problem = _problem([3.0, 1.0], [9.0, 5.0, 1.0])
         result = BFDPlacement(use_used_list=False).place(problem)
         # Pure best fit: f1 (size 1) takes the capacity-1 node.
-        assert result.node_of("f1") == "n2"
+        assert result.placement["f1"] == "n2"
 
     def test_infeasible_raises(self):
         problem = _problem([6.0, 6.0], [7.0, 4.0])

@@ -95,7 +95,7 @@ class TestResult:
             (20.0 / 30.0 + 23.0 / 25.0) / 2.0
         )
         assert result.total_occupied_capacity == pytest.approx(55.0)
-        assert result.node_of("fw") == "n0"
+        assert result.placement["fw"] == "n0"
 
     def test_unplaced_vnf_detected(self, problem):
         result = PlacementResult(
@@ -119,11 +119,6 @@ class TestResult:
         )
         with pytest.raises(ValidationError):
             result.validate()
-
-    def test_node_of_unplaced(self, problem):
-        result = PlacementResult(placement={}, problem=problem)
-        with pytest.raises(ValidationError):
-            result.node_of("fw")
 
 
 class TestDemandSorting:

@@ -51,16 +51,11 @@ class TestMeans:
         wq = littles_law.mean_waiting_time(5.0, 10.0)
         assert wq == pytest.approx(w - 0.1)
 
-    def test_mean_queue_length(self):
-        # rho^2/(1-rho) with rho=0.5 -> 0.5.
-        assert littles_law.mean_queue_length(5.0, 10.0) == pytest.approx(0.5)
-
     def test_all_raise_when_unstable(self):
         for fn in (
             littles_law.mean_number_in_system,
             littles_law.mean_response_time,
             littles_law.mean_waiting_time,
-            littles_law.mean_queue_length,
         ):
             with pytest.raises(UnstableQueueError):
                 fn(10.0, 10.0)

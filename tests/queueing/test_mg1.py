@@ -63,15 +63,6 @@ class TestVariability:
         assert q.mean_number_in_system == pytest.approx(
             q.arrival_rate * q.mean_response_time
         )
-        assert q.mean_queue_length == pytest.approx(
-            q.arrival_rate * q.mean_waiting_time
-        )
-
-    def test_model_error_signs(self):
-        # Exponential assumption over-estimates for cs2 < 1, under- for > 1.
-        assert MG1Queue(6.0, 10.0, 0.0).exponential_model_error() > 0.0
-        assert MG1Queue(6.0, 10.0, 3.0).exponential_model_error() < 0.0
-        assert MG1Queue(6.0, 10.0, 1.0).exponential_model_error() == pytest.approx(0.0)
 
 
 class TestStability:

@@ -1,7 +1,5 @@
 """Unit tests for the M/M/1 queue analytics."""
 
-import math
-
 import pytest
 
 from repro.exceptions import UnstableQueueError, ValidationError
@@ -47,8 +45,6 @@ class TestStability:
             _ = q.mean_number_in_system
         with pytest.raises(UnstableQueueError):
             _ = q.mean_response_time
-        with pytest.raises(UnstableQueueError):
-            q.prob_n_in_system(0)
 
 
 class TestSteadyState:
@@ -72,86 +68,12 @@ class TestSteadyState:
             q.mean_response_time
         )
 
-    def test_queue_length_excludes_in_service(self):
-        q = MM1Queue(6.0, 10.0)
-        assert q.mean_queue_length == pytest.approx(
-            q.mean_number_in_system - q.rho
-        )
-
     def test_response_time_grows_with_load(self):
         w = [MM1Queue(lam, 10.0).mean_response_time for lam in (1.0, 5.0, 9.0)]
         assert w[0] < w[1] < w[2]
 
 
-class TestDistribution:
-    def test_pi_geometric(self):
-        q = MM1Queue(5.0, 10.0)
-        # pi(n) = (1 - rho) rho^n with rho = 0.5.
-        assert q.prob_n_in_system(0) == pytest.approx(0.5)
-        assert q.prob_n_in_system(1) == pytest.approx(0.25)
-        assert q.prob_n_in_system(3) == pytest.approx(0.0625)
-
-    def test_pi_sums_to_one(self):
-        q = MM1Queue(8.0, 10.0)
-        total = sum(q.prob_n_in_system(n) for n in range(500))
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_mean_matches_distribution(self):
-        q = MM1Queue(6.0, 10.0)
-        mean = sum(n * q.prob_n_in_system(n) for n in range(2000))
-        assert mean == pytest.approx(q.mean_number_in_system, rel=1e-6)
-
-    def test_tail_probability(self):
-        q = MM1Queue(5.0, 10.0)
-        assert q.prob_more_than(0) == pytest.approx(0.5)
-        assert q.prob_more_than(2) == pytest.approx(0.125)
-
-    def test_negative_n_rejected(self):
-        q = MM1Queue(5.0, 10.0)
-        with pytest.raises(ValidationError):
-            q.prob_n_in_system(-1)
-        with pytest.raises(ValidationError):
-            q.prob_more_than(-2)
-
-
-class TestResponseTimeDistribution:
-    def test_cdf_limits(self):
-        q = MM1Queue(5.0, 10.0)
-        assert q.response_time_cdf(-1.0) == 0.0
-        assert q.response_time_cdf(0.0) == pytest.approx(0.0)
-        assert q.response_time_cdf(1e9) == pytest.approx(1.0)
-
-    def test_cdf_at_mean(self):
-        q = MM1Queue(5.0, 10.0)
-        # Exponential: F(mean) = 1 - 1/e.
-        assert q.response_time_cdf(q.mean_response_time) == pytest.approx(
-            1.0 - math.exp(-1.0)
-        )
-
-    def test_percentile_inverts_cdf(self):
-        q = MM1Queue(5.0, 10.0)
-        for p in (0.1, 0.5, 0.9, 0.99):
-            t = q.response_time_percentile(p)
-            assert q.response_time_cdf(t) == pytest.approx(p)
-
-    def test_p99_exceeds_mean(self):
-        q = MM1Queue(5.0, 10.0)
-        assert q.response_time_percentile(0.99) > q.mean_response_time
-
-    def test_bad_percentile_rejected(self):
-        q = MM1Queue(5.0, 10.0)
-        with pytest.raises(ValidationError):
-            q.response_time_percentile(1.0)
-        with pytest.raises(ValidationError):
-            q.response_time_percentile(-0.1)
-
-
 class TestHelpers:
-    def test_with_arrival_rate(self):
-        q = MM1Queue(5.0, 10.0).with_arrival_rate(2.0)
-        assert q.arrival_rate == 2.0
-        assert q.service_rate == 10.0
-
     def test_headroom(self):
         assert MM1Queue(4.0, 10.0).headroom() == pytest.approx(6.0)
         assert MM1Queue(12.0, 10.0).headroom() == pytest.approx(-2.0)

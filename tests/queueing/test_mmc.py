@@ -46,14 +46,6 @@ class TestReducesToMM1:
         q = MMCQueue(arrival_rate=7.0, service_rate=10.0, servers=1)
         assert q.erlang_c() == pytest.approx(0.7)
 
-    def test_distribution(self):
-        mmc = MMCQueue(arrival_rate=5.0, service_rate=10.0, servers=1)
-        mm1 = MM1Queue(arrival_rate=5.0, service_rate=10.0)
-        for n in range(6):
-            assert mmc.prob_n_in_system(n) == pytest.approx(
-                mm1.prob_n_in_system(n)
-            )
-
 
 class TestErlangC:
     def test_known_value(self):
@@ -81,13 +73,3 @@ class TestErlangC:
         assert q.mean_number_in_system == pytest.approx(
             q.arrival_rate * q.mean_response_time
         )
-
-    def test_distribution_sums_to_one(self):
-        q = MMCQueue(arrival_rate=15.0, service_rate=10.0, servers=2)
-        total = sum(q.prob_n_in_system(n) for n in range(400))
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_negative_n_rejected(self):
-        q = MMCQueue(arrival_rate=1.0, service_rate=10.0, servers=2)
-        with pytest.raises(ValidationError):
-            q.prob_n_in_system(-1)

@@ -52,8 +52,7 @@ class TestProcess:
         assert report.final_active == 2
         assert layer.engine.num_active == 2
         assert len(report.admit_latencies) == 3
-        assert report.mean_admit_latency > 0.0
-        assert report.max_admit_latency >= report.mean_admit_latency
+        assert sum(report.admit_latencies) > 0.0
 
     def test_rejected_departure_is_skipped_not_retracted(self):
         # Cap 100 * 0.5 = 50 per instance; the 60-rate arrival bounces.
@@ -78,7 +77,7 @@ class TestProcess:
         # 5 admits at cadence 2 -> rebalances after admits 2 and 4.
         assert report.rebalances == 2
         assert len(report.rebalance_latencies) == 2
-        assert report.mean_rebalance_latency > 0.0
+        assert sum(report.rebalance_latencies) > 0.0
 
     def test_zero_cadence_never_rebalances(self):
         layer = ServingLayer(_engine(), rebalance_every=0)

@@ -26,7 +26,6 @@ class TestSimServer:
         engine.run()
         assert len(departures) == 1
         assert server.departures == 1
-        assert server.queue_length == 0
 
     def test_fcfs_order(self):
         engine, server, departures = self._server()

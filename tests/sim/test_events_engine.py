@@ -122,10 +122,3 @@ class TestSimulationEngine:
         engine.run()
         with pytest.raises(SimulationError):
             engine.schedule(1e9 - 1.0, lambda: None)
-
-    def test_dispatched_counter(self):
-        engine = SimulationEngine()
-        for t in (1.0, 2.0, 3.0):
-            engine.schedule(t, lambda: None)
-        engine.run()
-        assert engine.events_dispatched == 3

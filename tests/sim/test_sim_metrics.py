@@ -68,9 +68,3 @@ class TestAggregates:
             generated=0,
         )
         assert empty.mean_end_to_end() == 0.0
-
-    def test_per_request_summary(self, metrics):
-        summary = metrics.end_to_end_summary("r0")
-        assert summary.count == 3
-        assert summary.mean == pytest.approx(0.02)
-        assert summary.minimum == 0.01

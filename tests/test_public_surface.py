@@ -1,14 +1,23 @@
 """The public surface of ``repro`` is what runs.
 
-Every public top-level function or class in ``src/repro`` must be
-referenced by code under ``src/``, ``benchmarks/``, ``perfbench/`` or
-``examples/``: a reference is a ``Name``, an ``Attribute`` or an
-``ImportFrom`` alias naming it, outside its own definition and outside
-the package ``__init__`` re-exports.  A name only tests use is deleted,
-not maintained.  The exceptions are the oracles and comparators in
-``ORACLES``, each kept for the reason given; the allowlist must name
-exactly the defined names nothing outside ``tests/`` references, so it
-cannot go stale.
+Every public top-level function or class in ``src/repro``, and every
+public method or property of a public class, must be referenced by code
+under ``src/``, ``benchmarks/``, ``perfbench/`` or ``examples/``: a
+reference is a ``Name``, an ``Attribute`` or an ``ImportFrom`` alias
+naming it, outside the package ``__init__`` re-exports.  A top-level
+name is not referenced by its own definition, and a member is not
+referenced by its own body.  A name only tests use is deleted, not
+maintained.  The exceptions are the oracles and comparators in
+``ORACLES`` (members as ``"Class.member"``), each kept for the reason
+given; the allowlist must name exactly the defined names nothing
+outside ``tests/`` references, so it cannot go stale.
+
+References match by name, not by type.  So an override that a live
+caller reaches through its base class (``place``, ``schedule``,
+``assign``) is never flagged, and neither is a dead member whose name
+some live one shares: that is the scan's known false negative.  A
+top-level function referenced only inside a member of the same name
+counts as unreferenced.
 """
 
 from __future__ import annotations
@@ -46,9 +55,28 @@ ORACLES = {
         "uniform random feasible placement, the floor test_bfdsu and "
         "test_best_of compare BFDSU against"
     ),
+    "NetworkModel.chain_fits": (
+        "link-capacity verdict the engine's cached-route admission "
+        "(DeploymentEngine._route_fits) is checked against"
+    ),
+    "ChainFeedbackModel.to_jackson_network": (
+        "the chain as an explicit Jackson network, which "
+        "mean_response_time_at and total_response_time are checked against"
+    ),
+    "JacksonSolution.mean_network_response_time": (
+        "Little's-law network latency total_response_time is checked against"
+    ),
+    "ExperimentResult.from_dict": (
+        "the inverse the round-trip tests check the live to_dict against"
+    ),
+    "ExperimentResult.filtered": (
+        "selects the rows test_claims.py and test_figures.py check the "
+        "paper's claims over"
+    ),
 }
 
-_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
 
 
 def _modules(root: Path) -> List[Path]:
@@ -56,33 +84,55 @@ def _modules(root: Path) -> List[Path]:
 
 
 def _names_in(node: ast.AST) -> set:
+    """The names ``node`` references; inside a class, each member's
+    own name does not count within that member's body."""
     names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            names.update(alias.name for alias in sub.names)
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    elif isinstance(node, ast.ImportFrom):
+        names.update(alias.name for alias in node.names)
+    for child in ast.iter_child_nodes(node):
+        sub = _names_in(child)
+        if isinstance(node, ast.ClassDef) and isinstance(child, _FUNCTIONS):
+            sub.discard(child.name)
+        names |= sub
     return names
+
+
+def _public(node: ast.AST) -> bool:
+    return isinstance(node, _DEFINITIONS) and not node.name.startswith("_")
 
 
 def public_defs(package: Path) -> Dict[str, List[Path]]:
     """``{name: [defining files]}`` of the public top-level functions and
-    classes of ``package``, ``__init__`` modules excluded."""
+    classes of ``package`` and, as ``"Class.member"``, the public
+    methods and properties of its public classes; ``__init__`` modules
+    excluded."""
     defs: Dict[str, List[Path]] = {}
     for path in _modules(package):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(stmt, _DEFINITIONS) and not stmt.name.startswith("_"):
-                defs.setdefault(stmt.name, []).append(path)
+            if not _public(stmt):
+                continue
+            keys = [stmt.name]
+            if isinstance(stmt, ast.ClassDef):
+                keys += [
+                    f"{stmt.name}.{member.name}"
+                    for member in stmt.body
+                    if _public(member) and isinstance(member, _FUNCTIONS)
+                ]
+            for key in dict.fromkeys(keys):
+                defs.setdefault(key, []).append(path)
     return defs
 
 
 def unreferenced_public_defs(
     package: Path, roots: Sequence[Path]
 ) -> Dict[str, List[Path]]:
-    """The public top-level defs of ``package`` that no non-``__init__``
-    module under ``roots`` references outside their own definition."""
+    """The public defs of ``package`` (see :func:`public_defs`) that no
+    non-``__init__`` module under ``roots`` references outside their
+    own definition."""
     referenced = set()
     for root in roots:
         for path in _modules(root):
@@ -92,9 +142,9 @@ def unreferenced_public_defs(
                     names.discard(stmt.name)
                 referenced |= names
     return {
-        name: paths
-        for name, paths in public_defs(package).items()
-        if name not in referenced
+        key: paths
+        for key, paths in public_defs(package).items()
+        if key.rpartition(".")[2] not in referenced
     }
 
 
@@ -150,3 +200,40 @@ def test_scanner_flags_only_the_unreferenced_def(tmp_path):
     (tmp_path / "app.py").write_text("from pkg.mod import used\n\nused()\n")
     found = unreferenced_public_defs(package, [tmp_path])
     assert found == {"unused": [package / "mod.py"]}
+
+
+def test_scanner_flags_only_the_unreferenced_members(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from pkg.mod import Base, Child\n")
+    (package / "mod.py").write_text(
+        "class Base:\n"
+        "    def run(self):\n"
+        "        return self.step()\n"
+        "\n"
+        "    def step(self):\n"
+        "        raise NotImplementedError\n"
+        "\n"
+        "    def unused(self, n):\n"
+        "        return self.unused(n - 1) if n else 0\n"
+        "\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def _private(self):\n"
+        "        return 2\n"
+        "\n"
+        "\n"
+        "class Child(Base):\n"
+        "    def step(self):\n"
+        "        return 3\n"
+    )
+    (tmp_path / "app.py").write_text(
+        "from pkg.mod import Child\n\nChild().run()\n"
+    )
+    found = unreferenced_public_defs(package, [tmp_path])
+    assert found == {
+        "Base.unused": [package / "mod.py"],
+        "Base.size": [package / "mod.py"],
+    }

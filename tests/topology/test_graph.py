@@ -37,13 +37,6 @@ class TestVertices:
         topo.add_switch("sw")
         assert topo.capacities() == {"a": 10.0, "b": 20.0}
 
-    def test_lookup(self):
-        topo = DatacenterTopology()
-        topo.add_compute_node("a", 10.0)
-        assert topo.compute_node("a").capacity == 10.0
-        with pytest.raises(ValidationError):
-            topo.compute_node("ghost")
-
 
 class TestLinks:
     def _pair(self):

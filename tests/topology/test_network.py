@@ -234,6 +234,8 @@ class TestPlacementVector:
 
 
 class TestRemoveFlows:
+    """``add_flows(..., sign=-1)`` retracts a VNF's flows exactly."""
+
     def test_add_then_remove_restores_exactly(self, line_topology):
         """Bit-exact, not approximate: x + f - f == x per link."""
         model = _model(
@@ -247,12 +249,12 @@ class TestRemoveFlows:
         model.add_flows(lb, 2, vec, loads)
         vec[lb] = 2
         vec[lb] = -1
-        model.remove_flows(lb, 2, vec, loads)
+        model.add_flows(lb, 2, vec, loads, -1.0)
         np.testing.assert_array_equal(loads, before)
 
     def test_roundtrip_property_random_topologies(self):
         """Seeded property sweep: for random fabrics, placements and
-        flow values, add_flows followed by remove_flows at the same
+        flow values, add_flows followed by its retraction at the same
         node restores every link residual bit-exactly — the canonical
         min->max routing makes the retraction replay identical float
         additions with the sign flipped, regardless of which endpoint
@@ -290,11 +292,11 @@ class TestRemoveFlows:
             # Move fi away and back: each add is later retracted at the
             # same node, so the residuals must land exactly on `before`.
             vec[fi] = -1
-            model.remove_flows(fi, node, vec, loads)
+            model.add_flows(fi, node, vec, loads, -1.0)
             model.add_flows(fi, target, vec, loads)
             vec[fi] = target
             vec[fi] = -1
-            model.remove_flows(fi, target, vec, loads)
+            model.add_flows(fi, target, vec, loads, -1.0)
             model.add_flows(fi, node, vec, loads)
             vec[fi] = node
             np.testing.assert_array_equal(
@@ -336,7 +338,8 @@ class TestChainFlows:
             [VNFS.index("fw"), VNFS.index("lb")], dtype=np.int64
         )
         assert model.chain_fits(chain, vec, loads, 9.0)
-        model.add_chain_flows(chain, vec, loads, 9.0)
+        links, flows = model.chain_link_flows(chain, vec, 9.0)
+        np.add.at(loads, links, flows)
         assert not model.chain_fits(chain, vec, loads, 2.0)
         assert model.chain_fits(chain, vec, loads, 1.0)
 
@@ -352,8 +355,8 @@ class TestChainFlows:
             np.array([1, 0, 3], dtype=np.int64),
         ]
         rates = [4.25, 1.125, 2.5]
-        for chain, rate in zip(chains, rates):
-            model.add_chain_flows(chain, vec, loads, rate)
-        for chain, rate in zip(reversed(chains), reversed(rates)):
-            model.add_chain_flows(chain, vec, loads, rate, -1.0)
+        for sign, order in ((1.0, 1), (-1.0, -1)):
+            for chain, rate in list(zip(chains, rates))[::order]:
+                links, flows = model.chain_link_flows(chain, vec, rate)
+                np.add.at(loads, links, sign * flows)
         np.testing.assert_array_equal(loads, np.zeros(model.num_links))

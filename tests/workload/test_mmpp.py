@@ -25,13 +25,6 @@ class TestParameters:
     def test_mean_rate(self, bursty):
         assert bursty.mean_rate == pytest.approx(100.0 / 3.0 + 20.0 / 3.0)
 
-    def test_burstiness_index(self, bursty):
-        assert bursty.burstiness_index() == pytest.approx(100.0 / 40.0)
-
-    def test_degenerate_is_poisson(self):
-        flat = MMPP2(50.0, 50.0, 1.0, 1.0)
-        assert flat.burstiness_index() == pytest.approx(1.0)
-
 
 class TestValidation:
     def test_rate_ordering(self):

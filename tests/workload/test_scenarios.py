@@ -62,12 +62,6 @@ class TestSchedulingScenario:
             total_raw / (5 * 0.8)
         )
 
-    def test_fixed_service_rate_override(self):
-        scenario = SchedulingScenario(
-            num_requests=20, num_instances=4, service_rate=1234.0
-        )
-        assert scenario.build().vnf.service_rate == 1234.0
-
     def test_delivery_probability(self):
         problem = SchedulingScenario(
             num_requests=10, num_instances=2, delivery_probability=0.98
@@ -95,4 +89,3 @@ class TestSchedulingScenario:
     def test_bad_rho(self):
         with pytest.raises(ConfigurationError):
             SchedulingScenario(num_requests=10, num_instances=2, rho=0.0)
-

@@ -134,7 +134,7 @@ class TestLazyViews:
             chain=reqs[0].chain,
             arrival_rate=2.0,
         )
-        row = scn.arrays.append_request(extra)
+        row = scn.arrays.append_requests([extra])
         assert row == 10
         assert scn.arrays.request_index["extra"] == 10
         assert scn.arrays.request_index["r3"] == 3
