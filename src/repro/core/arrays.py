@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import compress, count
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,10 +80,11 @@ class RowIndex(Mapping):
     joined.  Rows only join at the end and leave without reordering, so
     the live sequence numbers, listed in row order, stay ascending and
     an id's row is the bisect position of its number: O(log n) per
-    lookup, and a removal deletes one list slot instead of renumbering
-    every later id.  ``get``, ``[]``, ``in``, ``len``, iteration (row
-    order) and ``dict(...)`` equal the plain dict
-    :meth:`ScenarioArrays.build` makes over the same rows.
+    lookup, and a removal drops list slots (one ``del``, or one pass
+    for several rows) instead of renumbering every later id.  ``get``,
+    ``[]``, ``in``, ``len``, iteration (row order) and ``dict(...)``
+    equal the plain dict :meth:`ScenarioArrays.build` makes over the
+    same rows.
     """
 
     __slots__ = ("_seq", "_order", "_next")
@@ -122,10 +123,19 @@ class RowIndex(Mapping):
         self._seq.update(zip(request_ids, range(start, self._next)))
         self._order.extend(range(start, self._next))
 
-    def remove(self, request_ids: Sequence[str], rows: Sequence[int]) -> None:
-        """Drop ``request_ids``, which sit at the descending ``rows``."""
+    def remove(
+        self,
+        request_ids: Sequence[str],
+        rows: Sequence[int] = (),
+        keep: Optional[Sequence[bool]] = None,
+    ) -> None:
+        """Drop ``request_ids``, which sit at the descending ``rows``;
+        given ``keep``, the survivor flag of every row, the rows are
+        dropped in one pass instead."""
         for rid in request_ids:
             del self._seq[rid]
+        if keep is not None:
+            self._order[:] = compress(self._order, keep)
         for row in rows:
             del self._order[row]
 
@@ -826,12 +836,15 @@ class ScenarioArrays:
         if self._vnf_req_csr is None:
             num_vnfs = len(self.vnf_names)
             known = self.chain_vnf >= 0
-            codes = np.unique(
-                self.chain_vnf[known] * np.int64(len(self.request_ids) + 1)
-                + self.chain_req[known]
-            )
-            vnf = codes // np.int64(len(self.request_ids) + 1)
-            req = codes % np.int64(len(self.request_ids) + 1)
+            # ``chain_req`` ascends, so a stable sort by VNF leaves each
+            # VNF's requests ascending and a repeat (vnf, req) adjacent.
+            vnf = self.chain_vnf[known]
+            order = np.argsort(vnf, kind="stable")
+            vnf = vnf[order]
+            req = self.chain_req[known][order].astype(np.int64)
+            fresh = np.ones(len(req), dtype=bool)
+            fresh[1:] = (vnf[1:] != vnf[:-1]) | (req[1:] != req[:-1])
+            vnf, req = vnf[fresh], req[fresh]
             ptr = np.zeros(num_vnfs + 1, dtype=np.int64)
             np.cumsum(np.bincount(vnf, minlength=num_vnfs), out=ptr[1:])
             self._vnf_req_csr = (ptr, req)
@@ -1037,10 +1050,10 @@ class ScenarioArrays:
         The survivors keep their order and close ranks (their chain
         entries move with them), so the columns are exactly what
         :meth:`build` would produce for the surviving request sequence.
-        The cost is O(ids) Python work plus C-level array moves: one
-        slice shift per column for a single row, one masked copy per
-        column for several, and one list ``del`` per removed row.  No
-        later id is renumbered (see :class:`RowIndex`).  The
+        A single row costs one slice shift per column and one list
+        ``del`` per id list; several cost one masked copy per column and
+        one ``compress`` pass per id list, O(rows) in all however many
+        leave.  No later id is renumbered (see :class:`RowIndex`).  The
         request-derived CSR caches are invalidated; nothing changes
         when an id is unknown.
 
@@ -1064,10 +1077,10 @@ class ScenarioArrays:
         n = len(self.request_ids)
         c = int(self.chain_ptr[n])
         ptr = self._chain_ptr_buf
-        spans = [(int(ptr[i]), int(ptr[i + 1])) for i in rows]
         m = n - len(rows)
         if len(rows) == 1:
-            (i,), ((lo, hi),) = rows, spans
+            (i,) = rows
+            lo, hi = int(ptr[i]), int(ptr[i + 1])
             gap = hi - lo
             for buf in (self._lambda_buf, self._P_buf, self._eff_buf):
                 buf[i:m] = buf[i + 1 : n]
@@ -1076,6 +1089,9 @@ class ScenarioArrays:
             self._chain_vnf_buf[lo : c - gap] = self._chain_vnf_buf[hi:c]
             ptr[i : m + 1] = ptr[i + 1 : n + 1] - gap
             kept = c - gap
+            del self.request_ids[i]
+            del self.chain_names[lo:hi]
+            index.remove(ids, rows)
         else:
             keep = np.ones(n, dtype=bool)
             keep[rows] = False
@@ -1089,10 +1105,14 @@ class ScenarioArrays:
             self._chain_req_buf[:kept] = rank[chain_req[keep_entry]]
             self._chain_vnf_buf[:kept] = self._chain_vnf_buf[:c][keep_entry]
             np.cumsum(np.diff(ptr[: n + 1])[keep], out=ptr[1 : m + 1])
-        for i, (lo, hi) in zip(reversed(rows), reversed(spans)):
-            del self.request_ids[i]
-            del self.chain_names[lo:hi]
-        index.remove(ids, rows[::-1])
+            # One pass per list over the survivors: O(rows) however many
+            # leave.
+            keep_rows = keep.tolist()
+            self.request_ids[:] = compress(self.request_ids, keep_rows)
+            self.chain_names[:] = compress(
+                self.chain_names, keep_entry.tolist()
+            )
+            index.remove(ids, keep=keep_rows)
         self._reslice(m, kept)
         if self.chain_has_unknown:
             self.chain_has_unknown = bool((self.chain_vnf < 0).any())

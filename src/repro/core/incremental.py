@@ -16,8 +16,8 @@ turns the batch machinery into a long-running service:
   batch in order (optionally charging a migration budget) and is what
   ``admit`` and crash recovery call.
 * **depart(request_id)** — exact inverse: instance loads and routed
-  chain flows are retracted, the request row leaves the columnar
-  scenario (:meth:`~repro.core.arrays.ScenarioArrays.remove_requests`).
+  chain flows are retracted and the request row is queued to leave the
+  columnar scenario.
 * **rebalance()** — periodic re-optimization: a from-scratch two-phase
   solve (BFDSU + the configured scheduler) over the *surviving*
   requests with a fresh seeded RNG, reporting how many VNFs moved and
@@ -45,9 +45,22 @@ blocked by a failed node or an all-down VNF, and its route on the
 fabric — is kept until the placement or the failed/down state of one
 of its VNFs changes (every plan goes when the fabric model or the
 whole placement does).  :meth:`DeploymentEngine.admit_many`
-decides a batch request by request on those plans and appends every
-admitted row in one call, and retractions of several requests are one
-``subtract.at`` per residual vector plus one row compaction.
+decides a batch request by request on those plans, and retractions of
+several requests are one ``subtract.at`` per residual vector.
+
+Request rows are written once per epoch, not once per event.  An admit
+records its request as pending and a depart drops a pending request or
+queues the id of its row; everything that reads request rows — a
+rebalance, :meth:`~DeploymentEngine.fail_node`,
+:meth:`~DeploymentEngine.fail_instance`,
+:meth:`~DeploymentEngine.move_vnf`,
+:meth:`~DeploymentEngine.request_response_times` and the public
+:attr:`~DeploymentEngine.arrays` — first applies the queue: one
+:meth:`~repro.core.arrays.ScenarioArrays.remove_requests` of the queued
+ids, then one :meth:`~repro.core.arrays.ScenarioArrays.append_requests`
+of the pending requests in admission order.  The columns then equal
+:meth:`~repro.core.arrays.ScenarioArrays.build` over the active
+requests in arrival order.  A crash's evictions are applied at once.
 
 Failure support
 ---------------
@@ -295,6 +308,11 @@ class DeploymentEngine:
         self._arrays = ScenarioArrays.build(
             self._vnfs, requests, self._capacities
         )
+        #: Admitted requests without a row yet, in admission order, and
+        #: the ids of retracted requests whose rows are still in
+        #: ``_arrays`` (:meth:`_write_rows` applies both).
+        self._row_appends: Dict[str, Request] = {}
+        self._row_removals: List[str] = []
         #: Active requests in arrival order (dicts preserve insertion).
         self._requests: Dict[str, Request] = {
             r.request_id: r for r in requests
@@ -357,18 +375,20 @@ class DeploymentEngine:
 
     @property
     def arrays(self) -> ScenarioArrays:
-        """The engine's live columnar view (read-only by convention)."""
+        """The engine's columnar view (read-only by convention).
+
+        Reading it applies the queued row writes, so its request
+        columns are those of the active requests in arrival order; a
+        reference kept across later admits or departs goes stale until
+        the next read.
+        """
+        self._write_rows()
         return self._arrays
 
     @property
     def failed_nodes(self) -> frozenset:
         """Node keys currently marked failed."""
         return frozenset(self._failed_nodes)
-
-    @property
-    def admission(self) -> str:
-        """The configured admission policy name."""
-        return self._admission
 
     def placement_vector(self) -> np.ndarray:
         """VNF index -> node index under the current placement (copy)."""
@@ -432,8 +452,8 @@ class DeploymentEngine:
         Each request is decided by the :meth:`admit` rule against the
         loads its predecessors in the batch left, so the engine ends
         exactly as a loop of single admits would leave it; the admitted
-        rows join the columnar scenario in one
-        :meth:`~repro.core.arrays.ScenarioArrays.append_requests` call.
+        requests wait for their rows until the next read of them (see
+        the module docstring).
 
         ``budget`` is an optional migration-cost budget (see
         :meth:`rebalance`): a request whose ``(1, effective rate)``
@@ -447,74 +467,66 @@ class DeploymentEngine:
             requests before it stay admitted.
         """
         reports: List[AdmitReport] = []
-        admitted: List[Request] = []
+        appends = self._row_appends
         active = self._requests
         schedule = self._schedule
         plans = self._plans
         inst_loads = self._inst_loads
         link_loads = self._link_loads
         rng = self._admission_rng
-        try:
-            for request in requests:
-                rid = request.request_id
-                eff = float(request.effective_rate)
-                if budget is not None and not budget.can_charge(1, eff):
-                    reports.append(AdmitReport(rid, False, reason="budget"))
-                    continue
-                if rid in active:
-                    raise SchedulingError(f"request {rid!r} is already active")
-                names = request.chain.vnf_names
-                plan = plans.get(names)
-                if plan is None:
-                    plan = self._plan(names, rid)
-                if plan.blocked:
-                    reports.append(
-                        AdmitReport(rid, False, reason="unavailable")
-                    )
-                    continue
-                ks: List[int] = []
-                for off, m, cap, down in plan.hops:
-                    loads = inst_loads[off : off + m]
-                    if down is not None:
-                        # Masked copy: down instances can never win the
-                        # argmin / probe, the live loads are untouched.
-                        loads = np.where(down, np.inf, loads)
-                    if rng is not None:
-                        k = power_of_two_admit(loads, eff, rng, capacity=cap)
-                    else:
-                        k = least_loaded_admit(loads, eff, capacity=cap)
-                    if k < 0 or not math.isfinite(loads[k]):
-                        reason = "capacity"
-                        break
-                    ks.append(k)
+        for request in requests:
+            rid = request.request_id
+            eff = float(request.effective_rate)
+            if budget is not None and not budget.can_charge(1, eff):
+                reports.append(AdmitReport(rid, False, reason="budget"))
+                continue
+            if rid in active:
+                raise SchedulingError(f"request {rid!r} is already active")
+            names = request.chain.vnf_names
+            plan = plans.get(names)
+            if plan is None:
+                plan = self._plan(names, rid)
+            if plan.blocked:
+                reports.append(AdmitReport(rid, False, reason="unavailable"))
+                continue
+            ks: List[int] = []
+            for off, m, cap, down in plan.hops:
+                loads = inst_loads[off : off + m]
+                if down is not None:
+                    # Masked copy: down instances can never win the
+                    # argmin / probe, the live loads are untouched.
+                    loads = np.where(down, np.inf, loads)
+                if rng is not None:
+                    k = power_of_two_admit(loads, eff, rng, capacity=cap)
                 else:
-                    reason = None
-                    route = plan.route
-                    if plan.dead:
-                        reason = "unavailable"
-                    elif route is not None and not self._route_fits(
-                        route, eff
-                    ):
-                        reason = "bandwidth"
-                if reason is not None:
-                    reports.append(AdmitReport(rid, False, reason=reason))
-                    continue
+                    k = least_loaded_admit(loads, eff, capacity=cap)
+                if k < 0 or not math.isfinite(loads[k]):
+                    reason = "capacity"
+                    break
+                ks.append(k)
+            else:
+                reason = None
+                route = plan.route
+                if plan.dead:
+                    reason = "unavailable"
+                elif route is not None and not self._route_fits(route, eff):
+                    reason = "bandwidth"
+            if reason is not None:
+                reports.append(AdmitReport(rid, False, reason=reason))
+                continue
 
-                active[rid] = request
-                for name, off, k in zip(names, plan.offsets, ks):
-                    schedule[(rid, name)] = k
-                    inst_loads[off + k] += eff
-                if route is not None and len(route[0]):
-                    np.add.at(link_loads, route[0], eff)
-                admitted.append(request)
-                if budget is not None:
-                    budget.try_charge(1, eff)
-                reports.append(
-                    AdmitReport(rid, True, assignment=dict(zip(names, ks)))
-                )
-        finally:
-            if admitted:
-                self._arrays.append_requests(admitted)
+            active[rid] = request
+            for name, off, k in zip(names, plan.offsets, ks):
+                schedule[(rid, name)] = k
+                inst_loads[off + k] += eff
+            if route is not None and len(route[0]):
+                np.add.at(link_loads, route[0], eff)
+            appends[rid] = request
+            if budget is not None:
+                budget.try_charge(1, eff)
+            reports.append(
+                AdmitReport(rid, True, assignment=dict(zip(names, ks)))
+            )
         return reports
 
     def depart(self, request_id: str) -> None:
@@ -534,12 +546,14 @@ class DeploymentEngine:
     # Failure operations (repro.faults)
     # ------------------------------------------------------------------
     def _evict_rows(self, rows) -> List[Request]:
-        """Evict the active requests at ascending scenario ``rows``
-        (row order is arrival order)."""
+        """Evict the active requests at ascending ``rows`` of the
+        written scenario (row order is arrival order) and remove their
+        rows at once."""
         ids = self._arrays.request_ids
         victims = [self._requests[ids[row]] for row in rows]
         if victims:
             self._retract(victims)
+            self._write_rows()
         return victims
 
     def _retract(self, victims: List[Request]) -> None:
@@ -548,15 +562,19 @@ class DeploymentEngine:
         Each residual vector gets one ufunc ``at`` call whose entries
         run victim by victim in the given order, chain order within a
         victim — the exact float sequence of departing them one at a
-        time.  The rows leave the scenario in one compaction.
+        time.  A victim still pending leaves the pending map; the row
+        of any other is queued for removal.
         """
         schedule = self._schedule
+        appends = self._row_appends
         inst: List[int] = []
         rates: List[float] = []
         chains = []
         for request in victims:
             rid = request.request_id
             del self._requests[rid]
+            if appends.pop(rid, None) is None:
+                self._row_removals.append(rid)
             eff = float(request.effective_rate)
             names = request.chain.vnf_names
             plan = self._plan(names, rid)
@@ -567,7 +585,16 @@ class DeploymentEngine:
         np.subtract.at(self._inst_loads, inst, rates)
         if self._network is not None:
             self._shift_flows(chains, -1.0)
-        self._arrays.remove_requests([r.request_id for r in victims])
+
+    def _write_rows(self) -> None:
+        """Apply the queued row writes to ``_arrays``: one removal of
+        the queued ids, then one append of the pending requests."""
+        if self._row_removals:
+            self._arrays.remove_requests(self._row_removals)
+            self._row_removals = []
+        if self._row_appends:
+            self._arrays.append_requests(self._row_appends.values())
+            self._row_appends = {}
 
     def fail_node(self, node) -> List[Request]:
         """Crash one compute node: evict every chain it touches and
@@ -589,6 +616,7 @@ class DeploymentEngine:
         down = self._placement_vec == arrays.node_index[node]
         if not down.any():
             return []
+        self._write_rows()
         hit = down[arrays.chain_vnf]
         victims = self._evict_rows(np.unique(arrays.chain_req[hit]).tolist())
         # The crash blocks the chains through the node; the retraction
@@ -630,6 +658,7 @@ class DeploymentEngine:
         if self._down_inst[gi]:
             return []
         self._down_inst[gi] = True
+        self._write_rows()
         arrays = self._arrays
         ids = arrays.request_ids
         users = arrays.chain_req[arrays.chain_vnf == fi].tolist()
@@ -667,6 +696,7 @@ class DeploymentEngine:
         ``False`` — state untouched — when the move does not fit;
         moving onto the current node is a trivial ``True``.
         """
+        self._write_rows()
         arrays = self._arrays
         fi = arrays.vnf_index.get(vnf_name)
         if fi is None:
@@ -732,6 +762,7 @@ class DeploymentEngine:
         hop-count fabric).  Returns ``(request_ids, latencies)`` in the
         engine's columnar order — the SLA tracker's sampling hook.
         """
+        self._write_rows()
         arrays = self._arrays
         ids = arrays.request_ids
         if not self._schedule or not len(ids):
@@ -856,6 +887,7 @@ class DeploymentEngine:
                 raise InfeasiblePlacementError(
                     "every compute node is marked failed"
                 )
+        self._write_rows()
         # BFDSU packs VNFs by demand; it reads no chains.
         problem = PlacementProblem(self._vnfs, capacities)
         solve_network = None

@@ -107,13 +107,14 @@ class JointOptimizer:
             placement=dict(placement_result.placement),
         )
         # Schedule and validate on the columns the state caches; the
-        # dict is built once, at the boundary.
+        # dict is built once, at the boundary, and the checked index
+        # form stays cached for the metrics.
         arrays = state.arrays()
         sched = schedule_columns(arrays, self._scheduler)
         state.validate_placement()
         arrays.check_schedule(sched)
         schedule = arrays.schedule_dict(sched)
-        state.schedule = schedule
+        state.set_schedule(schedule, sched)
         return JointSolution(
             state=state,
             placement_result=placement_result,

@@ -71,11 +71,6 @@ class RefinementReport:
     #: Link-latency savings per request set traversal, in units of L.
     hops_saved: int
 
-    @property
-    def improved(self) -> bool:
-        """Whether any strictly improving move was found."""
-        return self.moves_applied > 0
-
 
 def total_inter_node_hops(state: DeploymentState) -> int:
     """Sum of Eq. (16)'s hop counts over all requests.
@@ -277,11 +272,6 @@ class SwapReport:
     initial_latency: float
     final_latency: float
     latency_saved: float
-
-    @property
-    def improved(self) -> bool:
-        """Whether any strictly improving exchange was found."""
-        return self.swaps_applied > 0
 
 
 def swap_placement(

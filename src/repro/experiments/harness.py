@@ -45,12 +45,6 @@ class ExperimentResult:
             raise ValueError(f"row missing columns {missing}")
         self.rows.append({c: values[c] for c in self.columns})
 
-    def column(self, name: str) -> List[object]:
-        """All values of one column, in row order."""
-        if name not in self.columns:
-            raise KeyError(f"unknown column {name!r}")
-        return [row[name] for row in self.rows]
-
     def filtered(self, **criteria: object) -> List[Dict[str, object]]:
         """Rows matching all ``column=value`` criteria."""
         return [

@@ -42,8 +42,6 @@ class SLASpec:
     #: Per-chain response-time bound in seconds (Eq. 14/16 terms);
     #: ``None`` disables latency tracking.
     latency_threshold: Optional[float] = None
-    #: Availability objective in ``(0, 1]`` (``0.999`` = "three nines").
-    availability_target: float = 0.999
     #: Per-hop link latency fed to the Eq. (16) communication term when
     #: sampling response times.
     link_latency: float = 0.0
@@ -52,11 +50,6 @@ class SLASpec:
     check_every: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.availability_target <= 1.0:
-            raise ValidationError(
-                "availability_target must be in (0, 1], got "
-                f"{self.availability_target!r}"
-            )
         if self.latency_threshold is not None and self.latency_threshold <= 0:
             raise ValidationError(
                 f"latency_threshold must be > 0, got "
@@ -89,8 +82,6 @@ class ResilienceReport:
     lost: int = 0
     #: Simulated seconds from each eviction to its re-admission.
     recovery_spells: List[float] = field(default_factory=list)
-    #: The spec this run was tracked against.
-    availability_target: float = 0.999
 
     @property
     def served_seconds(self) -> float:
@@ -126,9 +117,7 @@ class SLATracker:
 
     def __init__(self, spec: SLASpec) -> None:
         self.spec = spec
-        self.report = ResilienceReport(
-            availability_target=spec.availability_target
-        )
+        self.report = ResilienceReport()
         #: Arrival time per request still owed demanded-seconds.
         self._arrived: Dict[str, float] = {}
         #: Open downtime spell start per request (rejection or eviction).

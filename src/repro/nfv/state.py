@@ -99,6 +99,21 @@ class DeploymentState:
             cache = self._schedule_arrays_cache = (keys, values, sched)
         return cache[2]
 
+    def set_schedule(
+        self, schedule: Dict[Tuple[str, str], int], sched: "ScheduleArrays"
+    ) -> None:
+        """Install ``schedule`` with ``sched``, its index form, as the
+        cached :meth:`schedule_arrays`, so no metric converts it again.
+
+        ``sched`` must be what :meth:`schedule_arrays` would build:
+        ``schedule`` made from it by
+        :meth:`~repro.core.arrays.ScenarioArrays.schedule_dict` is.
+        """
+        self.schedule = schedule
+        self._schedule_arrays_cache = (
+            list(schedule), list(schedule.values()), sched
+        )
+
     # ------------------------------------------------------------------
     # Placement views
     # ------------------------------------------------------------------

@@ -48,11 +48,6 @@ class PartitionResult:
     iterations: int = 0
 
     @property
-    def num_ways(self) -> int:
-        """Number of ways ``m``."""
-        return len(self.subsets)
-
-    @property
     def sums(self) -> List[float]:
         """Per-way sums ``S_i = sum of values in way i``."""
         return [sum(self.values[j] for j in subset) for subset in self.subsets]

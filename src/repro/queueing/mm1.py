@@ -93,13 +93,6 @@ class MM1Queue:
         """Mean buffer time ``Wq = rho/(mu - Lambda)``."""
         return littles_law.mean_waiting_time(self.arrival_rate, self.service_rate)
 
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def headroom(self) -> float:
-        """Remaining service capacity ``mu - Lambda`` (may be negative)."""
-        return self.service_rate - self.arrival_rate
-
 
 # ----------------------------------------------------------------------
 # Vectorized forms — one entry per service instance

@@ -10,7 +10,7 @@ of Eq. (16) — and a nominal bandwidth which the paper assumes plentiful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 import networkx as nx
 
@@ -146,12 +146,6 @@ class DatacenterTopology:
     def num_links(self) -> int:
         """``|E|``."""
         return self._graph.number_of_edges()
-
-    def neighbors(self, key: str) -> Iterator[str]:
-        """Adjacent vertex keys."""
-        if key not in self._graph:
-            raise ValidationError(f"unknown vertex {key!r}")
-        return iter(self._graph.neighbors(key))
 
     def link_latency(self, a: str, b: str) -> float:
         """Latency of the direct link between ``a`` and ``b``."""

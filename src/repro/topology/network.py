@@ -241,10 +241,6 @@ class NetworkModel:
     def num_links(self) -> int:
         return int(self.bandwidth.shape[0])
 
-    @property
-    def num_pairs(self) -> int:
-        return int(self.pair_flow.shape[0])
-
     # ------------------------------------------------------------------
     # Load accounting
     # ------------------------------------------------------------------

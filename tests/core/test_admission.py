@@ -338,7 +338,6 @@ class TestEnginePowerOfTwo:
                 admission="power-of-two",
                 admission_rng=np.random.default_rng(42),
             )
-            assert engine.admission == "power-of-two"
             outcomes.append(
                 tuple(
                     tuple(
@@ -355,7 +354,13 @@ class TestEnginePowerOfTwo:
 
     def test_default_policy_unchanged(self):
         engine = DeploymentEngine(self._vnfs(), self._caps())
-        assert engine.admission == "least-loaded"
+        # Least-loaded breaks ties to the lowest index, so four equal
+        # admits fill fw's four instances in order.
+        ks = [
+            engine.admit(Request(f"r{i}", CHAIN, 5.0)).assignment["fw"]
+            for i in range(4)
+        ]
+        assert ks == [0, 1, 2, 3]
 
     def test_unknown_policy_raises(self):
         with pytest.raises(SchedulingError, match="unknown admission"):

@@ -225,7 +225,7 @@ def assert_same_engine(a, b):
         got, want = getattr(x, column), getattr(y, column)
         assert got.dtype == want.dtype, column
         assert got.tobytes() == want.tobytes(), column
-    if a.admission == "power-of-two":
+    if a._admission_rng is not None:
         assert (
             a._admission_rng.bit_generator.state
             == b._admission_rng.bit_generator.state

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.arrays import ScenarioArrays, cached_arrays
+from repro.core.dtypes import LEAN_POLICY
 from repro.exceptions import SchedulingError, ValidationError
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
@@ -264,6 +267,56 @@ class TestInvertedChainViews:
         ptr, req = arrays.vnf_requests()
         assert ptr.tolist() == [0, 1, 1, 1]
         assert req.tolist() == [0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chains=st.lists(
+            st.lists(st.integers(-1, 5), min_size=1, max_size=4),
+            max_size=40,
+        ),
+        lean=st.booleans(),
+    )
+    def test_vnf_requests_equals_the_unique_construction(self, chains, lean):
+        """The stable-sort CSR equals the ``np.unique`` one over packed
+        (vnf, req) codes, repeats within a chain and unknown VNFs
+        (``-1``) included, in value and dtype."""
+        vnfs = [
+            VNF(f"v{i}", demand_per_instance=1.0, num_instances=1,
+                service_rate=10.0)
+            for i in range(6)
+        ]
+        lens = [len(chain) for chain in chains]
+        chain_vnf = np.array(
+            [f for chain in chains for f in chain], dtype=np.int64
+        )
+        arrays = ScenarioArrays.from_columns(
+            vnfs,
+            {"n0": 100.0},
+            [f"r{i}" for i in range(len(chains))],
+            {f"r{i}": i for i in range(len(chains))},
+            np.ones(len(chains)),
+            np.ones(len(chains)),
+            np.repeat(np.arange(len(chains)), lens),
+            chain_vnf,
+            np.concatenate([[0], np.cumsum(lens, dtype=np.int64)]),
+            [f"v{f}" if f >= 0 else "ghost" for f in chain_vnf.tolist()],
+            dtypes=LEAN_POLICY if lean else None,
+        )
+        known = arrays.chain_vnf >= 0
+        width = np.int64(len(chains) + 1)
+        codes = np.unique(
+            arrays.chain_vnf[known] * width + arrays.chain_req[known]
+        )
+        want_ptr = np.zeros(len(vnfs) + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(codes // width, minlength=len(vnfs)),
+            out=want_ptr[1:],
+        )
+        want_req = codes % width
+        ptr, req = arrays.vnf_requests()
+        assert ptr.dtype == want_ptr.dtype and req.dtype == want_req.dtype
+        assert ptr.tobytes() == want_ptr.tobytes()
+        assert req.tobytes() == want_req.tobytes()
 
     def test_vnf_chain_neighbors_csr(self, arrays):
         ptr, nbr = arrays.vnf_chain_neighbors()

@@ -6,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.arrays import ScenarioArrays
+from repro.core.evaluation import evaluate_deployment
 from repro.core.joint import JointOptimizer
 from repro.exceptions import ValidationError
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
+from repro.nfv.state import DeploymentState
 from repro.nfv.vnf import VNF
 from repro.placement.base import PlacementProblem
 from repro.placement.bfd import BFDPlacement
@@ -189,6 +192,34 @@ class TestEndToEnd:
         report = solution.evaluate()
         assert report.nodes_in_service <= 6
         assert report.rejection_rate <= 1.0
+
+    def test_evaluate_reuses_the_checked_schedule_columns(self, monkeypatch):
+        """``optimize`` caches the index form it checked, so the first
+        ``evaluate()`` converts no schedule dict, and reports what a
+        state built from the same dicts (which converts) reports."""
+        gen = WorkloadGenerator(np.random.default_rng(5))
+        w = gen.workload(num_vnfs=8, num_nodes=6, num_requests=60)
+        solution = JointOptimizer(
+            placement=BFDSUPlacement(rng=np.random.default_rng(2))
+        ).optimize(w.vnfs, w.requests, w.capacities)
+        fresh = DeploymentState(
+            vnfs=w.vnfs,
+            requests=w.requests,
+            node_capacities=w.capacities,
+            placement=dict(solution.state.placement),
+            schedule=dict(solution.schedule),
+        )
+        want = evaluate_deployment(fresh)
+        calls = []
+        real = ScenarioArrays.schedule_arrays
+
+        def spy(self, schedule):
+            calls.append(len(schedule))
+            return real(self, schedule)
+
+        monkeypatch.setattr(ScenarioArrays, "schedule_arrays", spy)
+        assert solution.evaluate() == want
+        assert calls == []
 
     def test_bfdsu_rckk_beats_baselines_on_utilization(self):
         from repro.placement.ffd import FFDPlacement

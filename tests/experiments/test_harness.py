@@ -23,11 +23,6 @@ class TestRows:
         with pytest.raises(ValueError):
             result.add_row(x=3, algorithm="A")  # missing 'metric'
 
-    def test_column_extraction(self, result):
-        assert result.column("x") == [1, 1, 2]
-        with pytest.raises(KeyError):
-            result.column("ghost")
-
     def test_filtered(self, result):
         rows = result.filtered(algorithm="A")
         assert len(rows) == 2

@@ -23,11 +23,6 @@ class FakeEngine:
 
 
 class TestSLASpec:
-    @pytest.mark.parametrize("target", [0.0, -0.1, 1.5])
-    def test_bad_availability_target(self, target):
-        with pytest.raises(ValidationError, match="availability_target"):
-            SLASpec(availability_target=target)
-
     @pytest.mark.parametrize("threshold", [0.0, -1.0])
     def test_bad_latency_threshold(self, threshold):
         with pytest.raises(ValidationError, match="latency_threshold"):
@@ -40,7 +35,6 @@ class TestSLASpec:
     def test_defaults_accepted(self):
         spec = SLASpec()
         assert spec.latency_threshold is None
-        assert spec.availability_target == 0.999
 
 
 class TestSpellIntegration:

@@ -71,9 +71,3 @@ class TestSteadyState:
     def test_response_time_grows_with_load(self):
         w = [MM1Queue(lam, 10.0).mean_response_time for lam in (1.0, 5.0, 9.0)]
         assert w[0] < w[1] < w[2]
-
-
-class TestHelpers:
-    def test_headroom(self):
-        assert MM1Queue(4.0, 10.0).headroom() == pytest.approx(6.0)
-        assert MM1Queue(12.0, 10.0).headroom() == pytest.approx(-2.0)

@@ -71,11 +71,6 @@ class TestLinks:
         with pytest.raises(ValidationError):
             topo.link_latency("a", "b")
 
-    def test_neighbors(self):
-        topo = self._pair()
-        topo.add_link("a", "b")
-        assert list(topo.neighbors("a")) == ["b"]
-
 
 class TestValidation:
     def test_connected_passes(self):

@@ -51,7 +51,7 @@ class TestPairAggregation:
 
     def test_self_loops_ignored(self, line_topology):
         model = _model(line_topology, [(["fw", "fw"], 5.0)])
-        assert model.num_pairs == 0
+        assert len(model.pair_flow) == 0
 
     def test_unknown_vnf_rejected(self, line_topology):
         with pytest.raises(ValidationError):
