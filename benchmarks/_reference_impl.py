@@ -12,17 +12,20 @@ Eq. (16): ``bench_topo.py`` gates on it and
 ``tests/core/test_topology_parity.py`` holds the two within 1e-9.
 
 The second half of the module preserves the pre-kernel *solver* paths
-(legacy BFDSU, full-recount local search, per-candidate swap refine;
-the tuple-based ``karmarkar_karp_multiway`` stays in the library and is
-aliased here).  ``bench_solvers.py`` times them against the array
-kernels and ``tests/core/test_solver_kernel_parity.py`` pins
-seed-for-seed byte-identical outputs.
+(legacy BFDSU, full-recount local search, per-candidate swap refine and
+its per-VNF loop over a column schedule; the tuple-based
+``karmarkar_karp_multiway`` stays in the library and is aliased here).
+``bench_solvers.py`` times them against the array kernels and
+``tests/core/test_solver_kernel_parity.py`` pins seed-for-seed
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Hashable, List, Tuple
+
+import numpy as np
 
 from repro.core.evaluation import EvaluationReport
 from repro.core.objectives import per_request_response_time
@@ -494,3 +497,24 @@ def reference_refine_assignment(
             current[idx], current[jdx] = target, worst
         moves += 1
     return current, moves
+
+
+def reference_swap_refine_columns(arrays, sched, max_rounds: int = 20):
+    """Per-VNF column refinement: one ``reference_refine_assignment`` per
+    VNF with ``M_f > 1`` over its rows in schedule order.
+
+    Returns the refined slot column (int64, in row order) and the total
+    number of accepted moves.
+    """
+    rates = arrays.eff_rate.astype(np.float64)
+    k = sched.k.astype(np.int64)
+    moves = 0
+    for f, m in enumerate(arrays.M_f.tolist()):
+        rows = np.flatnonzero(sched.vnf == f)
+        if m > 1 and len(rows):
+            ways, applied = reference_refine_assignment(
+                rates[sched.req[rows]].tolist(), k[rows].tolist(), m, max_rounds
+            )
+            k[rows] = ways
+            moves += applied
+    return k, moves

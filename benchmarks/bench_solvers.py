@@ -22,7 +22,11 @@ legacy paths produce byte-identical solutions, then times both:
   kernel vs full hop recount per candidate),
 * ``swap_refine`` — move/swap makespan refinement (sorted-partner
   ``searchsorted`` scan with record-breaking-block replay vs
-  per-candidate scan).
+  per-candidate scan),
+* ``swap_refine_columns`` — the same on every VNF of the scenario's
+  least-loaded column schedule: one segmented kernel call vs one
+  per-candidate scan per VNF, which must give the same slots in row
+  order and the same move count.
 
 Usage::
 
@@ -60,6 +64,7 @@ from _reference_impl import (
     reference_refine_assignment,
     reference_refine_placement,
     reference_schedule_all_vnfs,
+    reference_swap_refine_columns,
 )
 from bench_core import DEFAULT_SEED, _time, build_scenario
 from repro.core.arrays import ScenarioArrays
@@ -69,7 +74,7 @@ from repro.placement.base import PlacementProblem
 from repro.placement.bfdsu import BFDSUPlacement
 from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.rckk import RCKKScheduler
-from repro.scheduling.swap_refine import refine_assignment
+from repro.scheduling.swap_refine import refine_assignment, swap_refine_columns
 from repro.workload.generator import WorkloadGenerator
 
 #: One VNF's users and instances at a serve_churn rebalance (251-450
@@ -243,6 +248,25 @@ def main(argv=None):
         == reference_refine_assignment(rates, start_assignment, num_ways),
     )
 
+    arrays = state.arrays()
+    column_start = schedule_columns(arrays, policy="least_loaded")
+
+    def _reference_columns():
+        return reference_swap_refine_columns(arrays, column_start)
+
+    def _kernel_columns():
+        refined, moves = swap_refine_columns(arrays, column_start)
+        return refined.k, moves
+
+    (reference_k, reference_moves), (column_k, column_moves) = (
+        _reference_columns(),
+        _kernel_columns(),
+    )
+    _check(
+        "swap_refine_columns slots (in row order) + moves",
+        np.array_equal(reference_k, column_k) and reference_moves == column_moves,
+    )
+
     # ------------------------------------------------------------------
     # Timings.
     # ------------------------------------------------------------------
@@ -302,6 +326,13 @@ def main(argv=None):
         repeats,
         results,
     )
+    _compare(
+        "swap_refine_columns",
+        _reference_columns,
+        _kernel_columns,
+        repeats,
+        results,
+    )
 
     report = {
         "scenario": {
@@ -316,6 +347,7 @@ def main(argv=None):
                 "num_requests": serve_active,
             },
             "local_search_moves": kernel_report.moves_applied,
+            "swap_refine_columns_moves": column_moves,
             "bfdsu_iterations": kernel_bfdsu.iterations,
             "seed": args.seed,
             "quick": args.quick,

@@ -103,6 +103,24 @@ class RowIndex(Mapping):
         seq = self._seq.get(request_id)
         return default if seq is None else bisect_left(self._order, seq)
 
+    def rows(self, request_ids: Sequence[str]) -> np.ndarray:
+        """The rows of ``request_ids``, ascending: one sequence-number
+        lookup per id, then one bisect for one id, or one
+        ``searchsorted`` of them all (O(rows)) for several.
+
+        Raises
+        ------
+        KeyError
+            With the first unknown id.
+        """
+        seq = self._seq
+        numbers = [seq[rid] for rid in request_ids]
+        order = self._order
+        if len(numbers) == 1:
+            return np.array([bisect_left(order, numbers[0])])
+        live = np.fromiter(order, dtype=np.int64, count=len(order))
+        return np.sort(live.searchsorted(numbers))
+
     def __contains__(self, request_id) -> bool:
         return request_id in self._seq
 
@@ -1050,9 +1068,10 @@ class ScenarioArrays:
         The survivors keep their order and close ranks (their chain
         entries move with them), so the columns are exactly what
         :meth:`build` would produce for the surviving request sequence.
-        A single row costs one slice shift per column and one list
-        ``del`` per id list; several cost one masked copy per column and
-        one ``compress`` pass per id list, O(rows) in all however many
+        A single row costs one bisect, one slice shift per column and
+        one list ``del`` per id list; several cost one ``searchsorted``
+        for all their rows, one masked copy per column and one
+        ``compress`` pass per id list, O(rows) in all however many
         leave.  No later id is renumbered (see :class:`RowIndex`).  The
         request-derived CSR caches are invalidated; nothing changes
         when an id is unknown.
@@ -1065,21 +1084,18 @@ class ScenarioArrays:
         self._ensure_mutable()
         ids = list(dict.fromkeys(request_ids))
         index = self.request_index
-        rows = []
-        for rid in ids:
-            i = index.get(rid)
-            if i is None:
-                raise ValidationError(
-                    f"cannot remove unknown request {rid!r}"
-                )
-            rows.append(i)
-        rows.sort()
+        try:
+            rows = index.rows(ids)
+        except KeyError as exc:
+            raise ValidationError(
+                f"cannot remove unknown request {exc.args[0]!r}"
+            ) from None
         n = len(self.request_ids)
         c = int(self.chain_ptr[n])
         ptr = self._chain_ptr_buf
         m = n - len(rows)
         if len(rows) == 1:
-            (i,) = rows
+            i = int(rows[0])
             lo, hi = int(ptr[i]), int(ptr[i + 1])
             gap = hi - lo
             for buf in (self._lambda_buf, self._P_buf, self._eff_buf):
@@ -1091,7 +1107,7 @@ class ScenarioArrays:
             kept = c - gap
             del self.request_ids[i]
             del self.chain_names[lo:hi]
-            index.remove(ids, rows)
+            index.remove(ids, [i])
         else:
             keep = np.ones(n, dtype=bool)
             keep[rows] = False
@@ -1117,7 +1133,7 @@ class ScenarioArrays:
         if self.chain_has_unknown:
             self.chain_has_unknown = bool((self.chain_vnf < 0).any())
         self._invalidate_request_caches()
-        return np.asarray(rows, dtype=np.int64)
+        return rows.astype(np.int64, copy=False)
 
     def response_per_request(
         self,

@@ -3,12 +3,10 @@
 PR 3's array-native solvers all reduce to the same handful of
 incremental primitives: a bincount over chain-neighbor placements that
 scores every relocate target at once, an O(1) capacity fit check
-against a running load vector, trial-commit/revert bookkeeping against
-per-link bandwidth residuals, and a prefix-max record-breaker replay of
-the legacy sequential acceptance rule.  They used to live as private
-helpers inside :mod:`repro.core.local_search` and
-:mod:`repro.scheduling.swap_refine`; this module promotes them to a
-public, shared surface so the batch solvers and the incremental
+against a running load vector, and trial-commit/revert bookkeeping
+against per-link bandwidth residuals.  They used to live as private
+helpers inside :mod:`repro.core.local_search`; this module promotes
+them to a public, shared surface so the batch solvers and the incremental
 :class:`~repro.core.incremental.DeploymentEngine` run the *same* code.
 
 Byte-identity contract
@@ -16,8 +14,8 @@ Byte-identity contract
 Every function here was moved verbatim (same numpy op sequence, same
 accumulation order, same tie-breaking) from its original call site.
 The batch solvers wired on top — ``refine_placement``,
-``swap_placement``, ``refine_assignment``, BFDSU — therefore remain
-byte-identical per seed to the pre-refactor implementations, which is
+``swap_placement``, BFDSU — therefore remain byte-identical per seed
+to the pre-refactor implementations, which is
 pinned by ``tests/core/test_solver_kernel_parity.py`` against the
 legacy loops in ``benchmarks/_reference_impl.py``.
 """
@@ -151,30 +149,6 @@ def try_swap_bandwidth(
     network.add_flows(g, s, pl, link_loads, 1.0)
     pl[g] = s
     return True
-
-
-def select_improving_record_breaker(
-    deltas: np.ndarray, margin: float = 1e-12
-) -> int:
-    """Replay the legacy sequential acceptance rule on a delta vector.
-
-    The legacy candidate scans accepted ``delta > best + margin`` with
-    ``best`` updated on accept — so the accepted candidates are all
-    strict prefix-maximum record breakers.  A ``maximum.accumulate``
-    prefix scan extracts the record breakers; the margin rule replayed
-    on that short list selects the identical winner.  Returns the flat
-    index of the winning candidate, or ``-1`` when none improves.
-    """
-    prev = np.concatenate(
-        ([-np.inf], np.maximum.accumulate(deltas)[:-1])
-    )
-    best_delta = 0.0
-    sel = -1
-    for i in np.flatnonzero(deltas > prev):
-        if deltas[i] > best_delta + margin:
-            best_delta = float(deltas[i])
-            sel = int(i)
-    return sel
 
 
 class UniformBlock:

@@ -153,11 +153,13 @@ class TestRemove:
         assert len(arrays.chain_req) == 0
 
     def test_unknown_id_rejected(self, vnfs, capacities):
-        arrays = ScenarioArrays.build(
-            vnfs, [_request(0, ["fw"], 1.0)], capacities
-        )
-        with pytest.raises(ValidationError):
-            arrays.remove_requests(["ghost"])
+        live = [_request(0, ["fw"], 1.0), _request(1, ["fw"], 2.0)]
+        arrays = ScenarioArrays.build(vnfs, live, capacities)
+        # One id, and an unknown id among several: nothing is removed.
+        for ids in (["ghost"], ["r1", "ghost", "r0"]):
+            with pytest.raises(ValidationError, match="'ghost'"):
+                arrays.remove_requests(ids)
+            assert_matches_rebuild(arrays, vnfs, live, capacities)
 
     def test_unknown_flag_clears_when_last_unknown_leaves(
         self, vnfs, capacities

@@ -10,7 +10,9 @@ to every metric that reads that part of the solution, and expects a
 parameters follow the same rule: a non-finite time is refused with a
 message naming the field.  So do the scheduling scenarios of Figs.
 11-16: a bad knob is refused at construction, not deep inside
-``build``.
+``build``.  And ``refine_assignment`` refuses rates that do not match
+its assignment one to one, or a way outside ``[0, num_ways)``, before
+numpy can broadcast or index with them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.nfv.vnf import VNF
 from repro.placement.base import PlacementProblem, PlacementResult
 from repro.scheduling.base import ScheduleResult, SchedulingProblem
 from repro.scheduling.metrics import schedule_report
+from repro.scheduling.swap_refine import refine_assignment
 from repro.sim.simulator import SimulationConfig
 from repro.topology.graph import DatacenterTopology
 from repro.workload.scenarios import SchedulingScenario
@@ -216,3 +219,18 @@ def test_simulation_config_refuses_a_negative_seed():
 def test_scheduling_scenario_refuses_bad_knobs(field, value):
     with pytest.raises(ConfigurationError, match=f"^{field} must be"):
         SchedulingScenario(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "rates, assignment, message",
+    [
+        # One rate for two items must not broadcast to both.
+        ([1.0], [0, 0], "^rates must give one value per assigned item"),
+        ([1.0, 2.0, 3.0], [0, 0], "^rates must give one value per assigned"),
+        ([1.0, 2.0], [2, 0], r"^assignment ways must lie in \[0, 2\), got 2"),
+        ([1.0, 2.0], [0, -1], r"^assignment ways must lie in \[0, 2\), got -1"),
+    ],
+)
+def test_refine_assignment_refuses_mismatched_input(rates, assignment, message):
+    with pytest.raises(ValidationError, match=message):
+        refine_assignment(rates, assignment, 2)

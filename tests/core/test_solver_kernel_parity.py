@@ -26,14 +26,19 @@ from _reference_impl import (  # noqa: E402
     reference_kk_multiway,
     reference_refine_assignment,
     reference_refine_placement,
+    reference_swap_refine_columns,
 )
 from bench_core import build_scenario  # noqa: E402
-from repro.core.arrays import ScheduleArrays  # noqa: E402
+from repro.core.arrays import ScenarioArrays, ScheduleArrays  # noqa: E402
+from repro.core.dtypes import DEFAULT_POLICY, LEAN_POLICY  # noqa: E402
 from repro.core.local_search import (  # noqa: E402
     refine_placement,
     refine_placement_columns,
 )
 from repro.exceptions import ValidationError  # noqa: E402
+from repro.nfv.chain import ServiceChain  # noqa: E402
+from repro.nfv.request import Request  # noqa: E402
+from repro.nfv.vnf import VNF  # noqa: E402
 from repro.scheduling.kernels import schedule_columns  # noqa: E402
 from repro.scheduling.swap_refine import swap_refine_columns  # noqa: E402
 from repro.partition.karmarkar_karp import (  # noqa: E402
@@ -269,6 +274,75 @@ class TestSwapRefineTieParity:
         case = ([0.8, 0.7, 0.1], [0, 2, 0], 3)
         assert refine_assignment(*case) == reference_refine_assignment(*case)
         assert calls
+
+
+@st.composite
+def multi_vnf_cases(draw):
+    """Random multi-VNF scenarios and schedules for the column kernel.
+
+    VNFs have 1 to 5 instances, and the last one is on no chain; each
+    request's chain is a random subset of the others, and the schedule
+    rows are every (request, VNF) pair of the chains in a random order,
+    so a VNF's rows interleave with other VNFs'.  Rates repeat often
+    (integers, one decimal) or are continuous, as in ``refine_cases``.
+    """
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=7))
+    vnfs = [VNF(f"f{i}", 1.0, w, 100.0) for i, w in enumerate(widths)]
+    rates = draw(
+        st.one_of(
+            st.lists(st.integers(1, 6).map(float), max_size=30),
+            st.lists(
+                st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.8, 1.1]), max_size=30
+            ),
+            st.lists(st.floats(0.01, 100.0), max_size=30),
+        )
+    )
+    used = range(len(vnfs) - 1)
+    chains = [
+        draw(st.lists(st.sampled_from(used), min_size=1, unique=True))
+        for _ in rates
+    ]
+    requests = [
+        Request(f"r{j}", ServiceChain([vnfs[f].name for f in chain]), rate)
+        for j, (chain, rate) in enumerate(zip(chains, rates))
+    ]
+    pairs = draw(
+        st.permutations(
+            [(j, f) for j, chain in enumerate(chains) for f in chain]
+        )
+    )
+    slots = [draw(st.integers(0, widths[f] - 1)) for _, f in pairs]
+    return vnfs, requests, pairs, slots, draw(st.integers(1, 20))
+
+
+class TestSwapRefineColumnsParity:
+    """Every VNF of a column schedule refines as it would alone."""
+
+    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, LEAN_POLICY])
+    @settings(max_examples=150, deadline=None)
+    @given(case=multi_vnf_cases())
+    def test_matches_per_vnf_reference(self, policy, case):
+        vnfs, requests, pairs, slots, max_rounds = case
+        arrays = ScenarioArrays.build(vnfs, requests, {}, dtypes=policy)
+        idx = policy.index_dtype
+        req = np.array([j for j, _ in pairs], dtype=idx)
+        vnf = np.array([f for _, f in pairs], dtype=idx)
+        k = np.array(slots, dtype=idx)
+        sched = ScheduleArrays(
+            req=req, vnf=vnf, k=k, inst=arrays.instance_offset[vnf] + k
+        )
+
+        refined, moves = swap_refine_columns(arrays, sched, max_rounds)
+
+        expected, expected_moves = reference_swap_refine_columns(
+            arrays, sched, max_rounds
+        )
+        assert moves == expected_moves
+        assert refined.k.dtype == k.dtype
+        np.testing.assert_array_equal(refined.k, expected)
+        np.testing.assert_array_equal(
+            refined.inst, arrays.instance_offset[vnf] + expected
+        )
 
 
 #: Float columns subject to the dtype policy (quantized for parity).
