@@ -11,10 +11,15 @@ paths within 1e-12 relative error.  ``total_latency_on_topology_scalar``
 Eq. (16): ``bench_topo.py`` gates on it and
 ``tests/core/test_topology_parity.py`` holds the two within 1e-9.
 
+``reference_chain_instances`` is the (request, VNF) -> instance lookup
+as a stable sort of request-major codes and one unsorted search of the
+chain codes, before the CSR-slot gather.
+
 The second half of the module preserves the pre-kernel *solver* paths
 (legacy BFDSU, full-recount local search, per-candidate swap refine and
-its per-VNF loop over a column schedule; the tuple-based
-``karmarkar_karp_multiway`` stays in the library and is aliased here).
+its per-VNF loop over a column schedule, the per-VNF least-loaded heap
+and its per-VNF column loop; the tuple-based ``karmarkar_karp_multiway``
+stays in the library and is aliased here).
 ``bench_solvers.py`` times them against the array kernels and
 ``tests/core/test_solver_kernel_parity.py`` pins seed-for-seed
 byte-identical outputs.
@@ -22,11 +27,13 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.arrays import ScheduleArrays
 from repro.core.evaluation import EvaluationReport
 from repro.core.objectives import per_request_response_time
 from repro.core.topology_eval import _check_nodes, request_path_latency
@@ -221,6 +228,28 @@ def reference_instance_rates(result) -> List[float]:
             )
         instances[k].requests.append(request)
     return [inst.equivalent_arrival_rate for inst in instances]
+
+
+def reference_chain_instances(arrays, sched) -> np.ndarray:
+    """Global instance index per chain entry, ``-1`` where the (request,
+    VNF) pair has no row: a stable sort of the rows' ``req * F + vnf``
+    codes (the first row in row order wins a duplicate), then a search
+    of every chain entry's code."""
+    num_vnfs = len(arrays.vnf_names)
+    codes = sched.req * np.int64(num_vnfs) + sched.vnf
+    order = np.argsort(codes, kind="stable")
+    codes_sorted = codes[order]
+    chain_codes = arrays.chain_req * np.int64(num_vnfs) + arrays.chain_vnf
+    pos = np.searchsorted(codes_sorted, chain_codes)
+    pos_clipped = np.minimum(pos, max(len(sched) - 1, 0))
+    if len(sched):
+        found = (codes_sorted[pos_clipped] == chain_codes) & (
+            arrays.chain_vnf >= 0
+        )
+        inst = np.where(found, sched.inst[order[pos_clipped]], -1)
+    else:
+        inst = np.full(len(chain_codes), -1, dtype=np.int64)
+    return inst
 
 
 def reference_schedule_all_vnfs(vnfs, requests, algorithm):
@@ -518,3 +547,56 @@ def reference_swap_refine_columns(arrays, sched, max_rounds: int = 20):
             k[rows] = ways
             moves += applied
     return k, moves
+
+
+def reference_least_loaded(rates: Sequence[float], m: int) -> List[int]:
+    """The per-VNF least-loaded greedy as a heap of ``(aggregate load,
+    k)`` pairs: each user joins the minimum (lowest ``k`` on equal
+    loads) and pushes back ``load + rate``."""
+    if m < 1:
+        raise SchedulingError(f"need at least one instance, got {m}")
+    heap = [(0.0, k) for k in range(m)]
+    heapreplace = heapq.heapreplace
+    ways = []
+    for rate in rates:
+        load, k = heap[0]
+        ways.append(k)
+        heapreplace(heap, (load + rate, k))
+    return ways
+
+
+def reference_least_loaded_columns(arrays, down=None) -> ScheduleArrays:
+    """The least-loaded column schedule as one heap per VNF: the CSR's
+    users of each VNF in user order, over its live instances (way ``j``
+    on its ``j``-th live one), rows emitted VNF by VNF."""
+    if arrays.chain_has_unknown:
+        raise SchedulingError("cannot schedule chains referencing unknown VNFs")
+    ptr, req_csr = arrays.vnf_requests()
+    eff64 = arrays.eff_rate.astype(np.float64, copy=False)
+    idt = arrays.index_dtype
+    req = np.empty(int(ptr[-1]), dtype=idt)
+    k = np.empty_like(req)
+    bounds = ptr.tolist()
+    offsets = arrays.instance_offset.tolist()
+    for f, m in enumerate(arrays.M_f.tolist()):
+        lo, hi = bounds[f], bounds[f + 1]
+        if hi == lo:
+            continue
+        live = None
+        if down is not None:
+            dead = down[offsets[f] : offsets[f] + m]
+            if dead.any():
+                live = np.flatnonzero(~dead)
+                m = len(live)
+                if not m:
+                    raise SchedulingError(
+                        f"VNF {arrays.vnf_names[f]!r} has {hi - lo} users "
+                        "but every instance is down"
+                    )
+        users = req_csr[lo:hi]
+        ways = reference_least_loaded(eff64[users].tolist(), m)
+        req[lo:hi] = users
+        k[lo:hi] = ways if live is None else live[ways]
+    vnf = np.repeat(np.arange(len(bounds) - 1, dtype=idt), np.diff(ptr))
+    inst = arrays.instance_offset[vnf] + k
+    return ScheduleArrays(req=req, vnf=vnf, k=k, inst=inst)

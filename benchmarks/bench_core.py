@@ -10,7 +10,12 @@ agree to 1e-12 relative, then times both with ``time.perf_counter``:
 * ``schedule_all_vnfs`` — joint ``z``-map construction: columns
   (``schedule_columns`` + ``ScenarioArrays.schedule_dict``) vs the
   per-VNF object route,
-* ``PlacementResult.node_loads`` — Eq. (13)/(14) ingredients.
+* ``PlacementResult.node_loads`` — Eq. (13)/(14) ingredients,
+* ``chain_instances`` — the (request, VNF) -> instance lookup of every
+  chain entry on a fresh least-loaded column schedule: the CSR-slot
+  gather vs the sort-and-search reference
+  (``reference_chain_instances``); both must give the same column, on
+  that schedule and on an RCKK (way-major) one.
 
 Usage::
 
@@ -41,18 +46,20 @@ except ImportError:  # pragma: no cover
 import numpy as np
 
 from _reference_impl import (
+    reference_chain_instances,
     reference_evaluate_deployment,
     reference_node_loads,
     reference_schedule_all_vnfs,
     reference_total_inter_node_hops,
 )
-from repro.core.arrays import ScenarioArrays
+from repro.core.arrays import ScenarioArrays, ScheduleArrays
 from repro.core.evaluation import evaluate_deployment
 from repro.core.joint import JointOptimizer
 from repro.core.local_search import total_inter_node_hops
 from repro.nfv.request import Request
 from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.least_loaded import LeastLoadedScheduler
+from repro.scheduling.rckk import RCKKScheduler
 from repro.workload.generator import WorkloadGenerator
 
 DEFAULT_SEED = 20170605  # ICDCS'17
@@ -217,6 +224,25 @@ def main(argv=None):
     if list(z_new.items()) != list(z_old.items()):
         raise SystemExit("schedule_all_vnfs z-map mismatch vs reference")
 
+    arrays = state.arrays()
+    lookups = {
+        name: schedule_columns(arrays, policy)
+        for name, policy in (
+            ("least_loaded", scheduler),
+            ("rckk", RCKKScheduler()),
+        )
+    }
+
+    def fresh(sched):
+        # A new ScheduleArrays each call: its sorted codes are cached.
+        return ScheduleArrays(sched.req, sched.vnf, sched.k, sched.inst)
+
+    for name, sched in lookups.items():
+        got = arrays.chain_instances(fresh(sched))
+        want = reference_chain_instances(arrays, fresh(sched))
+        if got.dtype != want.dtype or not np.array_equal(got, want):
+            raise SystemExit(f"chain_instances mismatch vs reference ({name})")
+
     results = {}
     _compare(
         "evaluate_deployment",
@@ -244,6 +270,15 @@ def main(argv=None):
         "node_loads",
         lambda: reference_node_loads(placement_result),
         lambda: placement_result.node_loads(),
+        repeats,
+        results,
+    )
+    _compare(
+        "chain_instances",
+        lambda: reference_chain_instances(
+            arrays, fresh(lookups["least_loaded"])
+        ),
+        lambda: arrays.chain_instances(fresh(lookups["least_loaded"])),
         repeats,
         results,
     )

@@ -26,7 +26,12 @@ legacy paths produce byte-identical solutions, then times both:
 * ``swap_refine_columns`` — the same on every VNF of the scenario's
   least-loaded column schedule: one segmented kernel call vs one
   per-candidate scan per VNF, which must give the same slots in row
-  order and the same move count.
+  order and the same move count,
+* ``least_loaded_schedule_columns`` — the scenario's least-loaded
+  column schedule: ``schedule_columns(arrays, "least_loaded")`` (the
+  step-major kernel) vs one heap per VNF
+  (``reference_least_loaded_columns``), which must give the same rows
+  in the same order and the same instance-load bytes.
 
 Usage::
 
@@ -61,6 +66,7 @@ import numpy as np
 from _reference_impl import (
     ReferenceBFDSU,
     reference_kk_multiway,
+    reference_least_loaded_columns,
     reference_refine_assignment,
     reference_refine_placement,
     reference_schedule_all_vnfs,
@@ -105,7 +111,7 @@ def _compare(name, reference_fn, kernel_fn, repeats, results):
         )
 
     print(
-        f"{name:<22} reference {spread(ref)}   kernel {spread(vec)}   "
+        f"{name:<29} reference {spread(ref)}   kernel {spread(vec)}   "
         f"{speedup:7.1f}x{'  within noise' if noise else ''}",
         file=sys.stderr,
     )
@@ -250,6 +256,17 @@ def main(argv=None):
 
     arrays = state.arrays()
     column_start = schedule_columns(arrays, policy="least_loaded")
+    heap_start = reference_least_loaded_columns(arrays)
+    _check(
+        "least_loaded schedule_columns rows (in order) + instance-load bytes",
+        all(
+            np.array_equal(getattr(heap_start, col), getattr(column_start, col))
+            and getattr(heap_start, col).dtype == getattr(column_start, col).dtype
+            for col in ("req", "vnf", "k", "inst")
+        )
+        and arrays.instance_rates(heap_start)[0].tobytes()
+        == arrays.instance_rates(column_start)[0].tobytes(),
+    )
 
     def _reference_columns():
         return reference_swap_refine_columns(arrays, column_start)
@@ -333,6 +350,13 @@ def main(argv=None):
         repeats,
         results,
     )
+    _compare(
+        "least_loaded_schedule_columns",
+        lambda: reference_least_loaded_columns(arrays),
+        lambda: schedule_columns(arrays, policy="least_loaded"),
+        repeats,
+        results,
+    )
 
     report = {
         "scenario": {
@@ -348,6 +372,7 @@ def main(argv=None):
             },
             "local_search_moves": kernel_report.moves_applied,
             "swap_refine_columns_moves": column_moves,
+            "schedule_columns_rows": len(column_start),
             "bfdsu_iterations": kernel_bfdsu.iterations,
             "seed": args.seed,
             "quick": args.quick,

@@ -172,22 +172,36 @@ class ScheduleArrays:
     vnf: np.ndarray
     k: np.ndarray
     inst: np.ndarray
-    #: Lazily built sort permutation of ``req * F + vnf`` entry codes,
-    #: enabling vectorized (request, vnf) -> instance lookups.
+    #: Lazily built VNF-major entry codes (``vnf << 32 | req``) in
+    #: ascending order, and the stable sort permutation that puts the
+    #: rows in it (``None`` when the rows already ascend, as the
+    #: CSR-ordered rows of a least-loaded or swap-refined schedule do).
     _codes_sorted: Optional[np.ndarray] = field(default=None, repr=False)
     _order: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return int(self.req.shape[0])
 
-    def sorted_codes(self, num_vnfs: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The entry codes ``req * F + vnf`` sorted, with the sort order."""
+    def sorted_codes(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The entry codes of the rows, sorted, with the sort order
+        (``None``: row order is sorted order)."""
         if self._codes_sorted is None:
-            codes = self.req * np.int64(num_vnfs) + self.vnf
-            order = np.argsort(codes, kind="stable")
-            self._codes_sorted = codes[order]
+            codes = _entry_codes(self.vnf, self.req)
+            order = None
+            if bool((codes[1:] < codes[:-1]).any()):
+                order = np.argsort(codes, kind="stable")
+                codes = codes[order]
+            self._codes_sorted = codes
             self._order = order
         return self._codes_sorted, self._order
+
+
+def _entry_codes(vnf: np.ndarray, req: np.ndarray) -> np.ndarray:
+    """VNF-major int64 codes ``vnf << 32 | req`` of (request, VNF) pairs:
+    ascending codes list the pairs VNF by VNF, each VNF's requests
+    ascending, the order of the :meth:`ScenarioArrays.vnf_requests`
+    CSR."""
+    return (vnf.astype(np.int64) << 32) + req
 
 
 @dataclass
@@ -244,6 +258,12 @@ class ScenarioArrays:
     # --- inverted chain views (static, lazily built) -----------------
     #: Cached ``vnf_requests()`` CSR: (ptr, req) or ``None``.
     _vnf_req_csr: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False
+    )
+    #: Cached ``(slot, codes)`` of :meth:`chain_instances`: each chain
+    #: entry's position in the ``vnf_requests()`` CSR (one past its end
+    #: for an unknown VNF) and the CSR's entry codes; or ``None``.
+    _chain_slot_csr: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False
     )
     #: Cached ``vnf_chain_neighbors()`` CSR: (ptr, nbr) or ``None``.
@@ -702,20 +722,29 @@ class ScenarioArrays:
     # ------------------------------------------------------------------
     def chain_instances(self, sched: ScheduleArrays) -> np.ndarray:
         """Global instance index per chain entry; ``-1`` where the
-        (request, VNF) pair has no schedule entry."""
-        num_vnfs = len(self.vnf_names)
-        codes_sorted, order = sched.sorted_codes(num_vnfs)
-        chain_codes = self.chain_req * np.int64(num_vnfs) + self.chain_vnf
-        pos = np.searchsorted(codes_sorted, chain_codes)
-        pos_clipped = np.minimum(pos, max(len(sched) - 1, 0))
-        if len(sched):
-            found = (codes_sorted[pos_clipped] == chain_codes) & (
-                self.chain_vnf >= 0
-            )
-            inst = np.where(found, sched.inst[order[pos_clipped]], -1)
+        (request, VNF) pair has no schedule entry, and the first row in
+        row order where it has several.
+
+        The pairs of the ``vnf_requests()`` CSR are sorted like the
+        schedule's sorted entry codes, so one sorted-into-sorted search
+        finds each pair's row; each chain entry then gathers its pair's
+        instance by CSR slot.  A schedule whose rows are exactly the
+        CSR's pairs needs no search.
+        """
+        if not len(sched):
+            return np.full(len(self.chain_vnf), -1, dtype=np.int64)
+        slot, csr_codes = self._chain_slots()
+        codes, order = sched.sorted_codes()
+        if np.array_equal(codes, csr_codes):
+            inst = sched.inst if order is None else sched.inst[order]
         else:
-            inst = np.full(len(chain_codes), -1, dtype=np.int64)
-        return inst
+            pos = np.searchsorted(codes, csr_codes)
+            np.minimum(pos, len(codes) - 1, out=pos)
+            found = codes[pos] == csr_codes
+            inst = np.where(
+                found, sched.inst[pos if order is None else order[pos]], -1
+            )
+        return np.concatenate([inst, np.full(1, -1, dtype=inst.dtype)])[slot]
 
     def check_schedule(self, sched: ScheduleArrays) -> None:
         """Check Eq. (5) on index form: every chain entry (request, VNF)
@@ -852,21 +881,45 @@ class ScenarioArrays:
         are skipped; consumers must gate on ``chain_has_unknown``.
         """
         if self._vnf_req_csr is None:
+            entries, fresh = self._chain_by_vnf()
+            vnf = self.chain_vnf[entries[fresh]]
+            req = self.chain_req[entries[fresh]].astype(np.int64)
             num_vnfs = len(self.vnf_names)
-            known = self.chain_vnf >= 0
-            # ``chain_req`` ascends, so a stable sort by VNF leaves each
-            # VNF's requests ascending and a repeat (vnf, req) adjacent.
-            vnf = self.chain_vnf[known]
-            order = np.argsort(vnf, kind="stable")
-            vnf = vnf[order]
-            req = self.chain_req[known][order].astype(np.int64)
-            fresh = np.ones(len(req), dtype=bool)
-            fresh[1:] = (vnf[1:] != vnf[:-1]) | (req[1:] != req[:-1])
-            vnf, req = vnf[fresh], req[fresh]
             ptr = np.zeros(num_vnfs + 1, dtype=np.int64)
             np.cumsum(np.bincount(vnf, minlength=num_vnfs), out=ptr[1:])
             self._vnf_req_csr = (ptr, req)
         return self._vnf_req_csr
+
+    def _chain_by_vnf(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The chain entries of known VNFs in (VNF, request) order, and
+        a flag on the first entry of each (VNF, request) pair."""
+        # ``chain_req`` ascends, so a stable sort by VNF leaves each
+        # VNF's requests ascending and a repeat (vnf, req) adjacent.
+        # Unsigned keys put the unknown VNFs (-1) last, and 16-bit ones
+        # take numpy's radix sort (~5x the merge sort of 32-bit keys).
+        wide = len(self.vnf_names) >= 1 << 16
+        key = self.chain_vnf.astype(np.uint64 if wide else np.uint16)
+        entries = np.argsort(key, kind="stable")
+        entries = entries[: np.count_nonzero(self.chain_vnf >= 0)]
+        vnf = key[entries]
+        req = self.chain_req[entries]
+        fresh = np.ones(len(entries), dtype=bool)
+        fresh[1:] = (vnf[1:] != vnf[:-1]) | (req[1:] != req[:-1])
+        return entries, fresh
+
+    def _chain_slots(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each chain entry's slot in the ``vnf_requests()`` CSR (one
+        past its end for an unknown VNF), and the CSR's entry codes.
+        Built on first use, so the engine's per-write CSR rebuilds do
+        not pay for it."""
+        if self._chain_slot_csr is None:
+            ptr, req = self.vnf_requests()
+            entries, fresh = self._chain_by_vnf()
+            slot = np.full(len(self.chain_vnf), len(req), dtype=np.int64)
+            slot[entries] = np.cumsum(fresh) - 1
+            vnf = np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
+            self._chain_slot_csr = (slot, _entry_codes(vnf, req))
+        return self._chain_slot_csr
 
     def vnf_chain_neighbors(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR of chain-adjacent VNF pairs: VNF -> neighbor VNF indices.
@@ -985,6 +1038,7 @@ class ScenarioArrays:
 
     def _invalidate_request_caches(self) -> None:
         self._vnf_req_csr = None
+        self._chain_slot_csr = None
         self._vnf_nbr_csr = None
 
     def append_requests(self, requests: Iterable) -> int:

@@ -11,9 +11,12 @@ routes run: :meth:`~SchedulingAlgorithm.schedule` turns it into a
 :func:`~repro.scheduling.kernels.schedule_columns` into index-form rows.
 
 Over a whole problem instance the rule runs on columns:
-:func:`~repro.scheduling.kernels.schedule_columns` schedules every VNF,
-and :meth:`~repro.core.arrays.ScenarioArrays.schedule_dict` turns its
-rows into the ``(request_id, vnf_name) -> k`` map a
+:func:`~repro.scheduling.kernels.schedule_columns` schedules every VNF
+through the whole-table rule :meth:`~SchedulingAlgorithm.assign_segments`
+(by default :meth:`~SchedulingAlgorithm.assign` per VNF; least-loaded
+and round-robin split every VNF at once), and
+:meth:`~repro.core.arrays.ScenarioArrays.schedule_dict` turns its rows
+into the ``(request_id, vnf_name) -> k`` map a
 :class:`~repro.nfv.state.DeploymentState` consumes.
 """
 
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import ValidationError
+from repro.exceptions import SchedulingError, ValidationError
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
 
@@ -180,12 +183,23 @@ class Assignment(NamedTuple):
     """One VNF's schedule: ``ways[j]`` is the instance of the ``j``-th
     emitted user.  ``order`` lists the emitted users' positions in
     ``rates`` (``None``: user order); it is both routes' row order, so
-    it fixes the order of the per-instance float sums."""
+    it fixes the order of the per-instance float sums.  A whole-table
+    rule returns the same over every segment's users at once."""
 
     ways: Sequence[int]
     order: Optional[Sequence[int]] = None
     #: Algorithm-specific work units (combine steps / search nodes).
     iterations: int = 0
+
+
+class RuleFault(SchedulingError):
+    """A rule returned a malformed schedule for one segment.
+
+    :meth:`SchedulingAlgorithm.assign_segments` sets ``segment`` to the
+    index of the segment (VNF) at fault, which the caller names.
+    """
+
+    segment: int = -1
 
 
 def subset_assignment(
@@ -210,6 +224,50 @@ class SchedulingAlgorithm(abc.ABC):
     def assign(self, rates: Sequence[float], m: int) -> Assignment:
         """The per-VNF rule: split the users' effective ``rates`` (user
         order) over ``m`` instances."""
+
+    def assign_segments(
+        self, rates: np.ndarray, ptr: np.ndarray, m: np.ndarray
+    ) -> Assignment:
+        """The whole-table rule: segment ``f`` is the users
+        ``rates[ptr[f]:ptr[f + 1]]`` (float64, user order) split over
+        ``m[f]`` instances, each as :meth:`assign` splits it.  ``ways``
+        are per-segment instance indices and ``order`` positions in
+        ``rates``, over every segment in segment order.
+
+        This default runs :meth:`assign` once per segment with users, in
+        segment order.
+
+        Raises
+        ------
+        RuleFault
+            With the segment's index, when :meth:`assign` raises one or
+            returns the wrong number of ways.
+        """
+        ways = np.empty(len(rates), dtype=np.int64)
+        order = None
+        bounds = ptr.tolist()
+        for f, mf in enumerate(m.tolist()):
+            lo, hi = bounds[f], bounds[f + 1]
+            if hi == lo:
+                continue
+            try:
+                assigned = self.assign(rates[lo:hi].tolist(), mf)
+            except RuleFault as exc:
+                exc.segment = f
+                raise
+            if len(assigned.ways) != hi - lo:
+                fault = RuleFault(
+                    f"policy returned {len(assigned.ways)} assignments, "
+                    f"not {hi - lo},"
+                )
+                fault.segment = f
+                raise fault
+            ways[lo:hi] = assigned.ways
+            if assigned.order is not None:
+                if order is None:
+                    order = np.arange(len(rates))
+                order[lo:hi] = np.add(assigned.order, lo)
+        return Assignment(ways=ways, order=order)
 
     def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
         """Solve ``problem`` with :meth:`assign` (the rules emit every

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.arrays import ScenarioArrays, ScheduleArrays
 from repro.exceptions import SchedulingError, ValidationError
-from repro.scheduling.base import Assignment, SchedulingAlgorithm
+from repro.scheduling.base import Assignment, RuleFault, SchedulingAlgorithm
 from repro.scheduling.least_loaded import LeastLoadedScheduler
 from repro.scheduling.round_robin import RoundRobinScheduler
 
@@ -45,11 +45,11 @@ _POLICIES = {
 }
 
 
-def _rule(
+def _scheduler(
     policy: Union[str, SchedulingAlgorithm, AssignKernel],
-) -> Callable[[Sequence[float], int], Assignment]:
+) -> SchedulingAlgorithm:
     if isinstance(policy, SchedulingAlgorithm):
-        return policy.assign
+        return policy
     if isinstance(policy, str):
         scheduler = _POLICIES.get(policy)
         if scheduler is None:
@@ -57,30 +57,35 @@ def _rule(
                 f"unknown scheduling policy {policy!r}; "
                 f"expected one of {sorted(_POLICIES)}"
             )
-        return scheduler.assign
-    return _checked(policy)
+        return scheduler
+    return _Checked(policy)
 
 
-class _WayOutOfRange(SchedulingError):
-    """A custom rule chose an instance outside ``[0, m)``."""
+class _Checked(SchedulingAlgorithm):
+    """A custom ``(rates, m) -> k`` callable as a scheduler whose every
+    way is an integer in ``[0, m)``; a fractional way would be truncated
+    and NaN cast to a huge negative index, and any way outside the range
+    would land a row on the next VNF's instance or past the instance
+    table.  The built-in schedulers' rules are pinned by their own tests
+    and skip this check."""
 
+    def __init__(self, policy: AssignKernel) -> None:
+        self._policy = policy
 
-def _checked(policy: AssignKernel) -> Callable[[Sequence[float], int], Assignment]:
-    """Wrap a custom ``(rates, m) -> k`` callable as a rule whose every
-    way lies in ``[0, m)``; any other way would land a row on the next
-    VNF's instance or past the instance table.  The built-in schedulers'
-    rules are pinned by their own tests and skip this check."""
-
-    def rule(rates: Sequence[float], m: int) -> Assignment:
-        ways = np.asarray(policy(rates, m))
+    def assign(self, rates: Sequence[float], m: int) -> Assignment:
+        ways = np.asarray(self._policy(rates, m))
+        if ways.dtype.kind == "f":
+            bad = ways[~(np.floor(ways) == ways)]
+            if bad.size:
+                raise RuleFault(
+                    f"policy returned non-integral instance {bad[0]}"
+                )
         bad = ways[(ways < 0) | (ways >= m)]
         if bad.size:
-            raise _WayOutOfRange(
+            raise RuleFault(
                 f"policy returned instance {bad[0]} outside 0..{m - 1}"
             )
-        return Assignment(ways=ways)
-
-    return rule
+        return Assignment(ways=ways.astype(np.int64, copy=False))
 
 
 def schedule_columns(
@@ -94,8 +99,11 @@ def schedule_columns(
     ``policy`` is a scheduler, the name of a built-in one
     (``"least_loaded"`` / ``"round_robin"``) or a callable
     ``(rates, m) -> k`` giving the instance of each user in user order.
-    The rule sees each VNF's users' effective rates (float64,
-    user-list order).  VNFs used by no request idle and get no rows.
+    The scheduler's whole-table rule
+    (:meth:`~repro.scheduling.base.SchedulingAlgorithm.assign_segments`)
+    sees every VNF's users' effective rates (float64, user-list order)
+    as one segment of the CSR.  VNFs used by no request idle and get no
+    rows.
 
     ``down`` is a per-global-instance mask of failed instances: a VNF
     with some down is scheduled over its live instances only, way ``j``
@@ -105,51 +113,44 @@ def schedule_columns(
     ------
     SchedulingError
         On chains naming unknown VNFs, on a rule returning the wrong
-        number of assignments, on a callable policy choosing an instance
-        outside ``0 <= k < m``, and when a used VNF has every instance
-        down.
+        number of assignments, on a callable policy choosing a
+        non-integral instance or one outside ``0 <= k < m``, and when a
+        used VNF has every instance down.
     """
-    rule = _rule(policy)
+    scheduler = _scheduler(policy)
     if arrays.chain_has_unknown:
         raise SchedulingError("cannot schedule chains referencing unknown VNFs")
     ptr, req_csr = arrays.vnf_requests()
-    eff64 = arrays.eff_rate.astype(np.float64, copy=False)
-    idt = arrays.index_dtype
-    req = np.empty(int(ptr[-1]), dtype=idt)
-    k = np.empty_like(req)
-    bounds = ptr.tolist()
-    offsets = arrays.instance_offset.tolist()
-    for f, m in enumerate(arrays.M_f.tolist()):
-        lo, hi = bounds[f], bounds[f + 1]
-        if hi == lo:
-            continue
-        live = None
-        if down is not None:
-            dead = down[offsets[f] : offsets[f] + m]
-            if dead.any():
-                live = np.flatnonzero(~dead)
-                m = len(live)
-                if not m:
-                    raise SchedulingError(
-                        f"VNF {arrays.vnf_names[f]!r} has {hi - lo} users "
-                        "but every instance is down"
-                    )
-        users = req_csr[lo:hi]
-        try:
-            assigned = rule(eff64[users].tolist(), m)
-        except _WayOutOfRange as exc:
+    counts = np.diff(ptr)
+    m = arrays.M_f.astype(np.int64)
+    live = None
+    if down is not None and down.any():
+        live = np.flatnonzero(~down)
+        m_live = np.bincount(arrays.inst_vnf[live], minlength=len(m))
+        dead = np.flatnonzero((counts > 0) & (m > 0) & (m_live == 0))
+        m = m_live
+        if len(dead):
+            f = int(dead[0])
             raise SchedulingError(
-                f"{exc} for VNF {arrays.vnf_names[f]!r}"
-            ) from None
-        if len(assigned.ways) != hi - lo:
-            raise SchedulingError(
-                f"policy returned {len(assigned.ways)} assignments for "
-                f"{hi - lo} users of VNF {arrays.vnf_names[f]!r}"
+                f"VNF {arrays.vnf_names[f]!r} has {int(counts[f])} users "
+                "but every instance is down"
             )
-        if assigned.order is not None:
-            users = users[assigned.order]
-        req[lo:hi] = users
-        k[lo:hi] = assigned.ways if live is None else live[assigned.ways]
-    vnf = np.repeat(np.arange(len(bounds) - 1, dtype=idt), np.diff(ptr))
+    rates = arrays.eff_rate.astype(np.float64, copy=False)[req_csr]
+    try:
+        assigned = scheduler.assign_segments(rates, ptr, m)
+    except RuleFault as exc:
+        raise SchedulingError(
+            f"{exc} for VNF {arrays.vnf_names[exc.segment]!r}"
+        ) from None
+    idt = arrays.index_dtype
+    vnf = np.repeat(np.arange(len(counts), dtype=idt), counts)
+    way = assigned.ways
+    if live is not None:
+        # Way j of VNF f is its j-th live instance.
+        live_start = np.zeros(len(m), dtype=np.int64)
+        np.cumsum(m[:-1], out=live_start[1:])
+        way = live[live_start[vnf] + way] - arrays.instance_offset[vnf]
+    k = np.asarray(way).astype(idt, copy=False)
+    req = req_csr if assigned.order is None else req_csr[assigned.order]
     inst = arrays.instance_offset[vnf] + k
-    return ScheduleArrays(req=req, vnf=vnf, k=k, inst=inst)
+    return ScheduleArrays(req=req.astype(idt), vnf=vnf, k=k, inst=inst)

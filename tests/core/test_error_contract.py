@@ -12,7 +12,9 @@ message naming the field.  So do the scheduling scenarios of Figs.
 11-16: a bad knob is refused at construction, not deep inside
 ``build``.  And ``refine_assignment`` refuses rates that do not match
 its assignment one to one, or a way outside ``[0, num_ways)``, before
-numpy can broadcast or index with them.
+numpy can broadcast or index with them; ``schedule_columns`` refuses a
+custom policy's fractional or NaN way, naming the VNF, before the cast
+to an index truncates it.
 """
 
 from __future__ import annotations
@@ -20,15 +22,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core import objectives
+from repro.core.arrays import ScenarioArrays
 from repro.core.local_search import total_inter_node_hops
 from repro.core.topology_eval import total_latency_on_topology
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import ConfigurationError, SchedulingError, ValidationError
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.state import DeploymentState
 from repro.nfv.vnf import VNF
 from repro.placement.base import PlacementProblem, PlacementResult
 from repro.scheduling.base import ScheduleResult, SchedulingProblem
+from repro.scheduling.kernels import schedule_columns
 from repro.scheduling.metrics import schedule_report
 from repro.scheduling.swap_refine import refine_assignment
 from repro.sim.simulator import SimulationConfig
@@ -234,3 +238,15 @@ def test_scheduling_scenario_refuses_bad_knobs(field, value):
 def test_refine_assignment_refuses_mismatched_input(rates, assignment, message):
     with pytest.raises(ValidationError, match=message):
         refine_assignment(rates, assignment, 2)
+
+
+@pytest.mark.parametrize("way", [0.7, float("nan")])
+def test_schedule_columns_refuses_a_non_integral_way(way):
+    # Cast to the index column, 0.7 would become instance 0 and NaN
+    # instance -2**63.
+    arrays = ScenarioArrays.build(VNFS, REQUESTS, CAPACITIES)
+    with pytest.raises(
+        SchedulingError,
+        match=f"^policy returned non-integral instance {way} for VNF 'fw'$",
+    ):
+        schedule_columns(arrays, lambda rates, m: [way] * len(rates))

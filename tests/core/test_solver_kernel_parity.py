@@ -1,16 +1,18 @@
 """Golden parity: array-native solver kernels vs the legacy loops.
 
-The PR-3 kernels (BFDSU residual-vector construction, flat-array RCKK,
-delta-evaluated local search, sorted-partner swap refinement) must be
+The array kernels (BFDSU residual-vector construction, flat-array RCKK,
+delta-evaluated local search, sorted-partner swap refinement, the
+step-major least-loaded schedule and the CSR-slot chain lookup) must be
 *byte-identical* to the pre-kernel implementations preserved under
 ``benchmarks/_reference_impl.py`` — same placements, same assignments,
 same move sequences, same iteration counts — for the default seed and
-ten derived seeds.
+ten derived seeds, and over random Hypothesis cases.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -23,7 +25,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
 from _reference_impl import (  # noqa: E402
     ReferenceBFDSU,
+    reference_chain_instances,
     reference_kk_multiway,
+    reference_least_loaded,
+    reference_least_loaded_columns,
     reference_refine_assignment,
     reference_refine_placement,
     reference_swap_refine_columns,
@@ -35,11 +40,16 @@ from repro.core.local_search import (  # noqa: E402
     refine_placement,
     refine_placement_columns,
 )
-from repro.exceptions import ValidationError  # noqa: E402
+from repro.exceptions import SchedulingError, ValidationError  # noqa: E402
 from repro.nfv.chain import ServiceChain  # noqa: E402
 from repro.nfv.request import Request  # noqa: E402
 from repro.nfv.vnf import VNF  # noqa: E402
 from repro.scheduling.kernels import schedule_columns  # noqa: E402
+from repro.scheduling.least_loaded import (  # noqa: E402
+    _LANES,
+    LeastLoadedScheduler,
+)
+from repro.scheduling.rckk import RCKKScheduler  # noqa: E402
 from repro.scheduling.swap_refine import swap_refine_columns  # noqa: E402
 from repro.partition.karmarkar_karp import (  # noqa: E402
     karmarkar_karp_multiway,
@@ -343,6 +353,209 @@ class TestSwapRefineColumnsParity:
         np.testing.assert_array_equal(
             refined.inst, arrays.instance_offset[vnf] + expected
         )
+
+
+#: Effective rates for the least-loaded cases: repeats, zeros and
+#: one-decimal sums tie loads often; continuous rates rarely do.
+_LOAD_RATES = st.one_of(
+    st.lists(st.integers(0, 4).map(float), min_size=1, max_size=5),
+    st.lists(
+        st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7]), min_size=1, max_size=5
+    ),
+    st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5),
+)
+
+
+@st.composite
+def least_loaded_cases(draw):
+    """Random tables for the step-major least-loaded kernel.
+
+    The number of VNFs sits around the kernel's lane count, so some
+    cases never leave the heap, some run vector steps down to exactly
+    ``_LANES`` active VNFs, and some hand over mid-table.  VNFs have 1
+    to 6 instances, the last one is on no chain, and with ``full``
+    every request uses every other VNF, so all segments are equally
+    long.  ``rates`` overrides the effective-rate column (zeros
+    included); ``down`` marks failed instances.
+    """
+    num_vnfs = draw(
+        st.sampled_from([2, 3, _LANES - 1, _LANES, _LANES + 1, _LANES + 2])
+        | st.integers(2, _LANES + 6)
+    )
+    widths = draw(
+        st.lists(st.integers(1, 6), min_size=num_vnfs, max_size=num_vnfs)
+    )
+    vnfs = [VNF(f"f{i}", 1.0, w, 100.0) for i, w in enumerate(widths)]
+    num_requests = draw(st.integers(1, 40))
+    used = range(num_vnfs - 1)
+    full = draw(st.booleans())
+    chains = [
+        list(used)
+        if full
+        else draw(st.lists(st.sampled_from(used), min_size=1, unique=True))
+        for _ in range(num_requests)
+    ]
+    requests = [
+        Request(f"r{j}", ServiceChain([vnfs[f].name for f in chain]), 1.0)
+        for j, chain in enumerate(chains)
+    ]
+    pool = draw(_LOAD_RATES)
+    rates = [draw(st.sampled_from(pool)) for _ in requests]
+    down = None
+    if draw(st.booleans()):
+        # One instance in four down: most VNFs keep a live one.
+        flags = st.sampled_from([False, False, False, True])
+        down = np.array(
+            draw(st.lists(flags, min_size=sum(widths), max_size=sum(widths)))
+        )
+    return vnfs, requests, rates, down
+
+
+def _rows_and_loads(arrays, sched):
+    return [
+        (getattr(sched, col).dtype, getattr(sched, col).tolist())
+        for col in ("req", "vnf", "k", "inst")
+    ], arrays.instance_rates(sched)[0].tobytes()
+
+
+class TestLeastLoadedParity:
+    """The step-major kernel gives the per-VNF heap's rows, bit for bit."""
+
+    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, LEAN_POLICY])
+    @settings(max_examples=200, deadline=None)
+    @given(case=least_loaded_cases())
+    def test_matches_per_vnf_heap(self, policy, case):
+        vnfs, requests, rates, down = case
+        arrays = ScenarioArrays.build(vnfs, requests, {}, dtypes=policy)
+        arrays.eff_rate = np.array(rates, dtype=arrays.eff_rate.dtype)
+        try:
+            expected = reference_least_loaded_columns(arrays, down=down)
+        except SchedulingError as exc:
+            with pytest.raises(SchedulingError, match=f"^{re.escape(str(exc))}$"):
+                schedule_columns(arrays, "least_loaded", down=down)
+            return
+        got = schedule_columns(arrays, "least_loaded", down=down)
+        assert _rows_and_loads(arrays, got) == _rows_and_loads(
+            arrays, expected
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rates=_LOAD_RATES.flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=60)
+        ),
+        m=st.integers(1, 8),
+    )
+    def test_one_segment_is_the_heap(self, rates, m):
+        ways = LeastLoadedScheduler().assign(rates, m).ways
+        assert ways == reference_least_loaded(rates, m)
+        assert all(type(k) is int for k in ways)
+
+
+@st.composite
+def chain_lookup_cases(draw):
+    """Random tables and schedules for :meth:`ScenarioArrays.chain_instances`.
+
+    Chains name 1 to 5 VNFs of up to 6 (``ghost`` names none of them);
+    the table may have requests appended and removed after it was
+    built.  The schedule starts as the table's least-loaded or RCKK
+    (way-major) rows and then may be shuffled, lose rows (those chain
+    entries read ``-1``), gain rows for pairs no chain claims, and gain
+    duplicates of existing pairs on other instances (the first in row
+    order wins).
+    """
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    vnfs = [VNF(f"f{i}", 1.0, w, 100.0) for i, w in enumerate(widths)]
+    names = [v.name for v in vnfs] + (["ghost"] if draw(st.booleans()) else [])
+
+    def requests(prefix, count):
+        return [
+            Request(
+                f"{prefix}{j}",
+                ServiceChain(
+                    draw(
+                        st.lists(
+                            st.sampled_from(names),
+                            min_size=1,
+                            max_size=5,
+                            unique=True,
+                        )
+                    )
+                ),
+                draw(st.floats(0.1, 10.0)),
+            )
+            for j in range(count)
+        ]
+
+    built = requests("r", draw(st.integers(0, 12)))
+    appended = requests("a", draw(st.integers(0, 6)))
+    ids = [r.request_id for r in built + appended]
+    removed = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+    edits = draw(
+        st.fixed_dictionaries(
+            {
+                "rckk": st.booleans(),
+                "shuffle": st.booleans(),
+                "drop": st.floats(0.0, 0.5),
+                "extra": st.integers(0, 4),
+                "dupes": st.integers(0, 4),
+            }
+        )
+    )
+    return vnfs, built, appended, removed, edits, draw(st.randoms())
+
+
+class TestChainInstancesParity:
+    """The CSR-slot gather finds what the sort-and-search lookup finds."""
+
+    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, LEAN_POLICY])
+    @settings(max_examples=200, deadline=None)
+    @given(case=chain_lookup_cases())
+    def test_matches_sort_and_search(self, policy, case):
+        vnfs, built, appended, removed, edits, rnd = case
+        arrays = ScenarioArrays.build(vnfs, built, {}, dtypes=policy)
+        arrays._chain_slots()  # cached slots must not survive the edits
+        if appended:
+            arrays.append_requests(appended)
+        if removed:
+            arrays.remove_requests(removed)
+        # A table with unknown VNFs cannot be scheduled; its known
+        # entries get the least-loaded rows of the same chains.
+        known = arrays.chain_vnf >= 0
+        req = arrays.chain_req[known].astype(np.int64)
+        vnf = arrays.chain_vnf[known].astype(np.int64)
+        if not arrays.chain_has_unknown:
+            sched = schedule_columns(
+                arrays, RCKKScheduler() if edits["rckk"] else "least_loaded"
+            )
+            req, vnf = sched.req.astype(np.int64), sched.vnf.astype(np.int64)
+        k = [rnd.randrange(arrays.M_f[f]) for f in vnf.tolist()]
+        rows = list(zip(req.tolist(), vnf.tolist(), k))
+        if edits["shuffle"]:
+            rnd.shuffle(rows)
+        rows = [row for row in rows if rnd.random() >= edits["drop"]]
+        num_requests, num_vnfs = len(arrays.request_ids), len(vnfs)
+        if num_requests:
+            for _ in range(edits["extra"]):
+                r, f = rnd.randrange(num_requests), rnd.randrange(num_vnfs)
+                rows.append((r, f, rnd.randrange(arrays.M_f[f])))
+        for _ in range(edits["dupes"] if rows else 0):
+            r, f, _ = rows[rnd.randrange(len(rows))]
+            rows.insert(
+                rnd.randrange(len(rows) + 1),
+                (r, f, rnd.randrange(arrays.M_f[f])),
+            )
+        idx = policy.index_dtype
+        r = np.array([row[0] for row in rows], dtype=idx)
+        f = np.array([row[1] for row in rows], dtype=idx)
+        k = np.array([row[2] for row in rows], dtype=idx)
+        sched = ScheduleArrays(
+            req=r, vnf=f, k=k, inst=arrays.instance_offset[f] + k
+        )
+        got = arrays.chain_instances(sched)
+        want = reference_chain_instances(arrays, sched)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 #: Float columns subject to the dtype policy (quantized for parity).
