@@ -172,28 +172,31 @@ class ScheduleArrays:
     vnf: np.ndarray
     k: np.ndarray
     inst: np.ndarray
-    #: Lazily built VNF-major entry codes (``vnf << 32 | req``) in
-    #: ascending order, and the stable sort permutation that puts the
-    #: rows in it (``None`` when the rows already ascend, as the
-    #: CSR-ordered rows of a least-loaded or swap-refined schedule do).
-    _codes_sorted: Optional[np.ndarray] = field(default=None, repr=False)
-    _order: Optional[np.ndarray] = field(default=None, repr=False)
+    #: Lazily built ``sorted_codes()`` pair or ``None`` (not copied by
+    #: ``dataclasses.replace``, whose rows may differ).
+    _sorted: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
 
     def __len__(self) -> int:
         return int(self.req.shape[0])
 
-    def sorted_codes(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """The entry codes of the rows, sorted, with the sort order
-        (``None``: row order is sorted order)."""
-        if self._codes_sorted is None:
+    def sorted_codes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows' VNF-major entry codes (``vnf << 32 | req``) in
+        ascending order, and the rows' ``inst`` in that order.
+
+        The sort is stable.  It is skipped when the rows already ascend,
+        as the CSR-ordered rows of a least-loaded or swap-refined
+        schedule do (a stable argsort of those 333k int64 codes still
+        costs ~3.7 ms at ``batch_scale``)."""
+        if self._sorted is None:
             codes = _entry_codes(self.vnf, self.req)
-            order = None
+            inst = self.inst
             if bool((codes[1:] < codes[:-1]).any()):
                 order = np.argsort(codes, kind="stable")
-                codes = codes[order]
-            self._codes_sorted = codes
-            self._order = order
-        return self._codes_sorted, self._order
+                codes, inst = codes[order], inst[order]
+            self._sorted = (codes, inst)
+        return self._sorted
 
 
 def _entry_codes(vnf: np.ndarray, req: np.ndarray) -> np.ndarray:
@@ -258,6 +261,10 @@ class ScenarioArrays:
     # --- inverted chain views (static, lazily built) -----------------
     #: Cached ``vnf_requests()`` CSR: (ptr, req) or ``None``.
     _vnf_req_csr: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False
+    )
+    #: Cached ``_chain_by_vnf()`` sort, shared by the CSR and the slots.
+    _chain_sort: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False
     )
     #: Cached ``(slot, codes)`` of :meth:`chain_instances`: each chain
@@ -729,21 +736,17 @@ class ScenarioArrays:
         schedule's sorted entry codes, so one sorted-into-sorted search
         finds each pair's row; each chain entry then gathers its pair's
         instance by CSR slot.  A schedule whose rows are exactly the
-        CSR's pairs needs no search.
+        CSR's pairs needs no search (the search costs ~10 ms at
+        ``batch_scale``'s 333k pairs).
         """
         if not len(sched):
             return np.full(len(self.chain_vnf), -1, dtype=np.int64)
         slot, csr_codes = self._chain_slots()
-        codes, order = sched.sorted_codes()
-        if np.array_equal(codes, csr_codes):
-            inst = sched.inst if order is None else sched.inst[order]
-        else:
+        codes, inst = sched.sorted_codes()
+        if not np.array_equal(codes, csr_codes):
             pos = np.searchsorted(codes, csr_codes)
             np.minimum(pos, len(codes) - 1, out=pos)
-            found = codes[pos] == csr_codes
-            inst = np.where(
-                found, sched.inst[pos if order is None else order[pos]], -1
-            )
+            inst = np.where(codes[pos] == csr_codes, inst[pos], -1)
         return np.concatenate([inst, np.full(1, -1, dtype=inst.dtype)])[slot]
 
     def check_schedule(self, sched: ScheduleArrays) -> None:
@@ -892,20 +895,24 @@ class ScenarioArrays:
 
     def _chain_by_vnf(self) -> Tuple[np.ndarray, np.ndarray]:
         """The chain entries of known VNFs in (VNF, request) order, and
-        a flag on the first entry of each (VNF, request) pair."""
-        # ``chain_req`` ascends, so a stable sort by VNF leaves each
-        # VNF's requests ascending and a repeat (vnf, req) adjacent.
-        # Unsigned keys put the unknown VNFs (-1) last, and 16-bit ones
-        # take numpy's radix sort (~5x the merge sort of 32-bit keys).
-        wide = len(self.vnf_names) >= 1 << 16
-        key = self.chain_vnf.astype(np.uint64 if wide else np.uint16)
-        entries = np.argsort(key, kind="stable")
-        entries = entries[: np.count_nonzero(self.chain_vnf >= 0)]
-        vnf = key[entries]
-        req = self.chain_req[entries]
-        fresh = np.ones(len(entries), dtype=bool)
-        fresh[1:] = (vnf[1:] != vnf[:-1]) | (req[1:] != req[:-1])
-        return entries, fresh
+        a flag on the first entry of each (VNF, request) pair.  Cached
+        until the next row write, so the CSR and the slots sort once."""
+        if self._chain_sort is None:
+            # ``chain_req`` ascends, so a stable sort by VNF leaves each
+            # VNF's requests ascending and a repeat (vnf, req) adjacent.
+            # Unsigned keys put the unknown VNFs (-1) last, and 16-bit
+            # ones take numpy's radix sort (~5x the merge sort of 32-bit
+            # keys).
+            wide = len(self.vnf_names) >= 1 << 16
+            key = self.chain_vnf.astype(np.uint64 if wide else np.uint16)
+            entries = np.argsort(key, kind="stable")
+            entries = entries[: np.count_nonzero(self.chain_vnf >= 0)]
+            vnf = key[entries]
+            req = self.chain_req[entries]
+            fresh = np.ones(len(entries), dtype=bool)
+            fresh[1:] = (vnf[1:] != vnf[:-1]) | (req[1:] != req[:-1])
+            self._chain_sort = (entries, fresh)
+        return self._chain_sort
 
     def _chain_slots(self) -> Tuple[np.ndarray, np.ndarray]:
         """Each chain entry's slot in the ``vnf_requests()`` CSR (one
@@ -1038,6 +1045,7 @@ class ScenarioArrays:
 
     def _invalidate_request_caches(self) -> None:
         self._vnf_req_csr = None
+        self._chain_sort = None
         self._chain_slot_csr = None
         self._vnf_nbr_csr = None
 

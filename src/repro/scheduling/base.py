@@ -14,7 +14,7 @@ Over a whole problem instance the rule runs on columns:
 :func:`~repro.scheduling.kernels.schedule_columns` schedules every VNF
 through the whole-table rule :meth:`~SchedulingAlgorithm.assign_segments`
 (by default :meth:`~SchedulingAlgorithm.assign` per VNF; least-loaded
-and round-robin split every VNF at once), and
+splits every VNF at once), and
 :meth:`~repro.core.arrays.ScenarioArrays.schedule_dict` turns its rows
 into the ``(request_id, vnf_name) -> k`` map a
 :class:`~repro.nfv.state.DeploymentState` consumes.

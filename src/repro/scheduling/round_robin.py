@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.exceptions import SchedulingError
 from repro.scheduling.base import Assignment, SchedulingAlgorithm
 
@@ -26,16 +24,3 @@ class RoundRobinScheduler(SchedulingAlgorithm):
             raise SchedulingError(f"need at least one instance, got {m}")
         n = len(rates)
         return Assignment(ways=[i % m for i in range(n)], iterations=n)
-
-    def assign_segments(
-        self, rates: np.ndarray, ptr: np.ndarray, m: np.ndarray
-    ) -> Assignment:
-        """Closed form: user ``j`` of segment ``f`` goes to ``j % m[f]``."""
-        counts = np.diff(ptr)
-        short = np.flatnonzero((counts > 0) & (m < 1))
-        if len(short):
-            raise SchedulingError(
-                f"need at least one instance, got {int(m[short[0]])}"
-            )
-        within = np.arange(int(ptr[-1])) - np.repeat(ptr[:-1], counts)
-        return Assignment(ways=within % np.repeat(m, counts))
